@@ -82,30 +82,29 @@ def reduced_density(psi, region):
         raise ValueError("psi must be a sector StateVector")
     L, N = psi.basis[1], psi.basis[2]
     sites = _check_region(region, L)
-    cols = [s - 1 for s in sites]
     basis = enumerate_sector(L, N)
 
-    n_max = min(len(sites), N)
+    # bit i of a region key is site sites[i]; the complement key is the
+    # mask with the region's bits cleared
+    position = np.full(L, -1)
+    position[[s - 1 for s in sites]] = np.arange(len(sites))
+    pos = position[basis.occupations]
+    a_keys = np.where(pos >= 0, 1 << np.maximum(pos, 0), 0).sum(axis=1)
+    n_local = (pos >= 0).sum(axis=1)
+    c_keys = basis.masks & ~sum(1 << (s - 1) for s in sites)
+
     probs = np.zeros(N + 1)
     blocks = [None] * (N + 1)
-    for n in range(n_max + 1):
-        sub = enumerate_sector(len(sites), n)
-        a_index = {int(m): i for i, m in enumerate(sub.masks)}
-        c_index = {}
-        entries = {}
-        for row, m in enumerate(basis.masks):
-            m = int(m)
-            a_key = sum(((m >> c) & 1) << i for i, c in enumerate(cols))
-            if a_key not in a_index:
-                continue
-            c_key = m & ~sum(1 << c for c in cols)
-            c_col = c_index.setdefault(c_key, len(c_index))
-            entries[(a_index[a_key], c_col)] = psi.data[row]
-        if not entries:
+    for n in range(min(len(sites), N) + 1):
+        rows = np.flatnonzero(n_local == n)
+        if not rows.size:
             continue
-        M = np.zeros((sub.dim, len(c_index)), dtype=complex)
-        for (i, jj), amp in entries.items():
-            M[i, jj] = amp
+        sub = enumerate_sector(len(sites), n)
+        # complement columns in ascending key order, which is the order in
+        # which the ascending sector masks first reach each key
+        c_values, c_col = np.unique(c_keys[rows], return_inverse=True)
+        M = np.zeros((sub.dim, len(c_values)), dtype=complex)
+        M[np.searchsorted(sub.masks, a_keys[rows]), c_col] = psi.data[rows]
         rho = M @ M.conj().T
         p = float(np.trace(rho).real)
         if p > 1e-15:
@@ -143,17 +142,25 @@ def subsystem_entropy(psi, region):
     return entropies(reduced_density(psi, region)).total
 
 
-def mutual_information(psi, region_a=DEFAULT_REGION_A, region_b=DEFAULT_REGION_B):
-    """I = S_A + S_B - S_{A u B} from the exact pure state."""
-    a = _check_region(region_a, psi.basis[1])
-    b = _check_region(region_b, psi.basis[1])
+def _region_pair(region_a, region_b, L):
+    """Validated (A, B, A u B) site tuples; A and B must not overlap."""
+    a = _check_region(region_a, L)
+    b = _check_region(region_b, L)
     if set(a) & set(b):
         raise ValueError(f"regions overlap: {sorted(set(a) & set(b))}")
-    return (
-        subsystem_entropy(psi, a)
-        + subsystem_entropy(psi, b)
-        - subsystem_entropy(psi, tuple(sorted(a + b)))
-    )
+    return a, b, tuple(sorted(a + b))
+
+
+def region_entropies(psi, region_a, region_b):
+    """(S_A, S_B, S_{A u B}) from the exact pure state, one evaluation each."""
+    regions = _region_pair(region_a, region_b, psi.basis[1])
+    return tuple(subsystem_entropy(psi, r) for r in regions)
+
+
+def mutual_information(psi, region_a=DEFAULT_REGION_A, region_b=DEFAULT_REGION_B):
+    """I = S_A + S_B - S_{A u B} from the exact pure state."""
+    s_a, s_b, s_ab = region_entropies(psi, region_a, region_b)
+    return s_a + s_b - s_ab
 
 
 # ------------------------------------------------------------ proxy side
@@ -232,13 +239,10 @@ def config_mutual_proxy(snapshots, region_a=DEFAULT_REGION_A,
     """Snapshot plug-in estimate of the mutual-information proxy I_c."""
     if snapshots.empty:
         raise ValueError("no snapshots retained; cannot estimate")
-    a = _check_region(region_a, snapshots.L)
-    b = _check_region(region_b, snapshots.L)
-    if set(a) & set(b):
-        raise ValueError(f"regions overlap: {sorted(set(a) & set(b))}")
+    regions = _region_pair(region_a, region_b, snapshots.L)
     flagged = False
     number_part, surrogate_part = {}, {}
-    for name, sites in (("A", a), ("B", b), ("AB", tuple(sorted(a + b)))):
+    for name, sites in zip(("A", "B", "AB"), regions):
         cols = [s - 1 for s in sites]
         grouped = _joint_config_probs(snapshots.bits, cols, snapshots.L)
         counts = {
@@ -253,12 +257,9 @@ def config_mutual_proxy(snapshots, region_a=DEFAULT_REGION_A,
 def config_mutual_proxy_exact(psi, region_a=DEFAULT_REGION_A,
                               region_b=DEFAULT_REGION_B):
     """Infinite-sample I_c from exact Born probabilities (theory curves)."""
-    a = _check_region(region_a, psi.basis[1])
-    b = _check_region(region_b, psi.basis[1])
-    if set(a) & set(b):
-        raise ValueError(f"regions overlap: {sorted(set(a) & set(b))}")
+    regions = _region_pair(region_a, region_b, psi.basis[1])
     number_part, surrogate_part = {}, {}
-    for name, sites in (("A", a), ("B", b), ("AB", tuple(sorted(a + b)))):
+    for name, sites in zip(("A", "B", "AB"), regions):
         cols = [s - 1 for s in sites]
         grouped = _joint_config_probs(psi, cols, psi.basis[1])
         number_part[name], surrogate_part[name] = _surrogate_and_number(grouped)

@@ -434,9 +434,17 @@ def quench_projectors(psi0, params, times_J):
 
 
 def bs_participation(pair_profile, L):
-    """(sum_j <P_j,j+1> - 2/L) / (1 - 2/L): 1 = adjacent, 0 = random."""
-    total = float(np.sum(pair_profile))
-    return (total - 2.0 / L) / (1.0 - 2.0 / L)
+    """(sum_j <P_j,j+1> - 2/L) / (1 - 2/L): 1 = adjacent, 0 = random.
+
+    Sums over the last axis, so a stack of pair profiles gives one value
+    per profile. Undefined for L < 3: at L = 2 every two-magnon
+    configuration is adjacent, so the random baseline 2/L is 1.
+    """
+    if L < 3:
+        raise ValueError(f"participation needs L >= 3, got L={L}")
+    total = np.sum(pair_profile, axis=-1)
+    value = (total - 2.0 / L) / (1.0 - 2.0 / L)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def center_pair_state(params, separation=1):

@@ -8,6 +8,14 @@ sets are reproducible across platforms. For parallel time points pass
 seed=(root, time_index): the derived streams are independent and do not
 depend on scheduling order.
 
+Estimators that are functions of per-snapshot column means declare so
+(`_from_column_means`): their delete-one jackknife is then formed in
+closed form from the column sums, O(N L) instead of O(N^2 L) (Efron &
+Stein, Ann. Stat. 9, 1981). estimate_pup, estimate_pupp and
+estimate_participation declare it; any other callable, lambdas included,
+takes the generic delete-one loop. The declaration lives in the
+function's __dict__, so wrappers made with functools.wraps keep it.
+
 Snapshot files are newline-delimited blocks: one JSON metadata line, then
 one bitstring line (site 1 leftmost, '1' = up) per retained snapshot.
 """
@@ -18,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import StateVector, enumerate_sector
+from .probes import bs_participation
 
 DEFAULT_SNAPSHOTS = 1500  # typical experimental depth per time point
 
@@ -54,7 +63,7 @@ class SnapshotSet:
         return self.n_retained == 0
 
     def bitstrings(self):
-        return ["".join("1" if b else "0" for b in row) for row in self.bits]
+        return _text_rows(self.bits).decode("ascii").split()
 
     def metadata(self):
         return {
@@ -130,23 +139,41 @@ def _require_counts(snapshots):
         raise ValueError("no snapshots retained; cannot estimate")
 
 
+def _from_column_means(columns, from_means):
+    """Declare an estimator equal to from_means(column means, L).
+
+    columns maps the (N, L) bit array to (N, m) integer per-snapshot
+    columns; from_means maps means of shape (..., m) to the estimate and
+    broadcasts over leading axes. jackknife reads the declaration from
+    the estimator's `column_means` attribute.
+    """
+    def declare(estimator):
+        estimator.column_means = (columns, from_means)
+        return estimator
+    return declare
+
+
+def _adjacent_pairs(bits):
+    return bits[:, :-1] & bits[:, 1:]
+
+
+@_from_column_means(lambda bits: bits, lambda means, L: means)
 def estimate_pup(snapshots):
     """Per-site up fraction <P_j>."""
     _require_counts(snapshots)
     return snapshots.bits.mean(axis=0)
 
 
+@_from_column_means(_adjacent_pairs, lambda means, L: means)
 def estimate_pupp(snapshots):
     """Adjacent-pair fraction <P_j P_{j+1}>, labels = left site."""
     _require_counts(snapshots)
-    both = snapshots.bits[:, :-1] & snapshots.bits[:, 1:]
-    return both.mean(axis=0)
+    return _adjacent_pairs(snapshots.bits).mean(axis=0)
 
 
+@_from_column_means(_adjacent_pairs, bs_participation)
 def estimate_participation(snapshots):
     """Renormalized adjacent-pair participation from the pair fractions."""
-    from .probes import bs_participation
-
     return bs_participation(estimate_pupp(snapshots), snapshots.L)
 
 
@@ -155,18 +182,35 @@ def jackknife(estimator, snapshots):
 
     estimator maps a SnapshotSet to a scalar or vector. For a plain
     sample mean the standard error reproduces std/sqrt(N) exactly.
+
+    An estimator that declares itself a function of column means
+    (estimate_pup, estimate_pupp, estimate_participation, and wrappers of
+    them made with functools.wraps) takes the O(N L) path: with S the
+    column sums, all N delete-one means are (S - x_i) / (N - 1), one
+    (N, m) array. The sums are exact integers, so these are the very
+    means the loop forms. Any other callable, lambdas included, is re-run
+    on each of the N delete-one subsets, O(N^2 L).
     """
     _require_counts(snapshots)
     N = snapshots.n_retained
     if N < 2:
         raise ValueError(f"jackknife needs at least 2 snapshots, got {N}")
-    full = np.asarray(estimator(snapshots), dtype=float)
-    parts = np.empty((N,) + full.shape)
-    sel = np.ones(N, dtype=bool)
-    for i in range(N):
-        sel[i] = False
-        parts[i] = estimator(replace(snapshots, bits=snapshots.bits[sel]))
-        sel[i] = True
+    declared = getattr(estimator, "column_means", None)
+    if declared is not None:
+        columns, from_means = declared
+        x = columns(snapshots.bits)
+        sums = x.sum(axis=0)
+        full = np.asarray(from_means(sums / N, snapshots.L), dtype=float)
+        parts = np.asarray(from_means((sums - x) / (N - 1), snapshots.L),
+                           dtype=float)
+    else:
+        full = np.asarray(estimator(snapshots), dtype=float)
+        parts = np.empty((N,) + full.shape)
+        sel = np.ones(N, dtype=bool)
+        for i in range(N):
+            sel[i] = False
+            parts[i] = estimator(replace(snapshots, bits=snapshots.bits[sel]))
+            sel[i] = True
     mean_parts = parts.mean(axis=0)
     corrected = N * full - (N - 1) * mean_parts
     err = np.sqrt((N - 1) / N * np.sum((parts - mean_parts) ** 2, axis=0))
@@ -178,6 +222,13 @@ def jackknife(estimator, snapshots):
 # ------------------------------------------------------------- file format
 
 
+def _text_rows(bits):
+    """ASCII bitstring lines of a (N, L) 0/1 array, each ending in a newline."""
+    rows = np.full((len(bits), bits.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    rows[:, :-1] = np.where(bits, ord("1"), ord("0"))
+    return rows.tobytes()
+
+
 def save_snapshots(path, snapshot_sets):
     """Write blocks of one JSON metadata line plus bitstring lines."""
     if isinstance(snapshot_sets, SnapshotSet):
@@ -185,8 +236,7 @@ def save_snapshots(path, snapshot_sets):
     with open(path, "w") as fh:
         for s in snapshot_sets:
             fh.write(json.dumps(s.metadata()) + "\n")
-            for line in s.bitstrings():
-                fh.write(line + "\n")
+            fh.write(_text_rows(s.bits).decode("ascii"))
 
 
 def load_snapshots(path):
@@ -203,8 +253,8 @@ def load_snapshots(path):
         i += n
         if len(rows) != n or any(len(r) != meta["L"] for r in rows):
             raise ValueError(f"corrupt snapshot block in {path}")
-        bits = np.array([[c == "1" for c in r] for r in rows], dtype=np.uint8)
-        bits = bits.reshape(n, meta["L"])
+        chars = np.frombuffer("".join(rows).encode("ascii", "replace"), np.uint8)
+        bits = (chars == ord("1")).astype(np.uint8).reshape(n, meta["L"])
         seed = meta["seed"]
         sets.append(
             SnapshotSet(

@@ -167,6 +167,20 @@ def test_entropy_columns_match_direct_evaluation(tmp_path):
         est.config_only, abs=1e-12)
 
 
+def test_entropy_overlapping_regions_exit_1(tmp_path, capsys):
+    code = main(["entropy", "--length", "10", "--region-a", "3,4,5",
+                 "--region-b", "5,6", "--n-times", "2", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error: regions overlap: [5]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["sample", "quench"])
+def test_participation_at_two_sites_is_an_error(experiment, tmp_path, capsys):
+    code = main([experiment, "--length", "2", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error: participation needs L >= 3" in capsys.readouterr().err
+
+
 def test_sample_reruns_are_byte_identical(tmp_path):
     args = ["sample", "--length", "8", "--delta", "2.0", "--t", "1.0",
             "--n-snapshots", "150", "--seed", "7"]

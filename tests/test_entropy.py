@@ -65,6 +65,49 @@ def brute_force_partial_trace(psi, region, L):
     return rho
 
 
+def dict_loop_reduced_density(psi, region):
+    """(probs, blocks) by grouping the sector basis mask by mask in a dict."""
+    L, N = psi.basis[1], psi.basis[2]
+    cols = [s - 1 for s in region]
+    basis = enumerate_sector(L, N)
+    probs, blocks = np.zeros(N + 1), [None] * (N + 1)
+    for n in range(min(len(region), N) + 1):
+        sub = enumerate_sector(len(region), n)
+        a_index = {int(m): i for i, m in enumerate(sub.masks)}
+        c_index, entries = {}, {}
+        for row, m in enumerate(basis.masks):
+            m = int(m)
+            a_key = sum(((m >> c) & 1) << i for i, c in enumerate(cols))
+            if a_key not in a_index:
+                continue
+            c_key = m & ~sum(1 << c for c in cols)
+            c_col = c_index.setdefault(c_key, len(c_index))
+            entries[(a_index[a_key], c_col)] = psi.data[row]
+        if not entries:
+            continue
+        M = np.zeros((sub.dim, len(c_index)), dtype=complex)
+        for (i, j), amp in entries.items():
+            M[i, j] = amp
+        rho = M @ M.conj().T
+        p = float(np.trace(rho).real)
+        if p > 1e-15:
+            probs[n], blocks[n] = p, rho / p
+    return probs, blocks
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("region", [(2, 5, 9), (8, 9, 10), (9, 5, 2)])
+def test_grouped_partial_trace_matches_dict_loop(region, n):
+    psi = random_sector_state(10, n, seed=10 * n + len(region))
+    srd = reduced_density(psi, region)
+    probs, blocks = dict_loop_reduced_density(psi, region)
+    assert np.abs(srd.probs - probs).max() <= 1e-14
+    for got, want in zip(srd.blocks, blocks):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.abs(got - want).max() <= 1e-14
+
+
 def test_product_state_single_pure_block():
     p = ModelParams(L=6, alpha=1.4)
     psi = sector_state_from_sites(p, (1, 2))

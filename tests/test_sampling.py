@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,50 @@ def test_jackknife_participation_coverage_near_68_percent():
     assert 58 <= hits <= 78  # one-sigma coverage, binomial spread
 
 
+def _closed_form_sets():
+    p = ModelParams(L=20, alpha=1.4, delta=2.0)
+    psi = exact_evolve(sector_hamiltonian(p, 2), center_pair_state(p), 1.0)
+    kept = postselect(sample_snapshots(psi, 1500, seed=(ROOT_SEED, 0)), 2)
+    rng = np.random.default_rng(5)
+    bits = (rng.random((40, 8)) < 0.4).astype(np.uint8)
+    bits[:, 3] = 0  # site 4 never up
+    never_up = SnapshotSet(bits=bits, L=8, seed=0, n_total=40)
+    two = SnapshotSet(bits=np.array([[1, 1, 0, 1], [0, 1, 1, 0]], dtype=np.uint8),
+                      L=4, seed=0, n_total=2)
+    return {"postselected_L20": kept, "site_never_up": never_up, "N2": two}
+
+
+@pytest.mark.parametrize("name", ["postselected_L20", "site_never_up", "N2"])
+@pytest.mark.parametrize("estimator",
+                         [estimate_pup, estimate_pupp, estimate_participation])
+def test_jackknife_closed_form_matches_delete_one_loop(estimator, name):
+    snaps = _closed_form_sets()[name]
+    fast = jackknife(estimator, snaps)
+    loop = jackknife(lambda s: estimator(s), snaps)  # declares nothing
+    for got, want in zip(fast, loop):
+        assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= 1e-15
+    if name == "site_never_up" and estimator is not estimate_participation:
+        sites = [3] if estimator is estimate_pup else [2, 3]
+        assert np.all(fast[1][sites] == 0.0)
+
+
+def test_jackknife_wrapped_estimator_keeps_linear_path():
+    _, psi = evolved_pair_state()
+    snaps = sample_snapshots(psi, 200, seed=6)
+    calls = []
+
+    @functools.wraps(estimate_pupp)
+    def counted(s):
+        calls.append(s.n_retained)
+        return estimate_pupp(s)
+
+    assert np.array_equal(jackknife(counted, snaps)[1],
+                          jackknife(estimate_pupp, snaps)[1])
+    assert calls == []  # no per-row re-evaluation
+    jackknife(lambda s: counted(s), snaps)
+    assert len(calls) == 201  # the loop: full set plus 200 deletions
+
+
 def test_pair_estimator_unbiased_over_seeds():
     _, psi = evolved_pair_state()
     _, pupp_exact = exact_profiles(psi, 10)
@@ -181,6 +227,11 @@ def test_snapshot_file_round_trip(tmp_path):
     kept = postselect(raw, 2)
     path = tmp_path / "snaps.txt"
     save_snapshots(path, [raw, kept])
+    lines = path.read_text().splitlines()
+    n_raw = raw.n_retained
+    assert lines[1: 1 + n_raw] == [
+        "".join("1" if b else "0" for b in row) for row in raw.bits]
+    assert raw.bitstrings() == lines[1: 1 + n_raw]
     back = load_snapshots(path)
     assert len(back) == 2
     for orig, loaded in zip([raw, kept], back):
