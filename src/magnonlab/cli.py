@@ -33,9 +33,8 @@ from .entropy import (
     config_mutual_proxy_exact,
     region_entropies,
 )
-from .evolve import exact_evolve, floquet_evolve
+from .evolve import check_pulse_length, exact_evolve, floquet_evolve
 from .model import (
-    FULL_SPACE_MAX_L,
     ModelParams,
     enumerate_sector,
     sector_hamiltonian,
@@ -429,10 +428,7 @@ def run_participation(cfg, outdir, seed, threads):
 
 def run_floquet_bench(cfg, outdir, seed, threads):
     params = _model(cfg)
-    if params.L > FULL_SPACE_MAX_L:
-        raise ValueError(
-            f"floquet-bench is full-space only, L <= {FULL_SPACE_MAX_L}"
-        )
+    check_pulse_length(params.L)
     psi0 = _pair_state(params, 1)
     ref_sector = exact_evolve(sector_hamiltonian(params, 2), psi0, cfg["t_eff"])
     masks = np.asarray(enumerate_sector(params.L, 2).masks, dtype=np.int64)
@@ -442,16 +438,14 @@ def run_floquet_bench(cfg, outdir, seed, threads):
     ref[masks] = ref_sector.data
     detunings = np.linspace(-cfg["det_max"], cfg["det_max"], cfg["n_det"])
 
-    def fidelity(job):
-        seq, det = job
-        return floquet_evolve(seq, params, full0, cfg["n_steps"], cfg["t_eff"],
-                              detuning=float(det), reference=ref).fidelity
+    def fidelities(det):
+        # both sequences in one job, so they share one cached eigensystem
+        return [floquet_evolve(seq, params, full0, cfg["n_steps"], cfg["t_eff"],
+                               detuning=float(det), reference=ref).fidelity
+                for seq in ("dd", "plain")]
 
-    jobs = [(seq, det) for seq in ("dd", "plain") for det in detunings]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        fids = list(pool.map(fidelity, jobs))
-    f_dd = np.array(fids[: len(detunings)])
-    f_plain = np.array(fids[len(detunings):])
+        f_dd, f_plain = np.array(list(pool.map(fidelities, detunings))).T
     path = write_csv(Path(outdir) / "floquet_bench.csv", _meta(cfg),
                      ["detuning", "fidelity_dd", "fidelity_plain"],
                      [detunings, f_dd, f_plain])
@@ -571,10 +565,18 @@ PRESETS = {
 def _execute(experiment, cfg, outdir, seed, threads):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    existing = set(outdir.iterdir())
     start = time.perf_counter()
-    files, notes = EXPERIMENTS[experiment](cfg, outdir, seed, threads)
-    write_manifest(outdir, experiment, cfg, seed, files,
-                   notes, time.perf_counter() - start)
+    try:
+        files, notes = EXPERIMENTS[experiment](cfg, outdir, seed, threads)
+        write_manifest(outdir, experiment, cfg, seed, files,
+                       notes, time.perf_counter() - start)
+    except BaseException:
+        # a failed run leaves no partial artifacts; earlier files stay
+        for path in set(outdir.iterdir()) - existing:
+            if path.is_file():
+                path.unlink()
+        raise
     return notes
 
 

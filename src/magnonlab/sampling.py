@@ -251,9 +251,10 @@ def load_snapshots(path):
         n = meta["n_retained"]
         rows = lines[i: i + n]
         i += n
-        if len(rows) != n or any(len(r) != meta["L"] for r in rows):
-            raise ValueError(f"corrupt snapshot block in {path}")
         chars = np.frombuffer("".join(rows).encode("ascii", "replace"), np.uint8)
+        if (len(rows) != n or any(len(r) != meta["L"] for r in rows)
+                or not np.all((chars == ord("0")) | (chars == ord("1")))):
+            raise ValueError(f"corrupt snapshot block in {path}")
         bits = (chars == ord("1")).astype(np.uint8).reshape(n, meta["L"])
         seed = meta["seed"]
         sets.append(

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from magnonlab.cli import main, read_config_file, resolve_config
 from magnonlab.entropy import config_mutual_proxy_exact
-from magnonlab.evolve import exact_evolve
+from magnonlab.evolve import PULSE_MAX_L, _pulse_eigensystem, exact_evolve
 from magnonlab.model import ModelParams, sector_hamiltonian
 from magnonlab.probes import bs_participation, center_pair_state
 from magnonlab.spectral import dispersion_one
@@ -152,6 +153,17 @@ def test_floquet_bench_symmetry_and_widths(tmp_path):
     assert notes["width_dd_at_0.8"] >= notes["width_plain_at_0.8"]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_floquet_bench_diagonalizes_once_per_detuning(threads, tmp_path):
+    # five detunings overflow the 4-entry cache if the sequences run apart
+    _pulse_eigensystem.cache_clear()
+    assert main(["floquet-bench", "--length", "4", "--n-steps", "8",
+                 "--n-det", "5", "--threads", threads,
+                 "--out", str(tmp_path / "o")]) == 0
+    info = _pulse_eigensystem.cache_info()
+    assert (info.misses, info.hits) == (5, 5)
+
+
 def test_entropy_columns_match_direct_evaluation(tmp_path):
     out = tmp_path / "o"
     assert main(["entropy", "--length", "10", "--delta", "4.5",
@@ -179,6 +191,16 @@ def test_participation_at_two_sites_is_an_error(experiment, tmp_path, capsys):
     code = main([experiment, "--length", "2", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error: participation needs L >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["sample", "quench"])
+def test_failed_run_removes_only_its_own_files(experiment, tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert main([experiment, "--length", "2", "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept\n"
 
 
 def test_sample_reruns_are_byte_identical(tmp_path):
@@ -227,3 +249,18 @@ def test_full_space_guard_surfaces_as_error(tmp_path, capsys):
                  "--n-det", "1", "--det-max", "0.0", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "L" in capsys.readouterr().err
+
+
+def test_pulse_guard_rejects_before_allocating(tmp_path, capsys):
+    L = PULSE_MAX_L + 1
+    tracemalloc.start()
+    try:
+        code = main(["floquet-bench", "--length", str(L), "--n-steps", "2",
+                     "--n-det", "1", "--det-max", "0.0",
+                     "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert f"({8 * 4**L} bytes at L={L})" in capsys.readouterr().err
+    assert peak < 2**20  # the dense matrix alone would be 512 MiB

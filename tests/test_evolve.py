@@ -12,7 +12,9 @@ from magnonlab.model import (
 )
 from magnonlab.evolve import (
     EXACT_DIM_MAX,
+    PULSE_MAX_L,
     PulseSequence,
+    _pulse_eigensystem,
     exact_evolve,
     fidelity,
     floquet_evolve,
@@ -65,6 +67,21 @@ def test_exact_evolve_matches_full_space_brute_force():
     embedded = full[np.asarray(H.basis.masks, dtype=np.int64)]
     assert np.allclose(out.data, embedded, atol=1e-10)
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+def reference_spectral_step(evecs, phase, psi):
+    """The complex form of the spectral step, conjugating evecs."""
+    return evecs @ (phase * (evecs.conj().T @ psi))
+
+
+def test_exact_evolve_matches_complex_spectral_step():
+    p = ModelParams(L=10, alpha=1.4, delta=2.0, boundary="open")
+    H = sector_hamiltonian(p, 2)
+    psi = sector_state_from_sites(p, (4, 5))
+    evals, evecs = H.eigensystem()
+    for t in (0.0, 1.3, 7.9):
+        ref = reference_spectral_step(evecs, np.exp(-1j * evals * t), psi.data)
+        assert np.max(np.abs(exact_evolve(H, psi, t).data - ref)) <= 1e-13
 
 
 def test_exact_evolve_dimension_guard():
@@ -295,6 +312,72 @@ def test_floquet_report_bookkeeping():
         assert abs(s.norm() - 1.0) < 1e-12
     with pytest.raises(ValueError, match="n_steps"):
         floquet_evolve("dd", p, psi0, 0, 1.0)
+
+
+def reference_rotation(u, psi, L, site_scale=None, step=None):
+    """Global rotation by moving each site's axis to the front."""
+    psi = psi.reshape((2,) * L)
+    for q in range(L):
+        uq = u if site_scale is None else step.rotation(scale=site_scale[q])
+        ax = L - 1 - q  # site q is bit q, the fastest axis is the last
+        psi = np.moveaxis(np.tensordot(uq, np.moveaxis(psi, ax, 0), axes=(1, 0)), 0, ax)
+    return psi.reshape(-1)
+
+
+def reference_floquet(seq, p, psi0, n_steps, t_eff, detuning, rotation_scale,
+                      record_every, second_order):
+    """Step-by-step pulse loop with the reference rotation and step."""
+    seq = PulseSequence.built_in(seq)
+    if second_order:
+        seq = seq.symmetrized()
+    tau = t_eff * seq.cycle_len / (seq.cycle_effective * n_steps)
+    evals, evecs = _pulse_eigensystem(p.L, p.alpha, p.J, p.boundary, detuning)
+    weights = seq.weights(p.delta) * tau
+    psi, states = psi0.astype(complex), []
+    for n in range(1, n_steps + 1):
+        s = seq.steps[(n - 1) % seq.cycle_len]
+        if rotation_scale is None:
+            psi = reference_rotation(s.rotation(), psi, p.L)
+        else:
+            psi = reference_rotation(None, psi, p.L, site_scale=rotation_scale, step=s)
+        w = weights[(n - 1) % seq.cycle_len]
+        if w:
+            psi = reference_spectral_step(evecs, np.exp(-1j * evals * w), psi)
+        if record_every and n % record_every == 0 and n < n_steps:
+            rf = seq.final_rotations[n % seq.cycle_len]
+            states.append(reference_rotation(rf, psi, p.L))
+    states.append(reference_rotation(seq.final_rotations[n_steps % seq.cycle_len],
+                                     psi, p.L))
+    return states
+
+
+@pytest.mark.parametrize("seq, detuning, scale, record_every, second_order", [
+    ("dd", 0.4, [1.05, 0.97, 1.02, 0.95, 1.01, 0.99], 8, False),
+    ("plain", -0.3, None, 5, True),
+    ("dd", 0.0, None, 3, True),
+])
+def test_floquet_matches_reference_loop(seq, detuning, scale, record_every,
+                                        second_order):
+    p = ModelParams(L=6, alpha=1.4, delta=3.5, boundary="open")
+    rng = np.random.default_rng(5)
+    psi0 = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
+    psi0 /= np.linalg.norm(psi0)
+    scale = None if scale is None else np.array(scale)
+    rep = floquet_evolve(seq, p, psi0, 40, 2.0, detuning=detuning,
+                         rotation_scale=scale, record_every=record_every,
+                         second_order=second_order)
+    ref = reference_floquet(seq, p, psi0, 40, 2.0, detuning, scale,
+                            record_every, second_order)
+    assert len(rep.states) == len(ref) > 2
+    for got, want in zip(rep.states, ref):
+        assert np.max(np.abs(got.data - want)) <= 1e-13
+
+
+def test_floquet_length_guard_states_dense_size():
+    L = PULSE_MAX_L + 1
+    p = ModelParams(L=L, alpha=1.4, delta=3.5, boundary="open")
+    with pytest.raises(ValueError, match=rf"\({8 * 4**L} bytes at L={L}\)"):
+        floquet_evolve("dd", p, np.zeros(1), 8, 1.0)
 
 
 # ---------------------------------------------------------------- invariants

@@ -240,5 +240,18 @@ def test_snapshot_file_round_trip(tmp_path):
         assert loaded.metadata() == orig.metadata()
 
 
+def test_snapshot_file_rejects_characters_other_than_bits(tmp_path):
+    snaps = SnapshotSet(bits=np.array([[1, 0, 0], [0, 0, 1]], dtype=np.uint8),
+                        L=3, seed=(1, 0), n_total=2, t_J=0.0, delta=0.0,
+                        alpha=1.4, postselected=None)
+    path = tmp_path / "snaps.txt"
+    save_snapshots(path, snaps)
+    meta = path.read_text().splitlines()[0]
+    assert load_snapshots(path)[0].bits.tolist() == [[1, 0, 0], [0, 0, 1]]
+    path.write_text(meta + "\n1x0\n2a1\n")
+    with pytest.raises(ValueError, match="corrupt snapshot block"):
+        load_snapshots(path)
+
+
 def test_default_snapshot_budget_matches_experiment():
     assert DEFAULT_SNAPSHOTS == 1500
