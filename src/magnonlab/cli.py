@@ -357,7 +357,7 @@ def run_phase_diagram(cfg, outdir, seed, threads):
     k_all = quantized_momenta(params.L)
     idx = np.unique(np.round(np.linspace(0, len(k_all) - 1, cfg["n_k"])).astype(int))
     deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["n_delta"])
-    pd = phase_diagram(params, k_values=k_all[idx], deltas=deltas, threads=threads)
+    pd = phase_diagram(params, k_values=k_all[idx], deltas=deltas)
     kk, dd = np.meshgrid(pd.k, pd.delta, indexing="ij")
     path = write_csv(
         Path(outdir) / "phase_diagram.csv",
@@ -572,12 +572,27 @@ def _execute(experiment, cfg, outdir, seed, threads):
         write_manifest(outdir, experiment, cfg, seed, files,
                        notes, time.perf_counter() - start)
     except BaseException:
-        # a failed run leaves no partial artifacts; earlier files stay
+        # a failed run leaves no partial artifacts; earlier files stay, but
+        # an earlier manifest only while every digest in it still holds
         for path in set(outdir.iterdir()) - existing:
             if path.is_file():
                 path.unlink()
+        manifest = outdir / "manifest.json"
+        if manifest.is_file() and not _manifest_holds(manifest):
+            manifest.unlink()
         raise
     return notes
+
+
+def _manifest_holds(path):
+    """True if every artifact the manifest names still has its recorded sha256."""
+    try:
+        artifacts = json.loads(path.read_text())["artifacts"].items()
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return False
+    folder = path.parent
+    return all((folder / name).is_file() and _sha256(folder / name) == digest
+               for name, digest in artifacts)
 
 
 def build_parser():
@@ -608,7 +623,8 @@ def _common_flags(p, name):
                    help="output directory (default runs/<experiment>)")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for grid tasks")
+                   help="worker threads for dispersion1 --measure 1 and "
+                        "floquet-bench; other experiments ignore it")
 
 
 def main(argv=None):

@@ -387,15 +387,19 @@ class EvolutionReport:
     fidelity: float | None = None
 
 
-@lru_cache(maxsize=4)
-def _pulse_eigensystem(L, alpha, J, boundary, detuning):
+def _pulse_hamiltonian(L, alpha, J, boundary, detuning):
+    """Dense H_XX plus the detuning field, in a single float64 matrix."""
     params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
-    H = build_full_hamiltonian(params, kind="xx").toarray().astype(float)
+    H = build_full_hamiltonian(params, kind="xx").toarray()
     if detuning:
         bits = (np.arange(2**L)[:, None] >> np.arange(L)) & 1
-        H = H + np.diag(0.5 * detuning * (2.0 * bits - 1.0).sum(axis=1))
-    evals, evecs = np.linalg.eigh(H)
-    return evals, evecs
+        H[np.diag_indices_from(H)] += 0.5 * detuning * (2.0 * bits - 1.0).sum(axis=1)
+    return H
+
+
+@lru_cache(maxsize=4)
+def _pulse_eigensystem(L, alpha, J, boundary, detuning):
+    return np.linalg.eigh(_pulse_hamiltonian(L, alpha, J, boundary, detuning))
 
 
 def check_pulse_length(L):

@@ -105,7 +105,7 @@ class TwoMagnonBlock:
     m: int
     L: int
     distances: np.ndarray  # physical relative distances d
-    kinetic: np.ndarray  # hopping part, Hermitian, delta-independent
+    kinetic: np.ndarray  # hopping part, real symmetric, delta-independent
     u_diag: np.ndarray  # zz diagonal per unit delta (includes vacuum part)
     params: object
 
@@ -116,10 +116,23 @@ class TwoMagnonBlock:
     def hamiltonian(self, delta=None):
         if delta is None:
             delta = self.params.delta
-        return self.kinetic + np.diag(delta * self.u_diag)
+        h = self.kinetic.copy()
+        h[np.diag_indices_from(h)] += delta * self.u_diag
+        return h
 
     def eigensystem(self, delta=None):
         return np.linalg.eigh(self.hamiltonian(delta))
+
+    def top_state(self, delta=None):
+        """Highest eigenpair (energy, vector), without solving for the rest."""
+        # imported on first use: at module level, scipy.linalg would cost
+        # every magnonlab process about 8 MiB and 0.09 s
+        from scipy.linalg import eigh
+
+        n = self.dim
+        vals, vecs = eigh(self.hamiltonian(delta), subset_by_index=[n - 1, n - 1],
+                          overwrite_a=True)
+        return vals[0], vecs[:, 0]
 
 
 def two_magnon_block(k, params, d_max=None):
@@ -155,18 +168,16 @@ def two_magnon_block(k, params, d_max=None):
     nd = len(dist)
 
     # extended-label hop amplitude for d -> d' with all pairs listed as
-    # (j, j+d), d = 1..L-1: both one-magnon moves change d by l = d'-d mod L
+    # (j, j+d), d = 1..L-1: both one-magnon moves change d by l = d'-d mod L,
+    # and since e^{ikL} = 1 their phases e^{ik(l - s/2)} + e^{-iks/2}, with
+    # s = d'-d, sum to the real 2 cos(ks/2)
     dp = dist[:, None].astype(float)  # d' rows
     d0 = dist[None, :].astype(float)  # d  cols
     sgn = -1.0 if m % 2 else 1.0
 
     def hop(dprime, d):
         s = dprime - d
-        ell = np.mod(s, L).astype(int)
-        amp = 2.0 / 3.0 * Jc[ell] * (
-            np.exp(1j * k * (ell - s / 2.0)) + np.exp(-1j * k * s / 2.0)
-        )
-        return np.where(ell == 0, 0.0, amp)
+        return 4.0 / 3.0 * Jc[np.mod(s, L).astype(int)] * np.cos(0.5 * k * s)
 
     M1 = hop(dp, d0)
     M2 = hop(L - dp, d0)  # fold of the reflected label L-d'
@@ -177,10 +188,10 @@ def two_magnon_block(k, params, d_max=None):
     c = np.where(np.isclose(dist, L / 2.0), 1.0, np.sqrt(2.0))
     kin = kin * (c[None, :] / c[:, None])
 
-    herm_err = np.max(np.abs(kin - kin.conj().T)) if nd else 0.0
-    if herm_err > 1e-10 * max(params.J, 1.0):
-        raise AssertionError(f"two-magnon block not Hermitian: {herm_err}")
-    kin = 0.5 * (kin + kin.conj().T)
+    sym_err = np.max(np.abs(kin - kin.T)) if nd else 0.0
+    if sym_err > 1e-10 * max(params.J, 1.0):
+        raise AssertionError(f"two-magnon block not symmetric: {sym_err}")
+    kin = 0.5 * (kin + kin.T)
 
     # zz diagonal: (delta/3)(S_tot - 4R + 4 J(d)); S_tot part = vacuum energy
     R = Jc[1:].sum()
@@ -196,17 +207,13 @@ def unfold_relative_weights(block, vec):
     """|psi(d)|^2 over the full directed range d = 1 .. L-1.
 
     Block components at d < L/2 split evenly between d and L-d; the
-    antipodal component (if present) maps to d = L/2 alone.
+    antipodal component (if present) gets both halves at d = L/2.
     """
-    L = block.L
-    w = np.zeros(L - 1)
-    for d, amp in zip(block.distances, vec):
-        p = abs(amp) ** 2
-        if 2 * d == L:
-            w[d - 1] = p
-        else:
-            w[d - 1] += 0.5 * p
-            w[L - d - 1] += 0.5 * p
+    d = block.distances
+    half = 0.5 * np.abs(vec) ** 2
+    w = np.zeros(block.L - 1)
+    w[d - 1] += half
+    w[block.L - d - 1] += half
     return w
 
 
@@ -251,11 +258,9 @@ def dispersion_two(k_values, params, d_max=None):
     energies, l4s, flags = [], [], []
     for k in k_values:
         block = two_magnon_block(k, params, d_max=d_max)
-        vals, vecs = block.eigensystem()
-        top = vecs[:, -1]
-        w = unfold_relative_weights(block, top)
-        l4 = l4_of_weights(w)
-        energies.append(vals[-1] - e0)
+        energy, top = block.top_state()
+        l4 = l4_of_weights(unfold_relative_weights(block, top))
+        energies.append(energy - e0)
         l4s.append(l4)
         flags.append(l4 > thr)
     return DispersionCurve(
@@ -285,12 +290,14 @@ class PhaseDiagram:
         return float(self.delta[cols[0]]) if len(cols) else None
 
 
-def phase_diagram(params, k_values=None, deltas=None, threads=1):
+def phase_diagram(params, k_values=None, deltas=None, threads=None):
     """L4 of the top two-magnon state over a (k, delta) grid on the ring.
 
     The block kinetic part is built once per k and reused across delta
-    (the zz diagonal is linear in delta); rows are independent, so the k
-    loop optionally fans out over a thread pool.
+    (the zz diagonal is linear in delta); each grid point solves for the
+    top eigenpair only.  Rows run one after another: a thread pool only
+    competed with the BLAS threads, so ``threads`` is accepted for old
+    callers and ignored.
     """
     if k_values is None:
         k_values = quantized_momenta(params.L)
@@ -299,21 +306,11 @@ def phase_diagram(params, k_values=None, deltas=None, threads=1):
     k_values = np.asarray(k_values, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
 
-    def row(k):
+    rows = []
+    for k in k_values:
         block = two_magnon_block(k, params)
-        out = np.empty(len(deltas))
-        for idx, dl in enumerate(deltas):
-            vals, vecs = block.eigensystem(delta=dl)
-            out[idx] = l4_of_weights(unfold_relative_weights(block, vecs[:, -1]))
-        return out
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, k_values))
-    else:
-        rows = [row(k) for k in k_values]
+        rows.append([l4_of_weights(unfold_relative_weights(block, block.top_state(dl)[1]))
+                     for dl in deltas])
     return PhaseDiagram(
         k=k_values,
         delta=deltas,
@@ -362,8 +359,7 @@ def wavefunction_tails(k, params, fit_range=None):
     carries the whole state and the other sits at numerical zero.
     """
     block = two_magnon_block(k, params)
-    vals, vecs = block.eigensystem()
-    w = unfold_relative_weights(block, vecs[:, -1])
+    w = unfold_relative_weights(block, block.top_state()[1])
     half = np.arange(1, block.L)[: block.L // 2]
     prob = w[: block.L // 2] / w[0]
 

@@ -203,6 +203,36 @@ def test_failed_run_removes_only_its_own_files(experiment, tmp_path):
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
+def test_failed_rerun_drops_the_manifest_it_invalidates(tmp_path):
+    out = tmp_path / "o"
+    assert main(["sample", "--length", "8", "--out", str(out)]) == 0
+    first = (out / "snapshots.txt").read_bytes()
+    assert main(["sample", "--length", "2", "--out", str(out)]) == 1
+    # the failed run rewrote snapshots.txt before participation failed
+    assert (out / "snapshots.txt").read_bytes() != first
+    assert not (out / "manifest.json").exists()
+
+
+def test_failed_run_keeps_a_manifest_that_still_holds(tmp_path):
+    out = tmp_path / "o"
+    assert main(["sample", "--length", "8", "--out", str(out)]) == 0
+    before = manifest(out)
+    assert main(["quench", "--length", "2", "--out", str(out)]) == 1
+    assert manifest(out) == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["manifest.json", *before["artifacts"]])
+
+
+def test_phase_diagram_ignores_threads(tmp_path):
+    hashes = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["phase-diagram", "--length", "40", "--n-k", "6", "--n-delta", "5",
+                     "--threads", threads, "--out", str(out)]) == 0
+        hashes.append(manifest(out)["content_hash"])
+    assert hashes[0] == hashes[1]
+
+
 def test_sample_reruns_are_byte_identical(tmp_path):
     args = ["sample", "--length", "8", "--delta", "2.0", "--t", "1.0",
             "--n-snapshots", "150", "--seed", "7"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,6 +17,7 @@ from magnonlab.evolve import (
     PULSE_MAX_L,
     PulseSequence,
     _pulse_eigensystem,
+    _pulse_hamiltonian,
     exact_evolve,
     fidelity,
     floquet_evolve,
@@ -378,6 +381,47 @@ def test_floquet_length_guard_states_dense_size():
     p = ModelParams(L=L, alpha=1.4, delta=3.5, boundary="open")
     with pytest.raises(ValueError, match=rf"\({8 * 4**L} bytes at L={L}\)"):
         floquet_evolve("dd", p, np.zeros(1), 8, 1.0)
+
+
+def reference_pulse_eigensystem(L, alpha, J, boundary, detuning):
+    """The pulse eigensystem as first built: a float copy and a dense diagonal."""
+    params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
+    H = build_full_hamiltonian(params, kind="xx").toarray().astype(float)
+    if detuning:
+        bits = (np.arange(2**L)[:, None] >> np.arange(L)) & 1
+        H = H + np.diag(0.5 * detuning * (2.0 * bits - 1.0).sum(axis=1))
+    return np.linalg.eigh(H)
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+@pytest.mark.parametrize("detuning", [0.0, -0.6, 1.3])
+def test_pulse_eigensystem_is_bit_identical_to_reference(boundary, detuning):
+    args = (8, 1.4, 1.0, boundary, detuning)
+    evals, evecs = _pulse_eigensystem.__wrapped__(*args)
+    ref_vals, ref_vecs = reference_pulse_eigensystem(*args)
+    assert np.array_equal(evals, ref_vals)
+    assert np.array_equal(evecs, ref_vecs)
+
+
+def test_pulse_eigensystem_allocates_one_dense_matrix_per_role():
+    L = 10
+    matrix = 8 * 4**L
+    args = (L, 1.4, 1.0, "open", 0.7)
+    _pulse_eigensystem.__wrapped__(*args)  # warm imports outside the trace
+    tracemalloc.start()
+    try:
+        _pulse_hamiltonian(*args)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _pulse_eigensystem.__wrapped__(*args)
+        eig_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float copy or a dense diagonal would double the build
+    assert build_peak < 1.25 * matrix
+    # the Hamiltonian and the returned eigenvectors; LAPACK's workspace is
+    # allocated outside numpy and not traced
+    assert eig_peak < 2.25 * matrix
 
 
 # ---------------------------------------------------------------- invariants

@@ -101,6 +101,97 @@ def test_two_magnon_blocks_isospectral_with_sector_ed(L, delta):
     assert np.allclose(np.sort(pooled), ed, atol=1e-9 * max(1.0, p.J))
 
 
+def complex_kinetic_reference(k, params, d_max=None):
+    """The block's hop matrix as first written: complex phases, folded by hand."""
+    L = params.L
+    m = int(round(k * L / (2.0 * np.pi))) % L
+    x = np.arange(L, dtype=float)
+    dc = np.minimum(x, L - x)
+    Jc = np.zeros(L)
+    Jc[1:] = params.J / dc[1:] ** params.alpha
+    dist = np.arange(1, L // 2 + 1)
+    if L % 2 == 0 and m % 2 == 1:
+        dist = dist[:-1]
+    if d_max is not None:
+        dist = dist[dist <= d_max]
+    dp = dist[:, None].astype(float)
+    d0 = dist[None, :].astype(float)
+
+    def hop(dprime, d):
+        s = dprime - d
+        ell = np.mod(s, L).astype(int)
+        amp = 2.0 / 3.0 * Jc[ell] * (
+            np.exp(1j * k * (ell - s / 2.0)) + np.exp(-1j * k * s / 2.0)
+        )
+        return np.where(ell == 0, 0.0, amp)
+
+    sgn = -1.0 if m % 2 else 1.0
+    kin = hop(dp, d0) + sgn * np.where(np.isclose(dp, L / 2.0), 0.0, hop(L - dp, d0))
+    c = np.where(np.isclose(dist, L / 2.0), 1.0, np.sqrt(2.0))
+    kin = kin * (c[None, :] / c[:, None])
+    return 0.5 * (kin + kin.conj().T)
+
+
+@pytest.mark.parametrize("L", [8, 9, 12, 13, 300])
+def test_real_kinetic_matches_complex_reference(L):
+    p = ModelParams(L=L, alpha=1.4, delta=2.0, boundary="ring")
+    for d_max in (None, 3):
+        for m in range(L):
+            k = 2.0 * np.pi * m / L
+            block = two_magnon_block(k, p, d_max=d_max)
+            assert block.kinetic.dtype == np.float64
+            ref = complex_kinetic_reference(k, p, d_max=d_max)
+            assert block.kinetic.shape == ref.shape
+            assert np.max(np.abs(block.kinetic - ref.real), initial=0.0) <= 1e-13
+            # the exact amplitude is real: the reference's imaginary part is
+            # its roundoff, which grows with the phase k*l beyond k = pi
+            assert np.max(np.abs(ref.imag), initial=0.0) <= (1e-13 if 2 * m <= L else 2e-13)
+
+
+@pytest.mark.parametrize("L,ms", [(12, range(12)), (13, range(13)), (300, (1, 2, 75, 149, 150))])
+@pytest.mark.parametrize("delta", [0.0, 1.5, 4.0])
+def test_top_state_is_last_pair_of_full_eigh(L, ms, delta):
+    p = ModelParams(L=L, alpha=1.4, delta=3.0, boundary="ring")
+    for m in ms:
+        block = two_magnon_block(2.0 * np.pi * m / L, p)
+        vals, vecs = block.eigensystem(delta=delta)
+        energy, top = block.top_state(delta=delta)
+        assert top.shape == (block.dim,)
+        assert energy == pytest.approx(vals[-1], abs=1e-12)
+        assert abs(np.dot(top, vecs[:, -1])) >= 1.0 - 1e-12
+
+
+def unfold_reference_loop(block, vec):
+    """The unfolding as first written, one distance at a time."""
+    L = block.L
+    w = np.zeros(L - 1)
+    for d, amp in zip(block.distances, vec):
+        p = abs(amp) ** 2
+        if 2 * d == L:
+            w[d - 1] = p
+        else:
+            w[d - 1] += 0.5 * p
+            w[L - d - 1] += 0.5 * p
+    return w
+
+
+@pytest.mark.parametrize("L,m", [(12, 2), (12, 3), (13, 4), (13, 5)])
+def test_vectorised_unfolding_equals_loop(L, m):
+    # even L: even m keeps the antipode d = L/2, odd m drops it; odd L has none
+    p = ModelParams(L=L, alpha=1.4, delta=3.0, boundary="ring")
+    block = two_magnon_block(2.0 * np.pi * m / L, p)
+    assert np.any(2 * block.distances == L) == (L % 2 == 0 and m % 2 == 0)
+    rng = np.random.default_rng(L + m)
+    real = rng.normal(size=block.dim)
+    cplx = real + 1j * rng.normal(size=block.dim)
+    for vec in (block.top_state()[1], real):
+        assert np.array_equal(unfold_relative_weights(block, vec),
+                              unfold_reference_loop(block, vec))
+    # |z| of a complex scalar and of an array element may round apart
+    assert np.allclose(unfold_relative_weights(block, cplx),
+                       unfold_reference_loop(block, cplx), rtol=1e-15, atol=0.0)
+
+
 def test_block_requires_ring_and_quantized_k():
     with pytest.raises(ValueError, match="ring"):
         two_magnon_block(np.pi, ModelParams(L=10, boundary="open"))
@@ -150,7 +241,7 @@ def test_dispersion_two_energy_agrees_with_sector_ed():
 def test_phase_diagram_onset_and_small_k_exclusion():
     p = ModelParams(L=60, alpha=1.4, boundary="ring")
     deltas = np.arange(0.0, 4.01, 0.25)
-    pd = phase_diagram(p, deltas=deltas, threads=2)
+    pd = phase_diagram(p, deltas=deltas)
     onset = pd.onset_delta()
     assert onset is not None and 1.5 <= onset <= 3.0
     # the smallest quantized momentum binds last: unbound well past onset,
