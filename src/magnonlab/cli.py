@@ -33,9 +33,10 @@ from .entropy import (
     config_mutual_proxy_exact,
     region_entropies,
 )
-from .evolve import check_pulse_length, exact_evolve, floquet_evolve
+from .evolve import check_pulse_length, exact_evolve, floquet_evolve, propagate
 from .model import (
     ModelParams,
+    StateVector,
     enumerate_sector,
     sector_hamiltonian,
 )
@@ -312,11 +313,8 @@ def run_dispersion1(cfg, outdir, seed, threads):
         ref = float(k[0])
         beat_ref = dispersion_one(ref, params)
 
-        def probe(q):
-            return spectroscopy_one(params, float(q), t_max_J=cfg["t_max"])
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            signals = list(pool.map(probe, k))
+        signals = [spectroscopy_one(params, float(q), t_max_J=cfg["t_max"])
+                   for q in k]
         measured = np.array([s.frequency for s in signals])
         analytic = np.abs(energy - beat_ref)
         names += ["beat_measured", "beat_analytic", "resolution"]
@@ -476,13 +474,12 @@ def _level_width(x, y, level):
 def run_entropy(cfg, outdir, seed, threads):
     params = _model(cfg)
     psi0 = _pair_state(params, cfg["separation"])
-    H = sector_hamiltonian(params, 2)
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     A, B = cfg["region_a"], cfg["region_b"]
     rows = {name: [] for name in
             ("mutual_info", "proxy", "proxy_config_only", "s_a", "s_b", "s_ab")}
-    for t in times:
-        psi = exact_evolve(H, psi0, float(t))
+    for data in propagate(sector_hamiltonian(params, 2), psi0, times):
+        psi = StateVector(data=data, basis=psi0.basis)
         s_a, s_b, s_ab = region_entropies(psi, A, B)
         rows["mutual_info"].append(s_a + s_b - s_ab)
         est = config_mutual_proxy_exact(psi, A, B)
@@ -623,8 +620,8 @@ def _common_flags(p, name):
                    help="output directory (default runs/<experiment>)")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for dispersion1 --measure 1 and "
-                        "floquet-bench; other experiments ignore it")
+                   help="worker threads for floquet-bench; other "
+                        "experiments ignore it")
 
 
 def main(argv=None):

@@ -7,20 +7,25 @@ configurational part sum p(n) S(rho^(n)), which add up to the full von
 Neumann entropy of the subsystem (an exact identity, tested to 1e-12).
 
 The snapshot-based proxy replaces the configurational entropy by a
-covariance-style surrogate evaluated on z-basis configuration
-frequencies:
+covariance-style surrogate on z-basis configuration frequencies,
 
     S~_C;R = sum_n p(n) sum_{a, b} [ p(a, b) - p(a) p(b) ]
 
 with a running over the n-magnon configurations of region R and b over
 the matching configurations of its complement. Summed over the full
 configuration sets the bracket telescopes to p(n) - p(n)^2 (empirical
-frequencies included, since the marginals come from the same counts);
-the implementation still evaluates the terms explicitly so that partial
-configuration sets and exact-probability inputs are handled uniformly.
-The mutual-information combination is emitted in two variants, with and
-without the number-entropy parts, since only their sum is fixed by the
-measured data. Natural logarithms everywhere.
+frequencies included, since the marginals come from the same counts), so
+
+    S~_C;R = sum_n p(n)^2 (1 - p(n)),
+
+a function of the local number distribution p(n) alone: it carries no
+information about configurations within a sector. It is evaluated in
+that closed form. A sector state and a snapshot set enter the same way,
+as (M, L) occupation rows with weights |psi|^2 or 1/N, and p(n) is one
+weighted bincount of the local magnon count. The mutual-information
+combination is emitted in two variants, with and without the
+number-entropy parts, since only their sum is fixed by the measured
+data. Natural logarithms everywhere.
 """
 
 from dataclasses import dataclass
@@ -86,11 +91,9 @@ def reduced_density(psi, region):
 
     # bit i of a region key is site sites[i]; the complement key is the
     # mask with the region's bits cleared
-    position = np.full(L, -1)
-    position[[s - 1 for s in sites]] = np.arange(len(sites))
-    pos = position[basis.occupations]
-    a_keys = np.where(pos >= 0, 1 << np.maximum(pos, 0), 0).sum(axis=1)
-    n_local = (pos >= 0).sum(axis=1)
+    local = basis.bits[:, [s - 1 for s in sites]]
+    a_keys = local @ (1 << np.arange(len(sites)))
+    n_local = local.sum(axis=1)
     c_keys = basis.masks & ~sum(1 << (s - 1) for s in sites)
 
     probs = np.zeros(N + 1)
@@ -184,89 +187,27 @@ class ProxyResult:
     flagged: bool
 
 
-def _joint_config_probs(bits_or_state, region_cols, L):
-    """{n: (joint, marg_a, marg_b)} of unconditional probabilities.
+def _number_distribution(bits, weights, cols):
+    """p(n) of the magnon count on columns cols, by a weighted bincount."""
+    return np.bincount(bits[:, cols].sum(axis=1, dtype=np.intp), weights=weights)
 
-    Accepts either a (N, L) snapshot bit array or a sector StateVector
-    (exact Born probabilities). Keys are packed region / complement
-    configurations; probabilities are unconditional, so each sector's
-    marginals sum to p(n).
+
+def _proxy(bits, weights, regions, n_snapshots=None):
+    """ProxyResult over the (A, B, A u B) regions of weighted rows.
+
+    With n_snapshots given, the weights are 1/N frequencies, p(n) N rounds
+    to each sector's snapshot count, and a sector held by fewer than
+    MIN_SECTOR_COUNTS snapshots sets the flag.
     """
-    comp_cols = [c for c in range(L) if c not in region_cols]
-    out = {}
-
-    def add(n, a_key, b_key, p):
-        joint, ma, mb = out.setdefault(n, ({}, {}, {}))
-        joint[(a_key, b_key)] = joint.get((a_key, b_key), 0.0) + p
-        ma[a_key] = ma.get(a_key, 0.0) + p
-        mb[b_key] = mb.get(b_key, 0.0) + p
-
-    if isinstance(bits_or_state, StateVector):
-        basis = enumerate_sector(L, bits_or_state.basis[2])
-        prob = np.abs(bits_or_state.data) ** 2
-        for row, m in enumerate(basis.masks):
-            m = int(m)
-            a_key = sum(((m >> c) & 1) << i for i, c in enumerate(region_cols))
-            b_key = sum(((m >> c) & 1) << i for i, c in enumerate(comp_cols))
-            add(int(a_key).bit_count(), a_key, b_key, float(prob[row]))
-    else:
-        bits = bits_or_state
-        w = 1.0 / len(bits)
-        a_pack = bits[:, region_cols] @ (1 << np.arange(len(region_cols)))
-        b_pack = bits[:, comp_cols] @ (1 << np.arange(len(comp_cols)))
-        ns = bits[:, region_cols].sum(axis=1)
-        for n, a_key, b_key in zip(ns, a_pack, b_pack):
-            add(int(n), int(a_key), int(b_key), w)
-    return out
-
-
-def _surrogate_and_number(joint_by_n):
-    """(S_N, S~_C) from sector-grouped configuration probabilities."""
-    s_num, s_conf = 0.0, 0.0
-    for _, (joint, ma, mb) in sorted(joint_by_n.items()):
-        p_n = sum(ma.values())
-        if p_n <= 0:
-            continue
-        s_num -= p_n * np.log(p_n)
-        term = sum(joint.values())
-        term -= sum(ma.values()) * sum(mb.values())
-        s_conf += p_n * term
-    return s_num, s_conf
-
-
-def config_mutual_proxy(snapshots, region_a=DEFAULT_REGION_A,
-                        region_b=DEFAULT_REGION_B):
-    """Snapshot plug-in estimate of the mutual-information proxy I_c."""
-    if snapshots.empty:
-        raise ValueError("no snapshots retained; cannot estimate")
-    regions = _region_pair(region_a, region_b, snapshots.L)
+    number_part, surrogate_part = {}, {}
     flagged = False
-    number_part, surrogate_part = {}, {}
     for name, sites in zip(("A", "B", "AB"), regions):
-        cols = [s - 1 for s in sites]
-        grouped = _joint_config_probs(snapshots.bits, cols, snapshots.L)
-        counts = {
-            n: round(sum(ma.values()) * snapshots.n_retained)
-            for n, (_, ma, _) in grouped.items()
-        }
-        flagged |= any(0 < c < MIN_SECTOR_COUNTS for c in counts.values())
-        number_part[name], surrogate_part[name] = _surrogate_and_number(grouped)
-    return _combine(number_part, surrogate_part, flagged)
-
-
-def config_mutual_proxy_exact(psi, region_a=DEFAULT_REGION_A,
-                              region_b=DEFAULT_REGION_B):
-    """Infinite-sample I_c from exact Born probabilities (theory curves)."""
-    regions = _region_pair(region_a, region_b, psi.basis[1])
-    number_part, surrogate_part = {}, {}
-    for name, sites in zip(("A", "B", "AB"), regions):
-        cols = [s - 1 for s in sites]
-        grouped = _joint_config_probs(psi, cols, psi.basis[1])
-        number_part[name], surrogate_part[name] = _surrogate_and_number(grouped)
-    return _combine(number_part, surrogate_part, False)
-
-
-def _combine(number_part, surrogate_part, flagged):
+        p = _number_distribution(bits, weights, [s - 1 for s in sites])
+        p = p[p > 0]
+        if n_snapshots is not None:
+            flagged |= bool(np.any(np.rint(p * n_snapshots) < MIN_SECTOR_COUNTS))
+        number_part[name] = float(-np.sum(p * np.log(p)))
+        surrogate_part[name] = float(np.sum(p * p * (1.0 - p)))
     with_n = {r: number_part[r] + surrogate_part[r] for r in number_part}
     return ProxyResult(
         value=with_n["A"] + with_n["B"] - with_n["AB"],
@@ -275,3 +216,21 @@ def _combine(number_part, surrogate_part, flagged):
         surrogate_part=surrogate_part,
         flagged=flagged,
     )
+
+
+def config_mutual_proxy(snapshots, region_a=DEFAULT_REGION_A,
+                        region_b=DEFAULT_REGION_B):
+    """Snapshot plug-in estimate of the mutual-information proxy I_c."""
+    if snapshots.empty:
+        raise ValueError("no snapshots retained; cannot estimate")
+    N = snapshots.n_retained
+    regions = _region_pair(region_a, region_b, snapshots.L)
+    return _proxy(snapshots.bits, np.full(N, 1.0 / N), regions, n_snapshots=N)
+
+
+def config_mutual_proxy_exact(psi, region_a=DEFAULT_REGION_A,
+                              region_b=DEFAULT_REGION_B):
+    """Infinite-sample I_c from exact Born probabilities (theory curves)."""
+    regions = _region_pair(region_a, region_b, psi.basis[1])
+    bits = enumerate_sector(psi.basis[1], psi.basis[2]).bits
+    return _proxy(bits, np.abs(psi.data) ** 2, regions)

@@ -2,10 +2,16 @@
 
 Three propagators with one state convention:
 
-* ``exact_evolve``: eigendecomposition of a sector Hamiltonian, exact up to
-  dense-solver accuracy, cached so repeated times are cheap.
+* ``propagate``: psi(t) = exp(-iHt) psi0 on a whole time grid, through the
+  cached eigendecomposition of a sector Hamiltonian. The eigenbasis
+  coefficients are formed once and every time point costs one real
+  matrix product; ``exact_evolve`` is its single-time case. Quench maps,
+  beat spectroscopy and the entropy time series all read their states
+  from it.
 * ``krylov_evolve``: short-time Lanczos stepping with full
-  reorthogonalization, for sectors too large to diagonalize.
+  reorthogonalization, for sectors too large to diagonalize. Nothing in
+  the experiments calls it; it stays as the large-sector fallback that
+  the ``EXACT_DIM_MAX`` guard points to.
 * ``floquet_evolve``: the pulsed realization. Each step applies a global
   rotation about +-x/+-y followed by evolution under the bare XX coupling
   Hamiltonian (plus an optional detuning term (delta_err/2) sum_j sz_j that
@@ -15,13 +21,14 @@ Three propagators with one state convention:
   (1/3)(XX + YY + Delta ZZ) Hamiltonian, with one (tau, tau, Delta tau)
   substep group advancing effective time by 3 tau.
 
-The spectral steps of ``exact_evolve`` and ``floquet_evolve`` share one
+The spectral steps of ``propagate`` and ``floquet_evolve`` share one
 primitive, ``_real_spectral_step``: the sector Hamiltonians and the pulse
 Hamiltonian H_XX + (delta_err/2) sum_j sz_j are real symmetric, so their
 eigenvectors V are real and V exp(-iEt) V^T psi is formed from real
-matrix-vector products on the real and imaginary parts of psi, with no
-complex copy of V. The global rotation acts on a (-1, 2, 2^q) view of the
-state for each site q (site q is bit q), so no axis is moved or copied.
+matrix products on the real and imaginary parts of psi, with no complex
+copy of V. A (dim,) phase gives one state, a (dim, n_times) phase a whole
+time grid. The global rotation acts on a (-1, 2, 2^q) view of the state
+for each site q (site q is bit q), so no axis is moved or copied.
 
 Pulse sequences are declarative: each line of a sequence file is
 ``axis angle_deg weight`` where axis is +x, -x, +y or -y, the angle is in
@@ -69,8 +76,13 @@ def fidelity(psi, phi):
     return abs(np.vdot(a, b)) ** 2
 
 
-def exact_evolve(H, psi0, t):
-    """psi(t) = exp(-iHt) psi0 through the cached eigendecomposition."""
+def propagate(H, psi0, times):
+    """exp(-iHt) psi0 for every t in times, as a (n_times, dim) array.
+
+    The eigenbasis coefficients of psi0 are formed once and all phases
+    are applied by real matrix products. A scalar t gives one (dim,)
+    state with matrix-vector arithmetic.
+    """
     if H.dim > EXACT_DIM_MAX:
         raise ValueError(
             f"dimension {H.dim} exceeds exact-diagonalization guard "
@@ -80,7 +92,13 @@ def exact_evolve(H, psi0, t):
     if vec.shape != (H.dim,):
         raise ValueError(f"state length {vec.shape} does not match dim {H.dim}")
     evals, evecs = H.eigensystem()
-    out = _real_spectral_step(evecs, np.exp(-1j * evals * t), vec)
+    phase = np.exp(-1j * np.multiply.outer(evals, times))
+    return _real_spectral_step(evecs, phase, vec).T
+
+
+def exact_evolve(H, psi0, t):
+    """psi(t) = exp(-iHt) psi0: the single-time case of ``propagate``."""
+    out = propagate(H, psi0, t)
     if isinstance(psi0, StateVector):
         return StateVector(data=out, basis=psi0.basis)
     return out
@@ -89,13 +107,16 @@ def exact_evolve(H, psi0, t):
 def _real_spectral_step(evecs, phase, psi):
     """evecs @ (phase * (evecs.T @ psi)) for real orthogonal evecs.
 
-    The real and imaginary parts of psi go through separate real products,
-    so evecs is never conjugated or upcast to complex.
+    phase is (dim,) for one state or (dim, n_times) for one state per
+    column. The real and imaginary parts of psi go through separate real
+    products, so evecs is never conjugated or upcast to complex.
     """
     if np.iscomplexobj(evecs):
         raise TypeError("the spectral step needs real eigenvectors")
     coef = evecs.T @ psi.real + 1j * (evecs.T @ psi.imag)
-    coef *= phase
+    if phase.ndim == 2:
+        coef = coef[:, None]
+    coef = coef * phase
     return evecs @ coef.real + 1j * (evecs @ coef.imag)
 
 

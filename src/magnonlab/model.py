@@ -12,6 +12,7 @@ internal indexing (I/O uses 1-based site labels).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -75,12 +76,13 @@ class SectorBasis:
             raise KeyError(f"mask {mask:#x} not in {self.n}-magnon basis")
         return i
 
-    def bitstrings(self):
-        """Snapshot strings, site 1 leftmost."""
-        return [
-            "".join("1" if m >> j & 1 else "0" for j in range(self.L))
-            for m in self.masks
-        ]
+    @cached_property
+    def bits(self):
+        """(dim, L) uint8 occupation table, 1 = magnon; row order of masks."""
+        bits = np.zeros((self.dim, self.L), dtype=np.uint8)
+        bits[np.arange(self.dim)[:, None], self.occupations] = 1
+        bits.flags.writeable = False  # one cached table serves every caller
+        return bits
 
 
 def enumerate_sector(L, n):

@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .evolve import propagate
 from .model import (
     ModelParams,
     StateVector,
@@ -233,14 +234,10 @@ def spectroscopy_one(params, k, q=None, gamma=0.7, t_max_J=SPECTRO_ONE_TMAX,
         q = np.pi / (L + 1)
     degenerate = abs(k - q) < 1e-12
     prep = prepare_planewave_one(params, [k] if degenerate else [k, q], gamma=gamma)
-    H = _cached_sector(params, 1)
     times = np.linspace(0.0, t_max_J, n_samples, endpoint=False)
-    occ = np.empty((n_samples, L))
-    evals, evecs = H.eigensystem()
-    coef = evecs.conj().T @ prep.state.data
-    for i, tJ in enumerate(times):
-        psi = evecs @ (np.exp(-1j * evals * (tJ / params.J)) * coef)
-        occ[i] = np.abs(psi) ** 2
+    # one-magnon basis rows are the sites in order
+    occ = np.abs(propagate(_cached_sector(params, 1), prep.state,
+                           times / params.J)) ** 2
     freqs, mag, f_peak, contrast = spectral_peak(times / params.J, occ.T)
     if degenerate:
         f_peak, contrast = 0.0, None
@@ -401,35 +398,25 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
 # ------------------------------------------------------------- quenches
 
 
+def adjacent_pairs(bits):
+    """(M, L-1) occupations of the pair (j, j+1) from (M, L) 0/1 rows."""
+    return bits[:, :-1] & bits[:, 1:]
+
+
 def quench_projectors(psi0, params, times_J):
     """Site and adjacent-pair projector maps under exact sector evolution."""
     if not (isinstance(psi0, StateVector) and psi0.basis[0] == "sector"):
         raise ValueError("psi0 must be a sector StateVector")
-    n = psi0.basis[2]
-    H = _cached_sector(params, n)
-    basis = H.basis
-    L = params.L
+    H = _cached_sector(params, psi0.basis[2])
     times_J = np.asarray(times_J, dtype=float)
-    occ = basis.occupations
-    pup = np.zeros((len(times_J), L))
-    pupp = np.zeros((len(times_J), L - 1))
-    site_rows = [np.flatnonzero((occ == s).any(axis=1)) for s in range(L)]
-    pair_rows = [
-        np.flatnonzero((occ == s).any(axis=1) & (occ == s + 1).any(axis=1))
-        for s in range(L - 1)
-    ]
-    evals, evecs = H.eigensystem()
-    coef = evecs.conj().T @ psi0.data
-    for it, tJ in enumerate(times_J):
-        psi = evecs @ (np.exp(-1j * evals * (tJ / params.J)) * coef)
-        prob = np.abs(psi) ** 2
-        pup[it] = [prob[r].sum() for r in site_rows]
-        pupp[it] = [prob[r].sum() for r in pair_rows]
-    sites = np.arange(1, L + 1)
-    pairs = np.arange(1, L)
+    prob = np.abs(propagate(H, psi0, times_J / params.J)) ** 2
+    bits = H.basis.bits
+    L = params.L
     return (
-        SpacetimeMap(times=times_J, labels=sites, values=pup, name="site"),
-        SpacetimeMap(times=times_J, labels=pairs, values=pupp, name="pair"),
+        SpacetimeMap(times=times_J, labels=np.arange(1, L + 1),
+                     values=prob @ bits, name="site"),
+        SpacetimeMap(times=times_J, labels=np.arange(1, L),
+                     values=prob @ adjacent_pairs(bits), name="pair"),
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import StateVector, enumerate_sector
-from .probes import bs_participation
+from .probes import adjacent_pairs, bs_participation
 
 DEFAULT_SNAPSHOTS = 1500  # typical experimental depth per time point
 
@@ -92,7 +92,7 @@ def sample_snapshots(psi, n_samples, seed, params=None, t_J=None):
     """Draw n_samples Born-rule configurations from psi.
 
     Inverse-CDF sampling over the probability vector; for sector states
-    the configurations come from the sector's occupation lists, for full
+    the configurations are rows of the sector's bits table, for full
     states the basis index is the bit pattern itself.
     """
     if not isinstance(psi, StateVector):
@@ -107,12 +107,8 @@ def sample_snapshots(psi, n_samples, seed, params=None, t_J=None):
     idx = np.searchsorted(cdf, rng.random(n_samples), side="right")
 
     L = psi.L
-    bits = np.zeros((n_samples, L), dtype=np.uint8)
     if psi.basis[0] == "sector":
-        n = psi.basis[2]
-        if n:
-            occ = enumerate_sector(L, n).occupations
-            bits[np.arange(n_samples)[:, None], occ[idx]] = 1
+        bits = enumerate_sector(L, psi.basis[2]).bits[idx]
     else:
         bits = ((idx[:, None] >> np.arange(L)) & 1).astype(np.uint8)
     return SnapshotSet(
@@ -153,10 +149,6 @@ def _from_column_means(columns, from_means):
     return declare
 
 
-def _adjacent_pairs(bits):
-    return bits[:, :-1] & bits[:, 1:]
-
-
 @_from_column_means(lambda bits: bits, lambda means, L: means)
 def estimate_pup(snapshots):
     """Per-site up fraction <P_j>."""
@@ -164,14 +156,14 @@ def estimate_pup(snapshots):
     return snapshots.bits.mean(axis=0)
 
 
-@_from_column_means(_adjacent_pairs, lambda means, L: means)
+@_from_column_means(adjacent_pairs, lambda means, L: means)
 def estimate_pupp(snapshots):
     """Adjacent-pair fraction <P_j P_{j+1}>, labels = left site."""
     _require_counts(snapshots)
-    return _adjacent_pairs(snapshots.bits).mean(axis=0)
+    return adjacent_pairs(snapshots.bits).mean(axis=0)
 
 
-@_from_column_means(_adjacent_pairs, bs_participation)
+@_from_column_means(adjacent_pairs, bs_participation)
 def estimate_participation(snapshots):
     """Renormalized adjacent-pair participation from the pair fractions."""
     return bs_participation(estimate_pupp(snapshots), snapshots.L)

@@ -191,16 +191,116 @@ def test_mutual_information_bounds(tJ):
     assert I <= 2 * min(sa, sb) + 1e-10
 
 
+def dict_joint_config_probs(bits_or_state, region_cols, L):
+    """Oracle: {n: (joint, marg_a, marg_b)} built configuration by configuration.
+
+    Keys are packed region / complement configurations; probabilities are
+    unconditional, so each sector's marginals sum to p(n).
+    """
+    comp_cols = [c for c in range(L) if c not in region_cols]
+    out = {}
+
+    def add(n, a_key, b_key, p):
+        joint, ma, mb = out.setdefault(n, ({}, {}, {}))
+        joint[(a_key, b_key)] = joint.get((a_key, b_key), 0.0) + p
+        ma[a_key] = ma.get(a_key, 0.0) + p
+        mb[b_key] = mb.get(b_key, 0.0) + p
+
+    if isinstance(bits_or_state, StateVector):
+        basis = enumerate_sector(L, bits_or_state.basis[2])
+        prob = np.abs(bits_or_state.data) ** 2
+        for row, m in enumerate(basis.masks):
+            m = int(m)
+            a_key = sum(((m >> c) & 1) << i for i, c in enumerate(region_cols))
+            b_key = sum(((m >> c) & 1) << i for i, c in enumerate(comp_cols))
+            add(int(a_key).bit_count(), a_key, b_key, float(prob[row]))
+    else:
+        bits = bits_or_state
+        w = 1.0 / len(bits)
+        a_pack = bits[:, region_cols] @ (1 << np.arange(len(region_cols)))
+        b_pack = bits[:, comp_cols] @ (1 << np.arange(len(comp_cols)))
+        ns = bits[:, region_cols].sum(axis=1)
+        for n, a_key, b_key in zip(ns, a_pack, b_pack):
+            add(int(n), int(a_key), int(b_key), w)
+    return out
+
+
+def dict_surrogate_and_number(grouped):
+    """Oracle: (S_N, S~_C) with every bracket term evaluated explicitly."""
+    s_num, s_conf = 0.0, 0.0
+    for _, (joint, ma, mb) in sorted(grouped.items()):
+        p_n = sum(ma.values())
+        if p_n <= 0:
+            continue
+        s_num -= p_n * np.log(p_n)
+        term = sum(joint.values()) - sum(ma.values()) * sum(mb.values())
+        s_conf += p_n * term
+    return s_num, s_conf
+
+
+def dict_proxy(bits_or_state, regions, L, n_retained=None):
+    """Oracle: (value, config_only, flagged) of the dict-based proxy."""
+    number, surrogate, flagged = {}, {}, False
+    for name, sites in zip(("A", "B", "AB"), regions):
+        grouped = dict_joint_config_probs(bits_or_state, [s - 1 for s in sites], L)
+        if n_retained is not None:
+            counts = [round(sum(ma.values()) * n_retained) for _, ma, _ in grouped.values()]
+            flagged |= any(0 < c < 10 for c in counts)
+        number[name], surrogate[name] = dict_surrogate_and_number(grouped)
+    value = sum(number[r] + surrogate[r] for r in "AB") - number["AB"] - surrogate["AB"]
+    config_only = surrogate["A"] + surrogate["B"] - surrogate["AB"]
+    return value, config_only, flagged
+
+
 def test_proxy_exact_term_identity():
     # summed over full configuration sets the bracket telescopes to
-    # p(n) - p(n)^2; the estimator must reproduce that exactly
-    from magnonlab.entropy import _joint_config_probs, _surrogate_and_number
-
+    # p(n) - p(n)^2, so the surrogate is sum p(n)^2 (1 - p(n))
     psi = evolved_state()
-    grouped = _joint_config_probs(psi, [1, 2, 3], 10)
-    _, s_conf = _surrogate_and_number(grouped)
+    grouped = dict_joint_config_probs(psi, [1, 2, 3], 10)
+    _, s_conf = dict_surrogate_and_number(grouped)
     pn = [sum(ma.values()) for _, (_, ma, _) in sorted(grouped.items())]
-    assert s_conf == pytest.approx(sum(q * q * (1 - q) for q in pn), abs=1e-12)
+    closed = sum(q * q * (1 - q) for q in pn)
+    assert s_conf == pytest.approx(closed, abs=1e-12)
+    est = config_mutual_proxy_exact(psi, (2, 3, 4), (7, 8, 9))
+    assert est.surrogate_part["A"] == pytest.approx(closed, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta, tJ", [(0.5, 0.5), (2.0, 1.5), (4.5, 3.0)])
+def test_proxy_matches_dict_oracle(delta, tJ):
+    psi = evolved_state(L=12, delta=delta, tJ=tJ)
+    regions = ((3, 4, 5), (8, 9, 10), (3, 4, 5, 8, 9, 10))
+    exact = config_mutual_proxy_exact(psi, regions[0], regions[1])
+    value, config_only, _ = dict_proxy(psi, regions, 12)
+    assert abs(exact.value - value) <= 1e-12
+    assert abs(exact.config_only - config_only) <= 1e-12
+    snaps = postselect(sample_snapshots(psi, 1500, seed=(4, 1)), 2)
+    est = config_mutual_proxy(snaps, regions[0], regions[1])
+    value, config_only, flagged = dict_proxy(snaps.bits, regions, 12,
+                                             snaps.n_retained)
+    assert abs(est.value - value) <= 1e-12
+    assert abs(est.config_only - config_only) <= 1e-12
+    assert est.flagged is flagged
+
+
+def thin_sector_snapshots(n_thin=3):
+    bits = np.zeros((40, 6), dtype=np.uint8)
+    bits[:, 0] = 1
+    bits[:, 3] = 1
+    bits[:n_thin, :] = 0
+    bits[:n_thin, 1] = 1  # n_thin snapshots put a magnon inside region A
+    bits[:n_thin, 3] = 1
+    return SnapshotSet(bits=bits, L=6, seed=0, n_total=40)
+
+
+@pytest.mark.parametrize("n_thin", [3, 9, 10])
+def test_proxy_thin_sectors_match_dict_oracle(n_thin):
+    snaps = thin_sector_snapshots(n_thin)
+    est = config_mutual_proxy(snaps, (2, 3), (5, 6))
+    value, config_only, flagged = dict_proxy(
+        snaps.bits, ((2, 3), (5, 6), (2, 3, 5, 6)), 6, snaps.n_retained)
+    assert flagged is (n_thin < 10) and est.flagged is flagged
+    assert abs(est.value - value) <= 1e-12
+    assert abs(est.config_only - config_only) <= 1e-12
 
 
 def test_proxy_plugin_matches_exact_formula_on_frequencies():
@@ -239,13 +339,7 @@ def test_proxy_product_state_is_zero():
 
 
 def test_proxy_flags_thin_sectors():
-    bits = np.zeros((40, 6), dtype=np.uint8)
-    bits[:, 0] = 1
-    bits[:, 3] = 1
-    bits[:3, :] = 0
-    bits[:3, 1] = 1  # three snapshots put a magnon inside region A
-    bits[:3, 3] = 1
-    snaps = SnapshotSet(bits=bits, L=6, seed=0, n_total=40)
+    snaps = thin_sector_snapshots()
     est = config_mutual_proxy(snaps, (2, 3), (5, 6))
     assert est.flagged is True
 

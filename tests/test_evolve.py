@@ -22,6 +22,7 @@ from magnonlab.evolve import (
     fidelity,
     floquet_evolve,
     krylov_evolve,
+    propagate,
 )
 
 
@@ -93,6 +94,32 @@ def test_exact_evolve_dimension_guard():
 
     with pytest.raises(ValueError, match="krylov"):
         exact_evolve(Stub(), np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("L, n", [(10, 2), (8, 3)])
+def test_propagate_matches_exact_evolve_at_every_time(L, n):
+    p = ModelParams(L=L, alpha=1.4, delta=2.0, boundary="open")
+    H = sector_hamiltonian(p, n)
+    rng = np.random.default_rng(L + n)
+    v = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+    v /= np.linalg.norm(v)
+    times = np.linspace(0.0, 7.9, 40)
+    grid = propagate(H, v, times)
+    assert grid.shape == (len(times), H.dim)
+    evals, evecs = H.eigensystem()
+    for t, row in zip(times, grid):
+        ref = reference_spectral_step(evecs, np.exp(-1j * evals * t), v)
+        assert np.max(np.abs(row - exact_evolve(H, v, t))) <= 1e-13
+        assert np.max(np.abs(row - ref)) <= 1e-13
+
+
+def test_propagate_dimension_guard():
+    class Stub:
+        dim = EXACT_DIM_MAX + 1
+
+    with pytest.raises(ValueError, match=f"dimension {EXACT_DIM_MAX + 1} exceeds "
+                                         "exact-diagonalization guard .*krylov_evolve"):
+        propagate(Stub(), np.zeros(3), np.linspace(0.0, 1.0, 4))
 
 
 # ---------------------------------------------------------------- krylov

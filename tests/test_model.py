@@ -75,6 +75,19 @@ def test_sector_dimensions_and_masks():
         assert basis.index_of(int(m)) == i
 
 
+@pytest.mark.parametrize("L, n", [(8, 0), (8, 1), (8, 3), (70, 2)])
+def test_sector_bits_match_occupation_scatter(L, n):
+    basis = enumerate_sector(L, n)
+    scatter = np.zeros((basis.dim, L), dtype=np.uint8)
+    if n:
+        scatter[np.arange(basis.dim)[:, None], basis.occupations] = 1
+    assert basis.bits.dtype == np.uint8
+    assert np.array_equal(basis.bits, scatter)
+    # the same table read off the masks, object integers beyond 62 sites
+    from_masks = [[int(m) >> j & 1 for j in range(L)] for m in basis.masks]
+    assert np.array_equal(basis.bits, from_masks)
+
+
 @pytest.mark.parametrize("boundary", ["open", "ring"])
 @pytest.mark.parametrize("delta", [0.0, 1.0, 3.5])
 def test_full_hamiltonian_matches_kron_oracle(boundary, delta):

@@ -243,6 +243,39 @@ def test_quench_projector_sum_rules():
     assert np.all(pup.values > -1e-9)
 
 
+def rowlist_quench_projectors(psi0, params, times_J):
+    """Oracle: the per-time spectral loop summing probabilities over row lists."""
+    H = sector_hamiltonian(params, psi0.basis[2])
+    occ = H.basis.occupations
+    L = params.L
+    site_rows = [np.flatnonzero((occ == s).any(axis=1)) for s in range(L)]
+    pair_rows = [
+        np.flatnonzero((occ == s).any(axis=1) & (occ == s + 1).any(axis=1))
+        for s in range(L - 1)
+    ]
+    evals, evecs = H.eigensystem()
+    coef = evecs.conj().T @ psi0.data
+    pup = np.zeros((len(times_J), L))
+    pupp = np.zeros((len(times_J), L - 1))
+    for it, tJ in enumerate(times_J):
+        psi = evecs @ (np.exp(-1j * evals * (tJ / params.J)) * coef)
+        prob = np.abs(psi) ** 2
+        pup[it] = [prob[r].sum() for r in site_rows]
+        pupp[it] = [prob[r].sum() for r in pair_rows]
+    return pup, pupp
+
+
+@pytest.mark.parametrize("sites, delta", [((5, 6), 2.0), ((3, 5, 8), 3.5)])
+def test_quench_projectors_match_rowlist_oracle(sites, delta):
+    p = ModelParams(L=10, alpha=1.4, delta=delta, J=1.7)
+    psi0 = sector_state_from_sites(p, sites)
+    times = np.linspace(0.0, 5.5, 23)
+    pup, pupp = quench_projectors(psi0, p, times)
+    ref_pup, ref_pupp = rowlist_quench_projectors(psi0, p, times)
+    assert np.max(np.abs(pup.values - ref_pup)) <= 1e-13
+    assert np.max(np.abs(pupp.values - ref_pupp)) <= 1e-13
+
+
 def test_quench_initial_adjacent_pair():
     p = ModelParams(L=10, alpha=1.4)
     pup, pupp = quench_projectors(center_pair_state(p), p, [0.0])
