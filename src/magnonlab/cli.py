@@ -20,7 +20,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -221,13 +220,10 @@ def resolve_config(experiment, file_cfg, cli_cfg):
     return vals
 
 
-def _model(cfg, force_boundary=None):
-    boundary = force_boundary or cfg.get("boundary", "open")
-    if force_boundary and cfg.get("boundary", force_boundary) != force_boundary:
-        raise ConfigError(f"this experiment requires boundary = {force_boundary}")
+def _model(cfg):
     return ModelParams(
         L=cfg["length"], alpha=cfg["alpha"], delta=cfg.get("delta", 0.0),
-        J=1.0, boundary=boundary,
+        J=1.0, boundary=cfg.get("boundary", "open"),
     )
 
 
@@ -296,7 +292,7 @@ def _meta(cfg, extra=()):
 # -------------------------------------------------------------- experiments
 
 
-def run_dispersion1(cfg, outdir, seed, threads):
+def run_dispersion1(cfg, outdir, seed):
     params = _model(cfg)
     if params.boundary == "ring":
         k = quantized_momenta(params.L)
@@ -326,7 +322,7 @@ def run_dispersion1(cfg, outdir, seed, threads):
     return [path], notes
 
 
-def run_dispersion2(cfg, outdir, seed, threads):
+def run_dispersion2(cfg, outdir, seed):
     ring = ModelParams(L=cfg["length"], alpha=cfg["alpha"], delta=cfg["delta"],
                        J=1.0, boundary="ring")
     k = quantized_momenta(ring.L)
@@ -350,7 +346,7 @@ def run_dispersion2(cfg, outdir, seed, threads):
     return files, notes
 
 
-def run_phase_diagram(cfg, outdir, seed, threads):
+def run_phase_diagram(cfg, outdir, seed):
     params = ModelParams(L=cfg["length"], alpha=cfg["alpha"], boundary="ring")
     k_all = quantized_momenta(params.L)
     idx = np.unique(np.round(np.linspace(0, len(k_all) - 1, cfg["n_k"])).astype(int))
@@ -366,13 +362,9 @@ def run_phase_diagram(cfg, outdir, seed, threads):
     return [path], {"onset_delta": pd.onset_delta(), "threshold": pd.threshold}
 
 
-def _pair_state(params, separation):
-    return center_pair_state(params, separation=separation)
-
-
-def run_quench(cfg, outdir, seed, threads):
+def run_quench(cfg, outdir, seed):
     params = _model(cfg)
-    psi0 = _pair_state(params, cfg["separation"])
+    psi0 = center_pair_state(params, cfg["separation"])
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     site, pair = quench_projectors(psi0, params, times)
     files, notes = [], {}
@@ -403,7 +395,7 @@ def run_quench(cfg, outdir, seed, threads):
     return files, notes
 
 
-def run_participation(cfg, outdir, seed, threads):
+def run_participation(cfg, outdir, seed):
     params = ModelParams(L=cfg["length"], alpha=cfg["alpha"], J=1.0,
                          boundary=cfg["boundary"])
     deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["n_delta"])
@@ -424,10 +416,10 @@ def run_participation(cfg, outdir, seed, threads):
     return [path], {"steepest_slope_delta": float(mid[np.argmax(slope)])}
 
 
-def run_floquet_bench(cfg, outdir, seed, threads):
+def run_floquet_bench(cfg, outdir, seed):
     params = _model(cfg)
     check_pulse_length(params.L)
-    psi0 = _pair_state(params, 1)
+    psi0 = center_pair_state(params)
     ref_sector = exact_evolve(sector_hamiltonian(params, 2), psi0, cfg["t_eff"])
     masks = np.asarray(enumerate_sector(params.L, 2).masks, dtype=np.int64)
     full0 = np.zeros(2 ** params.L, dtype=complex)
@@ -436,14 +428,13 @@ def run_floquet_bench(cfg, outdir, seed, threads):
     ref[masks] = ref_sector.data
     detunings = np.linspace(-cfg["det_max"], cfg["det_max"], cfg["n_det"])
 
-    def fidelities(det):
-        # both sequences in one job, so they share one cached eigensystem
-        return [floquet_evolve(seq, params, full0, cfg["n_steps"], cfg["t_eff"],
-                               detuning=float(det), reference=ref).fidelity
-                for seq in ("dd", "plain")]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        f_dd, f_plain = np.array(list(pool.map(fidelities, detunings))).T
+    # both sequences back to back per detuning share one cached eigensystem
+    f_dd, f_plain = np.array([
+        [floquet_evolve(seq, params, full0, cfg["n_steps"], cfg["t_eff"],
+                        detuning=float(det), reference=ref).fidelity
+         for seq in ("dd", "plain")]
+        for det in detunings
+    ]).T
     path = write_csv(Path(outdir) / "floquet_bench.csv", _meta(cfg),
                      ["detuning", "fidelity_dd", "fidelity_plain"],
                      [detunings, f_dd, f_plain])
@@ -471,9 +462,9 @@ def _level_width(x, y, level):
     return float(right - left)
 
 
-def run_entropy(cfg, outdir, seed, threads):
+def run_entropy(cfg, outdir, seed):
     params = _model(cfg)
-    psi0 = _pair_state(params, cfg["separation"])
+    psi0 = center_pair_state(params, cfg["separation"])
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     A, B = cfg["region_a"], cfg["region_b"]
     rows = {name: [] for name in
@@ -494,9 +485,9 @@ def run_entropy(cfg, outdir, seed, threads):
     return [path], {}
 
 
-def run_sample(cfg, outdir, seed, threads):
+def run_sample(cfg, outdir, seed):
     params = _model(cfg)
-    psi0 = _pair_state(params, cfg["separation"])
+    psi0 = center_pair_state(params, cfg["separation"])
     psi = exact_evolve(sector_hamiltonian(params, 2), psi0, cfg["t"])
     snaps = sample_snapshots(psi, cfg["n_snapshots"], seed=(seed, 0),
                              params=params, t_J=cfg["t"])
@@ -559,13 +550,13 @@ PRESETS = {
 # -------------------------------------------------------------------- main
 
 
-def _execute(experiment, cfg, outdir, seed, threads):
+def _execute(experiment, cfg, outdir, seed):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     existing = set(outdir.iterdir())
     start = time.perf_counter()
     try:
-        files, notes = EXPERIMENTS[experiment](cfg, outdir, seed, threads)
+        files, notes = EXPERIMENTS[experiment](cfg, outdir, seed)
         write_manifest(outdir, experiment, cfg, seed, files,
                        notes, time.perf_counter() - start)
     except BaseException:
@@ -620,8 +611,8 @@ def _common_flags(p, name):
                    help="output directory (default runs/<experiment>)")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for floquet-bench; other "
-                        "experiments ignore it")
+                   help="ignored; every experiment runs serially, and the "
+                        "flag is kept for old scripts")
 
 
 def main(argv=None):
@@ -633,7 +624,7 @@ def main(argv=None):
                 cfg = resolve_config(experiment, {}, {})
                 cfg.update(overrides)
                 notes = _execute(experiment, cfg, base / subdir if subdir else base,
-                                 args.seed, args.threads)
+                                 args.seed)
                 print(f"{args.figure}/{subdir or experiment}: done "
                       f"{json.dumps(_jsonable(notes))}")
             return 0
@@ -642,7 +633,7 @@ def main(argv=None):
         cli_cfg = {k: v for k, v in vars(args).items() if k not in skip}
         cfg = resolve_config(args.experiment, file_cfg, cli_cfg)
         outdir = args.out or f"runs/{args.experiment}"
-        notes = _execute(args.experiment, cfg, outdir, args.seed, args.threads)
+        notes = _execute(args.experiment, cfg, outdir, args.seed)
         print(f"{args.experiment}: wrote {outdir} {json.dumps(_jsonable(notes))}")
         return 0
     except ConfigError as err:

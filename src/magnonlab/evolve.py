@@ -6,8 +6,8 @@ Three propagators with one state convention:
   cached eigendecomposition of a sector Hamiltonian. The eigenbasis
   coefficients are formed once and every time point costs one real
   matrix product; ``exact_evolve`` is its single-time case. Quench maps,
-  beat spectroscopy and the entropy time series all read their states
-  from it.
+  beat and pair spectroscopy and the entropy time series all read their
+  states from it.
 * ``krylov_evolve``: short-time Lanczos stepping with full
   reorthogonalization, for sectors too large to diagonalize. Nothing in
   the experiments calls it; it stays as the large-sector fallback that

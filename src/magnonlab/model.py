@@ -123,9 +123,6 @@ class SectorOperator:
     def dim(self):
         return self.basis.dim
 
-    def apply(self, vec):
-        return self.matrix @ vec
-
     def dense(self):
         if sparse.issparse(self.matrix):
             return self.matrix.toarray()
@@ -192,9 +189,12 @@ def build_full_hamiltonian(params, kind="xxz"):
     'xx'/'yy'/'zz' are the bare sum_{i<j} J_ij s^a_i s^a_j operators; 'xxz'
     is (1/3)(H_XX + H_YY + delta * H_ZZ).
     """
-    if params.L > FULL_SPACE_MAX_L:
+    L = params.L
+    if L > FULL_SPACE_MAX_L:
         raise ValueError(
-            f"full-space Hamiltonian limited to L <= {FULL_SPACE_MAX_L}, got L={params.L}"
+            f"full-space operators hold (2^{L}, {L}) occupation tables of "
+            f"{8 * L << L} bytes each at L={L}; they are limited to "
+            f"L <= {FULL_SPACE_MAX_L}"
         )
     kind = kind.lower()
     if kind not in ("xx", "yy", "zz", "xxz"):
@@ -205,7 +205,6 @@ def build_full_hamiltonian(params, kind="xxz"):
         Hzz = build_full_hamiltonian(params, "zz")
         return ((Hxx + Hyy + params.delta * Hzz) / 3.0).tocsr()
 
-    L = params.L
     dim = 1 << L
     J = coupling_matrix(params)
     idx = np.arange(dim, dtype=np.int64)

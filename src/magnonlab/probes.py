@@ -12,7 +12,10 @@ emulation lives in the sampling module):
   phi_j = k j / 2 populates adjacent magnon pairs at pair momentum k;
   the pair coherence <sm_j sm_{j+1}> then oscillates at the two-magnon
   excitation energy. The Ising propagator is evaluated exactly in the
-  x basis and rotated back with a fast Walsh-Hadamard transform.
+  x basis and rotated back with a fast Walsh-Hadamard transform, once
+  per chain; each momentum imprints its phases on the cached sector
+  components, every sector is evolved by ``evolve.propagate``, and the
+  pair coherence is gathered from the site-basis trajectories.
 * quench light cones: site and adjacent-pair projector maps from an
   initial two-magnon product state, plus the renormalized adjacent-pair
   participation (sum_j <P_j,j+1> - 2/L)/(1 - 2/L).
@@ -34,7 +37,7 @@ from .evolve import propagate
 from .model import (
     ModelParams,
     StateVector,
-    coupling_matrix,
+    build_full_hamiltonian,
     enumerate_sector,
     sector_hamiltonian,
     sector_state_from_sites,
@@ -266,33 +269,26 @@ def _walsh_hadamard(vec):
     return a
 
 
-def ising_phase_state(params, t_prep_J, phases):
-    """exp(-i sum_j (phi_j/2) sz_j) exp(-i t H_XX)|all down>, full space.
+def _ising_prep(params, t_prep_J):
+    """exp(-i t H_XX)|all down> on the full 2^L space, before any imprint.
 
-    H_XX = sum_{i<j} J_ij sx_i sx_j is diagonal in the x basis with
-    energies E(s) = s^T J s / 2, so the propagator is exact: phase the
-    Hadamard-transformed vacuum and transform back.
+    H_XX = sum_{i<j} J_ij sx_i sx_j is diagonal in the x basis, with the
+    diagonal of the z-basis H_ZZ, so the propagator is exact: phase the
+    Hadamard-transformed vacuum by that diagonal and transform back.
     """
+    energies = build_full_hamiltonian(params, "zz").diagonal()
+    psi_x = np.exp(-1j * (t_prep_J / params.J) * energies) / energies.size
+    return _walsh_hadamard(psi_x)
+
+
+def ising_phase_state(params, t_prep_J, phases):
+    """exp(-i sum_j (phi_j/2) sz_j) exp(-i t H_XX)|all down>, full space."""
     L = params.L
-    J = coupling_matrix(params)
-    dim = 1 << L
-    idx = np.arange(dim)
-    energies = np.zeros(dim)
-    signs = [1.0 - 2.0 * ((idx >> i) & 1) for i in range(L)]
-    for i in range(L):
-        for jj in range(i + 1, L):
-            if J[i, jj]:
-                energies += J[i, jj] * signs[i] * signs[jj]
-    psi_x = np.exp(-1j * (t_prep_J / params.J) * energies) / dim
-    psi = _walsh_hadamard(psi_x)
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (L,):
         raise ValueError(f"need one phase per site, got shape {phases.shape}")
-    acc = np.zeros(dim)
-    for i in range(L):
-        acc += phases[i] * ((idx >> i) & 1)
-    psi *= np.exp(-1j * (acc - phases.sum() / 2.0))
-    return psi
+    psi = _ising_prep(params, t_prep_J)
+    return _imprint((np.arange(1 << L)[:, None] >> np.arange(L)) & 1, psi, phases)
 
 
 def imprint_phases(k, L):
@@ -300,11 +296,31 @@ def imprint_phases(k, L):
     return k * np.arange(1, L + 1) / 2.0
 
 
+def _imprint(bits, comp, phases):
+    """comp times exp(-i sum_j (phi_j/2) sz_j), row by row of the (dim, L) bits."""
+    return comp * np.exp(-1j * (bits @ phases - phases.sum() / 2.0))
+
+
+@lru_cache(maxsize=4)
+def _ising_sectors(params, t_prep_J, n_max):
+    """Read-only components n = 0, 2, .., n_max of exp(-i t H_XX)|0>.
+
+    The momentum-independent part of every two-magnon preparation, one
+    transform per (params, t_prep_J, n_max); the 2^L state is not kept.
+    """
+    psi = _ising_prep(params, t_prep_J)
+    comps = []
+    for n in range(0, n_max + 1, 2):
+        comp = psi[np.asarray(enumerate_sector(params.L, n).masks, dtype=np.int64)]
+        comp.flags.writeable = False
+        comps.append(comp)
+    return tuple(comps)
+
+
 def prepare_two_magnon(params, k, t_prep_J=0.19):
     """Ising prep plus momentum-k phase imprint, kept in the 2-magnon sector."""
-    psi = ising_phase_state(params, t_prep_J, imprint_phases(k, params.L))
-    basis = enumerate_sector(params.L, 2)
-    comp = psi[np.asarray(basis.masks, dtype=np.int64)]
+    comp = _imprint(enumerate_sector(params.L, 2).bits,
+                    _ising_sectors(params, t_prep_J, 2)[1], imprint_phases(k, params.L))
     weight = float(np.sum(np.abs(comp) ** 2))
     if weight == 0:
         raise ValueError("preparation produced no two-magnon weight")
@@ -320,31 +336,29 @@ def _cached_sector(params, n):
     return sector_hamiltonian(params, n)
 
 
-def _pair_lowering_indices(L, n, pair_col):
-    """Index map for sm_j sm_{j+1} between sectors n and n-2.
+def _pair_lowering_indices(hi, lo, pair_col):
+    """Index map for sm_j sm_{j+1} from sector basis hi (n) to lo (n-2).
 
-    pair_col is the 0-based left site. Returns (rows, mates): sector-n
-    rows whose masks hold both sites, and the sector-(n-2) rows with the
-    two bits cleared (a bijection onto its image).
+    pair_col is the 0-based left site. Returns (rows, mates): hi rows whose
+    masks hold both sites, and the lo rows with the two bits cleared (a
+    bijection onto its image).
     """
-    hi = enumerate_sector(L, n)
-    lo = enumerate_sector(L, n - 2)
+    rows = np.flatnonzero(hi.bits[:, pair_col] & hi.bits[:, pair_col + 1])
     pair = (1 << pair_col) | (1 << (pair_col + 1))
-    rows = [i for i, m in enumerate(hi.masks) if int(m) & pair == pair]
-    mates = [lo.index_of(int(hi.masks[i]) ^ pair) for i in rows]
-    return np.array(rows, dtype=np.int64), np.array(mates, dtype=np.int64)
+    return rows, np.searchsorted(lo.masks, hi.masks[rows] ^ pair)
 
 
 @lru_cache(maxsize=48)
 def _pair_lowering_block(params, n, pair_col):
-    """sm_j sm_{j+1} from sector n to n-2, in the energy eigenbases."""
-    rows, mates = _pair_lowering_indices(params.L, n, pair_col)
-    vals_n, vecs_n = _cached_sector(params, n).eigensystem()
-    vals_m, vecs_m = _cached_sector(params, n - 2).eigensystem()
-    av = np.zeros((len(vals_m), len(vals_n)))
-    if len(rows):
-        av[mates] = vecs_n[rows]
-    return vecs_m.T @ av
+    """sm_j sm_{j+1} from sector n to n-2, in the energy eigenbases.
+
+    Nothing in the package calls it: ``spectroscopy_two`` contracts in the
+    site basis. It stays as the eigenbasis reference the tests compare
+    that contraction against.
+    """
+    hi, lo = _cached_sector(params, n), _cached_sector(params, n - 2)
+    rows, mates = _pair_lowering_indices(hi.basis, lo.basis, pair_col)
+    return lo.eigensystem()[1][mates].T @ hi.eigensystem()[1][rows]
 
 
 def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
@@ -352,41 +366,35 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
     """Two-magnon excitation energy from the pair coherence <sm_j sm_{j+1}>.
 
     The unprojected prepared state is split into magnon sectors up to
-    n_max (neglected weight recorded), each sector evolved exactly, and
-    the coherence summed over the sector ladder. The complex signal is
-    averaged over pairs j in sites[0]..sites[1] and Fourier-transformed;
-    the signed peak estimates eps2(k) - eps0 and the contrast the
-    bound-state amplitude.
+    n_max (neglected weight recorded), each sector evolved exactly by
+    ``propagate``, and the coherence summed over the sector ladder in the
+    site basis. The complex signal is averaged over pairs j in
+    sites[0]..sites[1] and Fourier-transformed; the signed peak estimates
+    eps2(k) - eps0 and the contrast the bound-state amplitude.
     """
-    L = params.L
-    psi = ising_phase_state(params, t_prep_J, imprint_phases(k, L))
-    sectors = list(range(0, n_max + 1, 2))
-    comps, weights = {}, {}
-    for n in sectors:
-        basis = enumerate_sector(L, n)
-        comps[n] = psi[np.asarray(basis.masks, dtype=np.int64)]
-        weights[n] = float(np.sum(np.abs(comps[n]) ** 2))
-    neglected = 1.0 - sum(weights.values())
-
-    eigs = {n: _cached_sector(params, n).eigensystem() for n in sectors}
-    coef = {n: eigs[n][1].conj().T @ comps[n] for n in sectors}
-
     j_lo, j_hi = sites
-    pair_cols = list(range(j_lo - 1, j_hi))  # 1-based left sites -> 0-based pairs
+    if not 1 <= j_lo <= j_hi < params.L:
+        raise ValueError(
+            f"pair window {j_lo}..{j_hi} leaves the chain of length {params.L}"
+        )
+    comps = _ising_sectors(params, t_prep_J, n_max)
+    neglected = 1.0 - sum(float(np.sum(np.abs(c) ** 2)) for c in comps)
     times = np.linspace(0.0, t_max_J, n_samples, endpoint=False)
     t_phys = times / params.J
-    # eigenbasis coefficients carrying their phases, (dim_n, n_times)
-    phased = {
-        n: np.exp(-1j * np.outer(eigs[n][0], t_phys)) * coef[n][:, None]
-        for n in sectors
-    }
-    signal = np.zeros((len(pair_cols), n_samples), dtype=complex)
-    for col, p in enumerate(pair_cols):
-        for n in sectors[1:]:
-            block = _pair_lowering_block(params, n, p)
-            signal[col] += np.einsum(
-                "at,at->t", phased[n - 2].conj(), block @ phased[n]
-            )
+    phases = imprint_phases(k, params.L)
+    # (basis, (n_times, dim) site-basis trajectory) per even sector
+    ladder = []
+    for n, comp in zip(range(0, n_max + 1, 2), comps):
+        H = _cached_sector(params, n)
+        psi0 = _imprint(H.basis.bits, comp, phases)
+        ladder.append((H.basis, propagate(H, psi0, t_phys)))
+
+    signal = np.zeros((j_hi - j_lo + 1, n_samples), dtype=complex)
+    for col, p in enumerate(range(j_lo - 1, j_hi)):  # 1-based left sites -> 0-based
+        for (lo, psi_lo), (hi, psi_hi) in zip(ladder, ladder[1:]):
+            rows, mates = _pair_lowering_indices(hi, lo, p)
+            signal[col] += np.einsum("ta,ta->t", psi_lo[:, mates].conj(),
+                                     psi_hi[:, rows])
     freqs, mag, f_peak, contrast = spectral_peak(t_phys, signal, two_sided=True)
     return SpectroscopySignal(
         times=times, values=signal, freqs=freqs, magnitude=mag,

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from magnonlab.model import (
+    FULL_SPACE_MAX_L,
     ModelParams,
     build_full_hamiltonian,
     enumerate_sector,
@@ -10,7 +13,13 @@ from magnonlab.model import (
     sector_state_from_sites,
 )
 from magnonlab.probes import (
+    N_SAMPLES,
+    SPECTRO_TWO_TMAX,
     SpacetimeMap,
+    _imprint,
+    _ising_sectors,
+    _pair_lowering_block,
+    _pair_lowering_indices,
     bs_participation,
     center_pair_state,
     front_velocity,
@@ -40,6 +49,37 @@ def ising_state_oracle(params, t_J, phases):
     for i in range(L):
         acc += phases[i] * ((idx >> i) & 1)
     return psi * np.exp(-1j * (acc - np.sum(phases) / 2.0))
+
+
+def list_pair_lowering_indices(hi, lo, pair_col):
+    """Row-list index map of sm_j sm_{j+1} from sector hi to lo (oracle)."""
+    pair = (1 << pair_col) | (1 << (pair_col + 1))
+    rows = [i for i, m in enumerate(hi.masks) if int(m) & pair == pair]
+    mates = [lo.index_of(int(hi.masks[i]) ^ pair) for i in rows]
+    return np.array(rows, dtype=np.int64), np.array(mates, dtype=np.int64)
+
+
+def eigenbasis_pair_signal(params, k, sites, n_max, t_prep_J=0.19):
+    """Pair coherence of spectroscopy_two, contracted in the eigenbases.
+
+    The full-space preparation is projected per sector, expanded in each
+    sector's eigenbasis, phased, and lowered by _pair_lowering_block.
+    """
+    psi = ising_phase_state(params, t_prep_J, imprint_phases(k, params.L))
+    t_phys = np.linspace(0.0, SPECTRO_TWO_TMAX, N_SAMPLES, endpoint=False) / params.J
+    phased = {}
+    for n in range(0, n_max + 1, 2):
+        H = sector_hamiltonian(params, n)
+        evals, evecs = H.eigensystem()
+        coef = evecs.T @ psi[np.asarray(H.basis.masks, dtype=np.int64)]
+        phased[n] = np.exp(-1j * np.outer(evals, t_phys)) * coef[:, None]
+    pairs = range(sites[0] - 1, sites[1])
+    signal = np.zeros((len(pairs), N_SAMPLES), dtype=complex)
+    for col, p in enumerate(pairs):
+        for n in range(2, n_max + 1, 2):
+            block = _pair_lowering_block(params, n, p)
+            signal[col] += np.einsum("at,at->t", phased[n - 2].conj(), block @ phased[n])
+    return signal
 
 
 # ------------------------------------------------------------ preparations
@@ -227,6 +267,65 @@ def test_spectroscopy_two_window_invariance():
     a = spectroscopy_two(p, np.pi / 2, sites=(5, 8))
     b = spectroscopy_two(p, np.pi / 2, sites=(4, 9))
     assert abs(a.frequency - b.frequency) < a.resolution
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+def test_cached_sectors_times_imprint_match_ising_phase_state(boundary):
+    L, t = 10, 0.19
+    p = ModelParams(L=L, alpha=1.4, delta=3.0, boundary=boundary)
+    comps = _ising_sectors(p, t, 6)
+    assert not any(c.flags.writeable for c in comps)
+    for k in (0.4, np.pi / 2, 2.9):
+        full = ising_phase_state(p, t, imprint_phases(k, L))
+        for n, comp in zip(range(0, 7, 2), comps):
+            basis = enumerate_sector(L, n)
+            want = full[np.asarray(basis.masks, dtype=np.int64)]
+            got = _imprint(basis.bits, comp, imprint_phases(k, L))
+            assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("L,sites", [(10, (3, 7)), (12, (5, 8))])
+@pytest.mark.parametrize("n_max", [4, 6])
+def test_spectroscopy_two_matches_eigenbasis_contraction(L, sites, n_max):
+    p = ModelParams(L=L, alpha=1.4, delta=3.0)
+    for m in (1, 3, 5):
+        k = 2 * np.pi * m / L
+        sig = spectroscopy_two(p, k, sites=sites, n_max=n_max)
+        want = eigenbasis_pair_signal(p, k, sites, n_max)
+        assert np.abs(sig.values - want).max() <= 1e-12
+
+
+def test_spectroscopy_two_rejects_window_off_the_chain():
+    p = ModelParams(L=12, alpha=1.4, delta=3.0)
+    with pytest.raises(ValueError, match="leaves the chain"):
+        spectroscopy_two(p, np.pi / 2, sites=(9, 12))
+
+
+def test_pair_lowering_indices_match_list_oracle():
+    cases = [(8, n, range(7)) for n in (2, 3, 4)]
+    cases += [(70, 2, range(69)), (70, 3, (0, 31, 61, 62, 68))]  # object masks
+    for L, n, cols in cases:
+        hi, lo = enumerate_sector(L, n), enumerate_sector(L, n - 2)
+        for col in cols:
+            got = _pair_lowering_indices(hi, lo, col)
+            want = list_pair_lowering_indices(hi, lo, col)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64 and np.array_equal(g, w), (L, n, col)
+
+
+def test_ising_preparation_guard_rejects_before_allocating():
+    L = FULL_SPACE_MAX_L + 1
+    p = ModelParams(L=L, alpha=1.4, delta=3.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{8 * L << L} bytes each at L={L}"):
+            ising_phase_state(p, 0.19, imprint_phases(1.0, L))
+        with pytest.raises(ValueError, match=f"limited to L <= {FULL_SPACE_MAX_L}"):
+            spectroscopy_two(p, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one occupation table alone would be 6.25 GiB
 
 
 # ------------------------------------------------------------ quench maps
