@@ -107,7 +107,7 @@ def reduced_density(psi, region):
         # which the ascending sector masks first reach each key
         c_values, c_col = np.unique(c_keys[rows], return_inverse=True)
         M = np.zeros((sub.dim, len(c_values)), dtype=complex)
-        M[np.searchsorted(sub.masks, a_keys[rows]), c_col] = psi.data[rows]
+        M[sub.index_of(a_keys[rows]), c_col] = psi.data[rows]
         rho = M @ M.conj().T
         p = float(np.trace(rho).real)
         if p > 1e-15:

@@ -86,7 +86,8 @@ def propagate(H, psi0, times):
     if H.dim > EXACT_DIM_MAX:
         raise ValueError(
             f"dimension {H.dim} exceeds exact-diagonalization guard "
-            f"{EXACT_DIM_MAX}; use krylov_evolve"
+            f"{EXACT_DIM_MAX}: the dense matrix and its eigenvectors would take "
+            f"{8 * H.dim**2} bytes each; use krylov_evolve"
         )
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
     if vec.shape != (H.dim,):

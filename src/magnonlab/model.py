@@ -9,10 +9,15 @@ chain or the minimal cyclic distance on a ring.  Pauli conventions: the
 computational basis is the z basis, bit 1 marks a flipped spin (magnon)
 on the all-down background, and site j maps to bit (1 << j) with 0-based
 internal indexing (I/O uses 1-based site labels).
+
+``SectorBasis`` alone maps a configuration to a row (``index_of``, one
+``searchsorted`` on its sorted masks). ``sector_hamiltonian`` builds every
+sector as CSR from its ``bits`` table with no loop over configurations;
+only ``SectorOperator.eigensystem`` densifies.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -70,11 +75,18 @@ class SectorBasis:
     def dim(self):
         return len(self.masks)
 
-    def index_of(self, mask):
-        i = int(np.searchsorted(self.masks, mask))
-        if i >= len(self.masks) or self.masks[i] != mask:
+    def index_of(self, masks):
+        """Rows of a mask or an array of masks; an int for a scalar.
+
+        Raises KeyError if any mask is not in the basis.
+        """
+        masks = np.asarray(masks)
+        rows = np.minimum(np.searchsorted(self.masks, masks), self.dim - 1)
+        missing = self.masks[rows] != masks
+        if np.any(missing):
+            mask = int(masks[missing][0])
             raise KeyError(f"mask {mask:#x} not in {self.n}-magnon basis")
-        return i
+        return int(rows) if rows.ndim == 0 else rows
 
     @cached_property
     def bits(self):
@@ -85,15 +97,14 @@ class SectorBasis:
         return bits
 
 
+@lru_cache(maxsize=32)
 def enumerate_sector(L, n):
-    """SectorBasis for n magnons on L sites, dim = binomial(L, n)."""
+    """SectorBasis for n magnons on L sites, dim = binomial(L, n).
+
+    Cached per (L, n): every caller shares one basis with read-only arrays.
+    """
     if not 0 <= n <= L:
         raise ValueError(f"magnon number n={n} out of range for L={L}")
-    if n == 0:
-        return SectorBasis(
-            L=L, n=0, masks=np.zeros(1, dtype=np.int64),
-            occupations=np.zeros((1, 0), dtype=np.int64),
-        )
     occs = np.array(list(combinations(range(L), n)), dtype=np.int64)
     if L <= 62:
         masks = (1 << occs).sum(axis=1)
@@ -103,14 +114,16 @@ def enumerate_sector(L, n):
             [sum(1 << int(i) for i in row) for row in occs], dtype=object
         )
     order = np.argsort(masks, kind="stable")
-    return SectorBasis(L=L, n=n, masks=masks[order], occupations=occs[order])
+    masks, occs = masks[order], occs[order]
+    masks.flags.writeable = occs.flags.writeable = False
+    return SectorBasis(L=L, n=n, masks=masks, occupations=occs)
 
 
 class SectorOperator:
     """Hamiltonian restricted to one magnon-number sector.
 
-    Wraps a real symmetric matrix (dense or CSR depending on size) and
-    caches its eigendecomposition for repeated exact propagation.
+    Wraps a real symmetric CSR matrix and caches the eigendecomposition of
+    its dense form for repeated exact propagation.
     """
 
     def __init__(self, basis, matrix, params):
@@ -124,9 +137,7 @@ class SectorOperator:
         return self.basis.dim
 
     def dense(self):
-        if sparse.issparse(self.matrix):
-            return self.matrix.toarray()
-        return self.matrix
+        return self.matrix.toarray()
 
     def eigensystem(self):
         """Cached (eigenvalues, eigenvectors) of the dense matrix."""
@@ -135,48 +146,33 @@ class SectorOperator:
         return self._eig
 
 
-def sector_hamiltonian(params, n, as_sparse=None):
-    """Build the n-magnon sector Hamiltonian.
+def zz_energies(bits, J):
+    """(1/2) sum_ij s_i J_ij s_j with s = 2 bits - 1, one value per row of bits."""
+    s = 2.0 * bits - 1.0
+    return 0.5 * np.einsum("ai,ij,aj->a", s, J, s)  # J has zero diagonal
 
-    Off-diagonal (2/3) J_ij moves one magnon from site i to empty site j
-    (from sx sx + sy sy = 2(s+ s- + s- s+)); the diagonal carries
-    (delta/3) sum_{i<j} J_ij s_i s_j with s = +-1.
+
+def sector_hamiltonian(params, n):
+    """The n-magnon sector Hamiltonian, always as a CSR ``SectorOperator``.
+
+    Off-diagonal (2/3) J_ij moves one magnon between sites i and j (from
+    sx sx + sy sy = 2(s+ s- + s- s+)); the diagonal is (delta/3) times
+    ``zz_energies``. A row hops across the pair (i, j) exactly when one of
+    the two sites holds a magnon, so every hop, in both directions, is
+    read off the bits table at once.
     """
     basis = enumerate_sector(params.L, n)
     J = coupling_matrix(params)
-    dim = basis.dim
-    if as_sparse is None:
-        as_sparse = dim > 6000
-
-    # Diagonal: pairs with equal z-sign add +J_ij, opposite signs -J_ij.
-    signs = -np.ones((dim, params.L))
-    if n:
-        rows = np.repeat(np.arange(dim), n)
-        signs[rows, basis.occupations.ravel()] = 1.0
-    diag = params.delta / 6.0 * np.einsum("ai,ij,aj->a", signs, J, signs)
-
-    index = {int(m): i for i, m in enumerate(basis.masks)}
-    rows, cols, vals = [], [], []
-    sites = range(params.L)
-    for a, m in enumerate(basis.masks):
-        m = int(m)
-        occ = [i for i in sites if m >> i & 1]
-        for i in occ:
-            for j in sites:
-                if m >> j & 1:
-                    continue
-                b = index[m ^ (1 << i) | (1 << j)]
-                if b > a:  # fill the upper triangle once, mirror below
-                    rows.append(a)
-                    cols.append(b)
-                    vals.append(2.0 / 3.0 * J[i, j])
-    if as_sparse:
-        H = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-        H = (H + H.T + sparse.diags(diag)).tocsr()
-    else:
-        H = np.zeros((dim, dim))
-        H[rows, cols] = vals
-        H = H + H.T + np.diag(diag)
+    i, j = np.triu_indices(params.L, 1)
+    by_site = basis.bits.T.copy()  # (L, dim): each pair compares two whole rows
+    pair, rows = np.nonzero(by_site[i] != by_site[j])
+    one = np.ones(1, dtype=basis.masks.dtype)  # object masks give Python ints
+    cols = basis.index_of(basis.masks[rows] ^ ((one << i) | (one << j))[pair])
+    diag = np.arange(basis.dim)
+    rows, cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
+    vals = np.concatenate([2.0 / 3.0 * J[i, j][pair],
+                           params.delta / 3.0 * zz_energies(basis.bits, J)])
+    H = sparse.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
     return SectorOperator(basis, H, params)
 
 
@@ -211,9 +207,7 @@ def build_full_hamiltonian(params, kind="xxz"):
     bits = (idx[:, None] >> np.arange(L)) & 1  # (dim, L)
 
     if kind == "zz":
-        s = 2.0 * bits - 1.0
-        diag = 0.5 * np.einsum("ai,ij,aj->a", s, J, s)  # J has zero diagonal
-        return sparse.diags(diag).tocsr()
+        return sparse.diags(zz_energies(bits, J)).tocsr()
 
     rows, cols, vals = [], [], []
     for i in range(L):

@@ -345,7 +345,7 @@ def _pair_lowering_indices(hi, lo, pair_col):
     """
     rows = np.flatnonzero(hi.bits[:, pair_col] & hi.bits[:, pair_col + 1])
     pair = (1 << pair_col) | (1 << (pair_col + 1))
-    return rows, np.searchsorted(lo.masks, hi.masks[rows] ^ pair)
+    return rows, lo.index_of(hi.masks[rows] ^ pair)
 
 
 @lru_cache(maxsize=48)

@@ -45,6 +45,38 @@ def kron_hamiltonian(params, kind="xxz"):
     return H
 
 
+def dict_sector_hamiltonian(params, n):
+    """The sector build as first written, the oracle of the bits-table build.
+
+    A Python loop over masks through a row dict fills the upper triangle,
+    which is mirrored and given the (delta/6) s^T J s diagonal; dense.
+    """
+    basis = enumerate_sector(params.L, n)
+    J = coupling_matrix(params)
+    dim = basis.dim
+    signs = -np.ones((dim, params.L))
+    if n:
+        signs[np.repeat(np.arange(dim), n), basis.occupations.ravel()] = 1.0
+    diag = params.delta / 6.0 * np.einsum("ai,ij,aj->a", signs, J, signs)
+    index = {int(m): i for i, m in enumerate(basis.masks)}
+    rows, cols, vals = [], [], []
+    sites = range(params.L)
+    for a, m in enumerate(basis.masks):
+        m = int(m)
+        for i in (i for i in sites if m >> i & 1):
+            for j in sites:
+                if m >> j & 1:
+                    continue
+                b = index[m ^ (1 << i) | (1 << j)]
+                if b > a:
+                    rows.append(a)
+                    cols.append(b)
+                    vals.append(2.0 / 3.0 * J[i, j])
+    H = np.zeros((dim, dim))
+    H[rows, cols] = vals
+    return H + H.T + np.diag(diag)
+
+
 def test_coupling_matrix_experimental_values():
     p = ModelParams(L=20, alpha=1.4, J=369.0)
     J = coupling_matrix(p)
@@ -73,6 +105,33 @@ def test_sector_dimensions_and_masks():
     # round trip
     for i, m in enumerate(basis.masks):
         assert basis.index_of(int(m)) == i
+
+
+@pytest.mark.parametrize("L", [6, 70])
+def test_index_of_takes_arrays_of_masks(L):
+    basis = enumerate_sector(L, 2)
+    picks = np.array([basis.dim - 1, 0, 3, 3])
+    rows = basis.index_of(basis.masks[picks])
+    assert isinstance(rows, np.ndarray)
+    assert np.array_equal(rows, picks)
+    scalar = basis.index_of(int(basis.masks[2]))
+    assert type(scalar) is int and scalar == 2
+    absent = basis.masks[picks].copy()
+    absent[1] = 0b111  # three magnons: in no 2-magnon basis
+    with pytest.raises(KeyError, match="0x7 not in 2-magnon basis"):
+        basis.index_of(absent)
+    with pytest.raises(KeyError):  # past the last mask
+        basis.index_of([int(basis.masks[-1]) + 1])
+    with pytest.raises(KeyError):
+        basis.index_of(0b111)
+
+
+def test_enumerate_sector_is_cached_and_read_only():
+    basis = enumerate_sector(9, 3)
+    assert enumerate_sector(9, 3) is basis
+    for arr in (basis.masks, basis.occupations, basis.bits):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("L, n", [(8, 0), (8, 1), (8, 3), (70, 2)])
@@ -110,6 +169,24 @@ def test_sector_hamiltonian_matches_projected_oracle(L, delta, boundary):
         assert np.max(np.abs(sub.imag)) < 1e-14
         block = sector_hamiltonian(p, n).dense()
         assert np.max(np.abs(block - sub.real)) < 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+@pytest.mark.parametrize("L", [6, 9, 12])
+def test_sector_hamiltonian_equals_dict_oracle(L, boundary):
+    p = ModelParams(L=L, alpha=1.4, delta=2.7, boundary=boundary)
+    for n in range(L + 1):
+        op = sector_hamiltonian(p, n)
+        assert op.matrix.format == "csr"
+        assert np.array_equal(op.dense(), dict_sector_hamiltonian(p, n))
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+def test_sector_hamiltonian_equals_dict_oracle_object_masks(boundary):
+    p = ModelParams(L=70, alpha=1.4, delta=1.3, boundary=boundary)
+    op = sector_hamiltonian(p, 2)
+    assert op.basis.masks.dtype == object
+    assert np.array_equal(op.dense(), dict_sector_hamiltonian(p, 2))
 
 
 def test_sector_matrix_is_real_symmetric():
