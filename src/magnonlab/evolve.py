@@ -3,7 +3,8 @@
 Three propagators with one state convention:
 
 * ``propagate``: psi(t) = exp(-iHt) psi0 on a whole time grid, through the
-  cached eigendecomposition of a sector Hamiltonian. The eigenbasis
+  cached eigendecomposition of a sector Hamiltonian, which diagonalizes
+  its reflection-even and -odd blocks apart. The eigenbasis
   coefficients are formed once and every time point costs one real
   matrix product; ``exact_evolve`` is its single-time case. Quench maps,
   beat and pair spectroscopy and the entropy time series all read their
@@ -86,8 +87,9 @@ def propagate(H, psi0, times):
     if H.dim > EXACT_DIM_MAX:
         raise ValueError(
             f"dimension {H.dim} exceeds exact-diagonalization guard "
-            f"{EXACT_DIM_MAX}: the dense matrix and its eigenvectors would take "
-            f"{8 * H.dim**2} bytes each; use krylov_evolve"
+            f"{EXACT_DIM_MAX}: its two dense reflection blocks would take about "
+            f"{4 * H.dim**2} bytes together and its eigenvectors {8 * H.dim**2} "
+            f"bytes; use krylov_evolve"
         )
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
     if vec.shape != (H.dim,):

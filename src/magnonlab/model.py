@@ -12,10 +12,15 @@ internal indexing (I/O uses 1-based site labels).
 
 ``SectorBasis`` alone maps a configuration to a row (``index_of``, one
 ``searchsorted`` on its sorted masks). ``sector_hamiltonian`` builds every
-sector as CSR from its ``bits`` table with no loop over configurations;
-only ``SectorOperator.eigensystem`` densifies.
+sector as CSR from its ``bits`` table with no loop over configurations.
+Only ``SectorOperator.eigensystem`` densifies, and only the two halves of
+the sector that the site reversal j -> L-1-j leaves even and odd: the
+couplings depend on |i-j| (or its cyclic minimum), so every sector
+Hamiltonian commutes with that reversal and is block diagonal in its
+eigenbasis.
 """
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -96,6 +101,21 @@ class SectorBasis:
         bits.flags.writeable = False  # one cached table serves every caller
         return bits
 
+    @cached_property
+    def mirror(self):
+        """Row of each row's reversed configuration (site j -> L-1-j)."""
+        rows = self.index_of(_pack(self.L - 1 - self.occupations, self.L))
+        rows.flags.writeable = False
+        return rows
+
+
+def _pack(occs, L):
+    """Bitmask of each row of site indices: int64 up to 62 sites, else Python ints."""
+    if L <= 62:
+        return (1 << occs).sum(axis=1)
+    # beyond 62 sites the masks outgrow int64
+    return np.array([sum(1 << int(i) for i in row) for row in occs], dtype=object)
+
 
 @lru_cache(maxsize=32)
 def enumerate_sector(L, n):
@@ -106,24 +126,41 @@ def enumerate_sector(L, n):
     if not 0 <= n <= L:
         raise ValueError(f"magnon number n={n} out of range for L={L}")
     occs = np.array(list(combinations(range(L), n)), dtype=np.int64)
-    if L <= 62:
-        masks = (1 << occs).sum(axis=1)
-    else:
-        # beyond 62 sites the masks outgrow int64; keep them as Python ints
-        masks = np.array(
-            [sum(1 << int(i) for i in row) for row in occs], dtype=object
-        )
+    masks = _pack(occs, L)
     order = np.argsort(masks, kind="stable")
     masks, occs = masks[order], occs[order]
     masks.flags.writeable = occs.flags.writeable = False
     return SectorBasis(L=L, n=n, masks=masks, occupations=occs)
 
 
+def _reflection_isometry(mirror):
+    """Sparse (Q_even, Q_odd): orthonormal columns spanning the two
+    eigenspaces of the row permutation r -> mirror[r] (an involution).
+
+    A fixed row r gives the even column |r>; each pair r < mirror[r] gives
+    the even column (|r> + |mirror r>)/sqrt(2) and the odd column
+    (|r> - |mirror r>)/sqrt(2). Columns follow their smaller row.
+    """
+    rows = np.arange(len(mirror))
+
+    def columns(reps, sign):
+        # a fixed row enters twice at 1/2, and the CSR build sums the two
+        w = np.where(mirror[reps] == reps, 0.5, np.sqrt(0.5))
+        col = np.arange(len(reps))
+        return sparse.csr_matrix(
+            (np.concatenate([w, sign * w]),
+             (np.concatenate([reps, mirror[reps]]), np.concatenate([col, col]))),
+            shape=(len(rows), len(reps)))
+
+    return columns(rows[rows <= mirror], 1.0), columns(rows[rows < mirror], -1.0)
+
+
 class SectorOperator:
     """Hamiltonian restricted to one magnon-number sector.
 
-    Wraps a real symmetric CSR matrix and caches the eigendecomposition of
-    its dense form for repeated exact propagation.
+    Wraps a real symmetric CSR matrix and caches its eigendecomposition
+    for repeated exact propagation. The matrix must commute with the site
+    reversal of its basis, as every ``sector_hamiltonian`` does.
     """
 
     def __init__(self, basis, matrix, params):
@@ -131,6 +168,7 @@ class SectorOperator:
         self.matrix = matrix
         self.params = params
         self._eig = None
+        self._eig_lock = threading.Lock()  # one diagonalization per sector
 
     @property
     def dim(self):
@@ -140,10 +178,42 @@ class SectorOperator:
         return self.matrix.toarray()
 
     def eigensystem(self):
-        """Cached (eigenvalues, eigenvectors) of the dense matrix."""
+        """Cached (ascending eigenvalues, (dim, dim) real eigenvectors).
+
+        The reflection-even and -odd blocks Q^T H Q are densified and
+        diagonalized apart; each eigenvector Q V is even or odd under the
+        site reversal. Raises ValueError if the matrix couples the two
+        blocks beyond roundoff, i.e. breaks the reversal symmetry.
+        """
         if self._eig is None:
-            self._eig = np.linalg.eigh(self.dense())
+            with self._eig_lock:
+                if self._eig is None:
+                    self._eig = self._diagonalize()
         return self._eig
+
+    def _diagonalize(self):
+        H = self.matrix
+        q_even, q_odd = _reflection_isometry(self.basis.mirror)
+        h_even = H @ q_even
+        coupling = np.abs((q_odd.T @ h_even).data).max(initial=0.0)
+        scale = abs(H).sum(axis=1).max()  # the row-sum norm bounds |H|
+        if coupling > 1e-12 * scale:
+            raise ValueError(
+                f"sector matrix couples the reflection-even and -odd blocks by "
+                f"{coupling:.3g} (norm {scale:.3g}): it breaks the site reversal"
+            )
+        blocks = [(q, np.linalg.eigh((q.T @ hq).toarray()))
+                  for q, hq in ((q_even, h_even), (q_odd, H @ q_odd))]
+        evals = np.concatenate([w for _, (w, _) in blocks])
+        order = np.argsort(evals, kind="stable")
+        position = np.empty(self.dim, dtype=np.intp)
+        position[order] = np.arange(self.dim)  # sorted place of each block column
+        # filled as rows, one eigenvector each: contiguous writes, a
+        # column-major (dim, dim) result with no transposed copy
+        rows = np.empty((self.dim, self.dim))
+        for (q, (_, v)), place in zip(blocks, np.split(position, [q_even.shape[1]])):
+            rows[place] = (q @ v).T
+        return evals[order], rows.T
 
 
 def zz_energies(bits, J):

@@ -120,6 +120,10 @@ def test_propagate_dimension_guard():
     with pytest.raises(ValueError, match=f"dimension {EXACT_DIM_MAX + 1} exceeds "
                                          "exact-diagonalization guard .*krylov_evolve"):
         propagate(Stub(), np.zeros(3), np.linspace(0.0, 1.0, 4))
+    dim = EXACT_DIM_MAX + 1
+    with pytest.raises(ValueError, match=f"about {4 * dim**2} bytes together and its "
+                                         f"eigenvectors {8 * dim**2} bytes"):
+        propagate(Stub(), np.zeros(3), np.linspace(0.0, 1.0, 4))
 
 
 # ---------------------------------------------------------------- krylov

@@ -1,9 +1,14 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from magnonlab.model import (
     ModelParams,
+    SectorOperator,
     StateVector,
     build_full_hamiltonian,
     coupling_matrix,
@@ -225,6 +230,76 @@ def test_open_chain_reflection_symmetry_of_spectra():
             perm[i] = basis.index_of(refl)
         H = op.dense()
         assert np.max(np.abs(H[np.ix_(perm, perm)] - H)) < 1e-12
+
+
+@pytest.mark.parametrize("L, n", [(9, 0), (9, 3), (8, 4), (70, 1), (70, 2)])
+def test_mirror_matches_reversed_masks(L, n):
+    basis = enumerate_sector(L, n)
+    want = [basis.index_of(sum(1 << (L - 1 - int(j)) for j in row))
+            for row in basis.occupations]
+    assert np.array_equal(basis.mirror, want)
+    assert not basis.mirror.flags.writeable
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+@pytest.mark.parametrize("L, n", [(8, 0), (8, 4), (9, 3), (9, 4), (70, 1)])
+def test_eigensystem_is_split_by_reflection(L, n, boundary):
+    op = sector_hamiltonian(ModelParams(L=L, alpha=1.4, delta=2.3, boundary=boundary), n)
+    H = op.dense()
+    norm = np.abs(H).sum(axis=1).max()
+    evals, evecs = op.eigensystem()
+    assert evecs.shape == (op.dim, op.dim) and evecs.dtype == np.float64
+    assert np.abs(evecs.T @ evecs - np.eye(op.dim)).max() <= 1e-12
+    assert np.abs(H @ evecs - evecs * evals).max() <= 1e-12 * norm
+    assert np.abs(evals - np.linalg.eigh(H)[0]).max() <= 1e-12 * max(norm, 1.0)
+    # each eigenvector is even or odd under the site reversal
+    mirrored = evecs[op.basis.mirror]
+    parity = np.einsum("ij,ij->j", mirrored, evecs)
+    assert np.abs(np.abs(parity) - 1.0).max() <= 1e-12
+    assert np.abs(mirrored - evecs * parity).max() <= 1e-12
+    orbits = np.count_nonzero(np.arange(op.dim) <= op.basis.mirror)
+    assert np.count_nonzero(parity > 0) == orbits
+
+
+def test_eigensystem_rejects_a_matrix_that_breaks_the_reflection():
+    basis = enumerate_sector(6, 1)
+    op = SectorOperator(basis, sparse.diags(np.arange(6.0)).tocsr(), ModelParams(L=6))
+    with pytest.raises(ValueError, match="site reversal"):
+        op.eigensystem()
+
+
+def test_eigensystem_is_diagonalized_once_under_two_threads(monkeypatch):
+    op = sector_hamiltonian(ModelParams(L=10, alpha=1.4, delta=2.0), 4)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def slow_eigh(a):
+        shapes.append(a.shape)
+        time.sleep(0.05)  # hold the window in which a second thread could enter
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def work(i):
+        barrier.wait(timeout=10)
+        results[i] = op.eigensystem()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results[0] is not None and results[0] is results[1]
+    # dim 210: 110 even configurations (10 palindromes + 100 pairs), 100 odd
+    assert sorted(shapes) == [(100, 100), (110, 110)]
 
 
 def test_vacuum_energy_matches_zero_sector():

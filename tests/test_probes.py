@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from magnonlab import probes
 from magnonlab.model import (
     FULL_SPACE_MAX_L,
     ModelParams,
+    StateVector,
     build_full_hamiltonian,
     enumerate_sector,
     sector_hamiltonian,
@@ -57,6 +59,14 @@ def list_pair_lowering_indices(hi, lo, pair_col):
     rows = [i for i, m in enumerate(hi.masks) if int(m) & pair == pair]
     mates = [lo.index_of(int(hi.masks[i]) ^ pair) for i in rows]
     return np.array(rows, dtype=np.int64), np.array(mates, dtype=np.int64)
+
+
+def dense_eigh_propagate(H, psi0, times):
+    """Oracle for ``propagate``: one dense eigh of the whole sector matrix."""
+    evals, evecs = np.linalg.eigh(H.dense())
+    vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
+    phase = np.exp(-1j * np.multiply.outer(evals, times))
+    return (evecs @ (phase * (evecs.T @ vec)[:, None])).T
 
 
 def eigenbasis_pair_signal(params, k, sites, n_max, t_prep_J=0.19):
@@ -295,6 +305,19 @@ def test_spectroscopy_two_matches_eigenbasis_contraction(L, sites, n_max):
         assert np.abs(sig.values - want).max() <= 1e-12
 
 
+def test_spectroscopy_two_matches_dense_eigh_oracle(monkeypatch):
+    p = ModelParams(L=12, alpha=1.4, delta=3.0)
+    for m in (1, 4):
+        k = 2 * np.pi * m / p.L
+        got = spectroscopy_two(p, k, sites=(4, 9))
+        with monkeypatch.context() as patch:
+            patch.setattr(probes, "propagate", dense_eigh_propagate)
+            want = spectroscopy_two(p, k, sites=(4, 9))
+        assert np.abs(got.values - want.values).max() <= 1e-12
+        assert got.frequency == pytest.approx(want.frequency, rel=1e-12)
+        assert got.contrast == pytest.approx(want.contrast, rel=1e-12)
+
+
 def test_spectroscopy_two_rejects_window_off_the_chain():
     p = ModelParams(L=12, alpha=1.4, delta=3.0)
     with pytest.raises(ValueError, match="leaves the chain"):
@@ -373,6 +396,17 @@ def test_quench_projectors_match_rowlist_oracle(sites, delta):
     ref_pup, ref_pupp = rowlist_quench_projectors(psi0, p, times)
     assert np.max(np.abs(pup.values - ref_pup)) <= 1e-13
     assert np.max(np.abs(pupp.values - ref_pupp)) <= 1e-13
+
+
+def test_quench_projectors_on_a_ring_match_dense_eigh_oracle(monkeypatch):
+    p = ModelParams(L=11, alpha=1.4, delta=2.5, J=1.3, boundary="ring")
+    psi0 = sector_state_from_sites(p, (2, 3, 7))
+    times = np.linspace(0.0, 6.0, 25)
+    got = quench_projectors(psi0, p, times)
+    monkeypatch.setattr(probes, "propagate", dense_eigh_propagate)
+    want = quench_projectors(psi0, p, times)
+    for g, w in zip(got, want):
+        assert np.abs(g.values - w.values).max() <= 1e-13
 
 
 def test_quench_initial_adjacent_pair():
