@@ -3,12 +3,15 @@
 Three propagators with one state convention:
 
 * ``propagate``: psi(t) = exp(-iHt) psi0 on a whole time grid, through the
-  cached eigendecomposition of a sector Hamiltonian, which diagonalizes
-  its reflection-even and -odd blocks apart. The eigenbasis
-  coefficients are formed once and every time point costs one real
-  matrix product; ``exact_evolve`` is its single-time case. Quench maps,
-  beat and pair spectroscopy and the entropy time series all read their
-  states from it.
+  cached eigensystem of a sector Hamiltonian, which is stored as its
+  reflection-even and -odd blocks (Q, eigenvalues, V) and never as a
+  (dim, dim) eigenvector matrix. Per block the eigenbasis coefficients
+  V^T Q^T psi0 are formed once and every time point costs one real matrix
+  product with Q V, restricted to the rows the caller reads: the result
+  is (n_times, len(rows)), or (n_times, dim) for every row.
+  ``exact_evolve`` is its single-time case. Quench maps, beat and pair
+  spectroscopy and the entropy time series all read their states from
+  it; pair spectroscopy asks only for the rows its readout touches.
 * ``krylov_evolve``: short-time Lanczos stepping with full
   reorthogonalization, for sectors too large to diagonalize. Nothing in
   the experiments calls it; it stays as the large-sector fallback that
@@ -28,8 +31,10 @@ Hamiltonian H_XX + (delta_err/2) sum_j sz_j are real symmetric, so their
 eigenvectors V are real and V exp(-iEt) V^T psi is formed from real
 matrix products on the real and imaginary parts of psi, with no complex
 copy of V. A (dim,) phase gives one state, a (dim, n_times) phase a whole
-time grid. The global rotation acts on a (-1, 2, 2^q) view of the state
-for each site q (site q is bit q), so no axis is moved or copied.
+time grid, and an optional output matrix (Q V restricted to some rows, in
+place of V) maps the phased coefficients to the rows a caller reads. The
+global rotation acts on a (-1, 2, 2^q) view of the state for each site q
+(site q is bit q), so no axis is moved or copied.
 
 Pulse sequences are declarative: each line of a sequence file is
 ``axis angle_deg weight`` where axis is +x, -x, +y or -y, the angle is in
@@ -52,6 +57,7 @@ from .model import (
     SectorOperator,
     StateVector,
     build_full_hamiltonian,
+    full_space_bits,
 )
 
 EXACT_DIM_MAX = 20_000
@@ -77,26 +83,32 @@ def fidelity(psi, phi):
     return abs(np.vdot(a, b)) ** 2
 
 
-def propagate(H, psi0, times):
-    """exp(-iHt) psi0 for every t in times, as a (n_times, dim) array.
+def propagate(H, psi0, times, rows=None):
+    """exp(-iHt) psi0 for every t in times, as a (n_times, len(rows)) array.
 
-    The eigenbasis coefficients of psi0 are formed once and all phases
-    are applied by real matrix products. A scalar t gives one (dim,)
-    state with matrix-vector arithmetic.
+    rows selects the basis rows to return, all of them (dim) when None.
+    Per reflection block (Q, E, V) of ``H.eigensystem()`` the
+    coefficients V^T Q^T psi0 are formed once, and all phases are applied
+    by real matrix products with Q[rows] V. A scalar t gives one
+    (len(rows),) state with matrix-vector arithmetic.
     """
     if H.dim > EXACT_DIM_MAX:
         raise ValueError(
             f"dimension {H.dim} exceeds exact-diagonalization guard "
             f"{EXACT_DIM_MAX}: its two dense reflection blocks would take about "
-            f"{4 * H.dim**2} bytes together and its eigenvectors {8 * H.dim**2} "
-            f"bytes; use krylov_evolve"
+            f"{4 * H.dim**2} bytes together and their eigenvectors as many "
+            f"again; use krylov_evolve"
         )
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
     if vec.shape != (H.dim,):
         raise ValueError(f"state length {vec.shape} does not match dim {H.dim}")
-    evals, evecs = H.eigensystem()
-    phase = np.exp(-1j * np.multiply.outer(evals, times))
-    return _real_spectral_step(evecs, phase, vec).T
+    n_out = H.dim if rows is None else len(rows)
+    out = np.zeros((n_out,) + np.shape(times), dtype=complex)
+    for q, evals, evecs in H.eigensystem():
+        phase = np.exp(-1j * np.multiply.outer(evals, times))
+        readout = (q if rows is None else q[rows]) @ evecs
+        out += _real_spectral_step(evecs, phase, q.T @ vec, readout)
+    return out.T
 
 
 def exact_evolve(H, psi0, t):
@@ -107,20 +119,23 @@ def exact_evolve(H, psi0, t):
     return out
 
 
-def _real_spectral_step(evecs, phase, psi):
-    """evecs @ (phase * (evecs.T @ psi)) for real orthogonal evecs.
+def _real_spectral_step(evecs, phase, psi, readout=None):
+    """readout @ (phase * (evecs.T @ psi)) for real orthogonal evecs.
 
-    phase is (dim,) for one state or (dim, n_times) for one state per
-    column. The real and imaginary parts of psi go through separate real
-    products, so evecs is never conjugated or upcast to complex.
+    phase is (d,) for one state or (d, n_times) for one state per column;
+    readout, a real (n_out, d) matrix, defaults to evecs. The real and
+    imaginary parts of psi go through separate real products, so no
+    matrix is conjugated or upcast to complex.
     """
     if np.iscomplexobj(evecs):
         raise TypeError("the spectral step needs real eigenvectors")
+    if readout is None:
+        readout = evecs
     coef = evecs.T @ psi.real + 1j * (evecs.T @ psi.imag)
     if phase.ndim == 2:
         coef = coef[:, None]
     coef = coef * phase
-    return evecs @ coef.real + 1j * (evecs @ coef.imag)
+    return readout @ coef.real + 1j * (readout @ coef.imag)
 
 
 def krylov_evolve(H, psi0, t, step=None, tol=1e-12, max_krylov=96):
@@ -416,7 +431,7 @@ def _pulse_hamiltonian(L, alpha, J, boundary, detuning):
     params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
     H = build_full_hamiltonian(params, kind="xx").toarray()
     if detuning:
-        bits = (np.arange(2**L)[:, None] >> np.arange(L)) & 1
+        bits = full_space_bits(L)
         H[np.diag_indices_from(H)] += 0.5 * detuning * (2.0 * bits - 1.0).sum(axis=1)
     return H
 

@@ -17,7 +17,11 @@ Only ``SectorOperator.eigensystem`` densifies, and only the two halves of
 the sector that the site reversal j -> L-1-j leaves even and odd: the
 couplings depend on |i-j| (or its cyclic minimum), so every sector
 Hamiltonian commutes with that reversal and is block diagonal in its
-eigenbasis.
+eigenbasis. The eigensystem is kept in that block form, one
+(Q, eigenvalues, V) triple per block with Q the sparse isometry onto the
+block, so no (dim, dim) eigenvector matrix is stored; ``full_eigensystem``
+assembles that matrix for the few callers that read whole eigenvectors.
+The full 2^L space shares one occupation table, ``full_space_bits``.
 """
 
 import threading
@@ -178,12 +182,13 @@ class SectorOperator:
         return self.matrix.toarray()
 
     def eigensystem(self):
-        """Cached (ascending eigenvalues, (dim, dim) real eigenvectors).
+        """Cached reflection blocks ((Q, evals, V) even, (Q, evals, V) odd).
 
-        The reflection-even and -odd blocks Q^T H Q are densified and
-        diagonalized apart; each eigenvector Q V is even or odd under the
-        site reversal. Raises ValueError if the matrix couples the two
-        blocks beyond roundoff, i.e. breaks the reversal symmetry.
+        Q is the sparse (dim, d) isometry onto the block, evals ascend and
+        V is the real (d, d) eigenvector matrix of Q^T H Q, so Q V holds
+        eigenvectors of the sector that are even or odd under the site
+        reversal. Raises ValueError if the matrix couples the two blocks
+        beyond roundoff, i.e. breaks the reversal symmetry.
         """
         if self._eig is None:
             with self._eig_lock:
@@ -202,16 +207,25 @@ class SectorOperator:
                 f"sector matrix couples the reflection-even and -odd blocks by "
                 f"{coupling:.3g} (norm {scale:.3g}): it breaks the site reversal"
             )
-        blocks = [(q, np.linalg.eigh((q.T @ hq).toarray()))
-                  for q, hq in ((q_even, h_even), (q_odd, H @ q_odd))]
-        evals = np.concatenate([w for _, (w, _) in blocks])
+        return tuple((q, *np.linalg.eigh((q.T @ hq).toarray()))
+                     for q, hq in ((q_even, h_even), (q_odd, H @ q_odd)))
+
+    def full_eigensystem(self):
+        """(ascending eigenvalues, (dim, dim) real eigenvectors) of the sector.
+
+        Assembled from the cached blocks on every call, for the callers that
+        read whole eigenvectors; each column Q V is even or odd under the
+        site reversal.
+        """
+        blocks = self.eigensystem()
+        evals = np.concatenate([w for _, w, _ in blocks])
         order = np.argsort(evals, kind="stable")
         position = np.empty(self.dim, dtype=np.intp)
         position[order] = np.arange(self.dim)  # sorted place of each block column
         # filled as rows, one eigenvector each: contiguous writes, a
         # column-major (dim, dim) result with no transposed copy
         rows = np.empty((self.dim, self.dim))
-        for (q, (_, v)), place in zip(blocks, np.split(position, [q_even.shape[1]])):
+        for (q, _, v), place in zip(blocks, np.split(position, [len(blocks[0][1])])):
             rows[place] = (q @ v).T
         return evals[order], rows.T
 
@@ -249,6 +263,20 @@ def sector_hamiltonian(params, n):
 FULL_SPACE_MAX_L = 24  # 2^24 amplitudes; beyond this use sector methods
 
 
+def full_space_bits(L):
+    """(2^L, L) uint8 occupation table of the full space: row m holds the bits of m."""
+    if L > FULL_SPACE_MAX_L:
+        raise ValueError(
+            f"full-space operators hold (2^{L}, {L}) occupation tables of "
+            f"{8 * L << L} bytes each at L={L}; they are limited to "
+            f"L <= {FULL_SPACE_MAX_L}"
+        )
+    # the four little-endian bytes of each index, unpacked low bit first; the
+    # copy drops the 32 - L unused columns
+    masks = np.arange(1 << L, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(masks, axis=1, bitorder="little")[:, :L].copy()
+
+
 def build_full_hamiltonian(params, kind="xxz"):
     """Full 2^L Hamiltonian as CSR. kind: 'xx' | 'yy' | 'zz' | 'xxz'.
 
@@ -256,12 +284,6 @@ def build_full_hamiltonian(params, kind="xxz"):
     is (1/3)(H_XX + H_YY + delta * H_ZZ).
     """
     L = params.L
-    if L > FULL_SPACE_MAX_L:
-        raise ValueError(
-            f"full-space operators hold (2^{L}, {L}) occupation tables of "
-            f"{8 * L << L} bytes each at L={L}; they are limited to "
-            f"L <= {FULL_SPACE_MAX_L}"
-        )
     kind = kind.lower()
     if kind not in ("xx", "yy", "zz", "xxz"):
         raise ValueError(f"unknown Hamiltonian kind {kind!r}")
@@ -271,10 +293,10 @@ def build_full_hamiltonian(params, kind="xxz"):
         Hzz = build_full_hamiltonian(params, "zz")
         return ((Hxx + Hyy + params.delta * Hzz) / 3.0).tocsr()
 
+    bits = full_space_bits(L)  # raises beyond FULL_SPACE_MAX_L
     dim = 1 << L
     J = coupling_matrix(params)
     idx = np.arange(dim, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(L)) & 1  # (dim, L)
 
     if kind == "zz":
         return sparse.diags(zz_energies(bits, J)).tocsr()

@@ -14,8 +14,9 @@ emulation lives in the sampling module):
   excitation energy. The Ising propagator is evaluated exactly in the
   x basis and rotated back with a fast Walsh-Hadamard transform, once
   per chain; each momentum imprints its phases on the cached sector
-  components, every sector is evolved by ``evolve.propagate``, and the
-  pair coherence is gathered from the site-basis trajectories.
+  components, every sector is evolved by ``evolve.propagate`` on only the
+  rows the pair readout in the window touches, and the pair coherence is
+  gathered from those site-basis trajectories.
 * quench light cones: site and adjacent-pair projector maps from an
   initial two-magnon product state, plus the renormalized adjacent-pair
   participation (sum_j <P_j,j+1> - 2/L)/(1 - 2/L).
@@ -37,10 +38,12 @@ from .evolve import propagate
 from .model import (
     ModelParams,
     StateVector,
-    build_full_hamiltonian,
+    coupling_matrix,
     enumerate_sector,
+    full_space_bits,
     sector_hamiltonian,
     sector_state_from_sites,
+    zz_energies,
 )
 
 SPECTRO_ONE_TMAX = 16.0  # default sampling windows, in units of 1/J
@@ -276,7 +279,7 @@ def _ising_prep(params, t_prep_J):
     diagonal of the z-basis H_ZZ, so the propagator is exact: phase the
     Hadamard-transformed vacuum by that diagonal and transform back.
     """
-    energies = build_full_hamiltonian(params, "zz").diagonal()
+    energies = zz_energies(full_space_bits(params.L), coupling_matrix(params))
     psi_x = np.exp(-1j * (t_prep_J / params.J) * energies) / energies.size
     return _walsh_hadamard(psi_x)
 
@@ -288,7 +291,7 @@ def ising_phase_state(params, t_prep_J, phases):
     if phases.shape != (L,):
         raise ValueError(f"need one phase per site, got shape {phases.shape}")
     psi = _ising_prep(params, t_prep_J)
-    return _imprint((np.arange(1 << L)[:, None] >> np.arange(L)) & 1, psi, phases)
+    return _imprint(full_space_bits(L), psi, phases)
 
 
 def imprint_phases(k, L):
@@ -358,7 +361,7 @@ def _pair_lowering_block(params, n, pair_col):
     """
     hi, lo = _cached_sector(params, n), _cached_sector(params, n - 2)
     rows, mates = _pair_lowering_indices(hi.basis, lo.basis, pair_col)
-    return lo.eigensystem()[1][mates].T @ hi.eigensystem()[1][rows]
+    return lo.full_eigensystem()[1][mates].T @ hi.full_eigensystem()[1][rows]
 
 
 def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
@@ -367,10 +370,11 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
 
     The unprojected prepared state is split into magnon sectors up to
     n_max (neglected weight recorded), each sector evolved exactly by
-    ``propagate``, and the coherence summed over the sector ladder in the
-    site basis. The complex signal is averaged over pairs j in
-    sites[0]..sites[1] and Fourier-transformed; the signed peak estimates
-    eps2(k) - eps0 and the contrast the bound-state amplitude.
+    ``propagate`` on only the rows the coherence reads, and the coherence
+    summed over the sector ladder in the site basis. The complex signal is
+    averaged over pairs j in sites[0]..sites[1] and Fourier-transformed;
+    the signed peak estimates eps2(k) - eps0 and the contrast the
+    bound-state amplitude.
     """
     j_lo, j_hi = sites
     if not 1 <= j_lo <= j_hi < params.L:
@@ -382,19 +386,30 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
     times = np.linspace(0.0, t_max_J, n_samples, endpoint=False)
     t_phys = times / params.J
     phases = imprint_phases(k, params.L)
-    # (basis, (n_times, dim) site-basis trajectory) per even sector
+    sectors = [_cached_sector(params, n) for n in range(0, n_max + 1, 2)]
+    pairs = range(j_lo - 1, j_hi)  # 1-based left sites -> 0-based
+    # (rows, mates) of sm_p sm_{p+1} per pair, for each step down the ladder
+    lowering = [[_pair_lowering_indices(hi.basis, lo.basis, p) for p in pairs]
+                for lo, hi in zip(sectors, sectors[1:])]
+    # the rows each sector is read at: mates as the lower end of a step,
+    # rows as the upper end
+    is_read = [np.zeros(H.dim, dtype=bool) for H in sectors]
+    for i, step in enumerate(lowering):
+        for rows, mates in step:
+            is_read[i][mates] = is_read[i + 1][rows] = True
+    # (sorted read rows, (n_times, n_read) site-basis trajectory) per sector
     ladder = []
-    for n, comp in zip(range(0, n_max + 1, 2), comps):
-        H = _cached_sector(params, n)
+    for H, comp, mask in zip(sectors, comps, is_read):
+        read = np.flatnonzero(mask)
         psi0 = _imprint(H.basis.bits, comp, phases)
-        ladder.append((H.basis, propagate(H, psi0, t_phys)))
+        ladder.append((read, propagate(H, psi0, t_phys, rows=read)))
 
-    signal = np.zeros((j_hi - j_lo + 1, n_samples), dtype=complex)
-    for col, p in enumerate(range(j_lo - 1, j_hi)):  # 1-based left sites -> 0-based
-        for (lo, psi_lo), (hi, psi_hi) in zip(ladder, ladder[1:]):
-            rows, mates = _pair_lowering_indices(hi, lo, p)
-            signal[col] += np.einsum("ta,ta->t", psi_lo[:, mates].conj(),
-                                     psi_hi[:, rows])
+    signal = np.zeros((len(pairs), n_samples), dtype=complex)
+    for (read_lo, psi_lo), (read_hi, psi_hi), step in zip(ladder, ladder[1:], lowering):
+        for col, (rows, mates) in enumerate(step):
+            signal[col] += np.einsum("ta,ta->t",
+                                     psi_lo[:, np.searchsorted(read_lo, mates)].conj(),
+                                     psi_hi[:, np.searchsorted(read_hi, rows)])
     freqs, mag, f_peak, contrast = spectral_peak(t_phys, signal, two_sided=True)
     return SpectroscopySignal(
         times=times, values=signal, freqs=freqs, magnitude=mag,

@@ -329,7 +329,7 @@ def open_chain_top_l4(params, deltas):
     out = np.empty(len(deltas))
     for i, dl in enumerate(deltas):
         op = sector_hamiltonian(replace(params, delta=float(dl), boundary="open"), 2)
-        vals, vecs = op.eigensystem()
+        vals, vecs = op.full_eigensystem()
         top = vecs[:, -1]
         occ = op.basis.occupations
         d = occ[:, 1] - occ[:, 0]

@@ -54,7 +54,7 @@ def test_exact_evolve_t0_is_identity():
 def test_exact_evolve_eigenstate_picks_up_phase_only():
     p = ModelParams(L=7, alpha=1.4, delta=2.0)
     H = sector_hamiltonian(p, 2)
-    evals, evecs = H.eigensystem()
+    evals, evecs = H.full_eigensystem()
     k = 5
     out = exact_evolve(H, evecs[:, k].astype(complex), t=0.77)
     assert np.allclose(out, np.exp(-1j * evals[k] * 0.77) * evecs[:, k], atol=1e-12)
@@ -82,7 +82,7 @@ def test_exact_evolve_matches_complex_spectral_step():
     p = ModelParams(L=10, alpha=1.4, delta=2.0, boundary="open")
     H = sector_hamiltonian(p, 2)
     psi = sector_state_from_sites(p, (4, 5))
-    evals, evecs = H.eigensystem()
+    evals, evecs = H.full_eigensystem()
     for t in (0.0, 1.3, 7.9):
         ref = reference_spectral_step(evecs, np.exp(-1j * evals * t), psi.data)
         assert np.max(np.abs(exact_evolve(H, psi, t).data - ref)) <= 1e-13
@@ -106,7 +106,7 @@ def test_propagate_matches_exact_evolve_at_every_time(L, n):
     times = np.linspace(0.0, 7.9, 40)
     grid = propagate(H, v, times)
     assert grid.shape == (len(times), H.dim)
-    evals, evecs = H.eigensystem()
+    evals, evecs = H.full_eigensystem()
     for t, row in zip(times, grid):
         ref = reference_spectral_step(evecs, np.exp(-1j * evals * t), v)
         assert np.max(np.abs(row - exact_evolve(H, v, t))) <= 1e-13
@@ -121,9 +121,35 @@ def test_propagate_dimension_guard():
                                          "exact-diagonalization guard .*krylov_evolve"):
         propagate(Stub(), np.zeros(3), np.linspace(0.0, 1.0, 4))
     dim = EXACT_DIM_MAX + 1
-    with pytest.raises(ValueError, match=f"about {4 * dim**2} bytes together and its "
-                                         f"eigenvectors {8 * dim**2} bytes"):
+    with pytest.raises(ValueError, match=f"about {4 * dim**2} bytes together and their "
+                                         f"eigenvectors as many again"):
         propagate(Stub(), np.zeros(3), np.linspace(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+@pytest.mark.parametrize("L, n", [(10, 2), (9, 3), (10, 4)])
+def test_propagate_rows_match_the_full_propagation(L, n, boundary):
+    p = ModelParams(L=L, alpha=1.4, delta=2.0, boundary=boundary)
+    H = sector_hamiltonian(p, n)
+    rng = np.random.default_rng(L * n)
+    v = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+    v /= np.linalg.norm(v)
+    times = np.linspace(0.0, 7.9, 24)
+    full = propagate(H, v, times)
+    mirror = H.basis.mirror
+    palindromes = np.flatnonzero(mirror == np.arange(H.dim))
+    assert palindromes.size  # the selection below reads palindromic rows
+    pairs = np.flatnonzero(mirror != np.arange(H.dim))
+    for R in (np.sort(np.concatenate([palindromes[::2], pairs[::3]])),
+              rng.permutation(H.dim)[: H.dim // 4],  # unsorted
+              np.arange(H.dim),
+              np.empty(0, dtype=np.intp)):
+        got = propagate(H, v, times, rows=R)
+        assert got.shape == (len(times), len(R))
+        assert np.abs(got - full[:, R]).max(initial=0.0) <= 1e-13
+        one = propagate(H, v, 3.1, rows=R)  # scalar t
+        assert one.shape == (len(R),)
+        assert np.abs(one - propagate(H, v, 3.1)[R]).max(initial=0.0) <= 1e-13
 
 
 # ---------------------------------------------------------------- krylov

@@ -247,7 +247,9 @@ def test_eigensystem_is_split_by_reflection(L, n, boundary):
     op = sector_hamiltonian(ModelParams(L=L, alpha=1.4, delta=2.3, boundary=boundary), n)
     H = op.dense()
     norm = np.abs(H).sum(axis=1).max()
-    evals, evecs = op.eigensystem()
+    for q, w, v in op.eigensystem():  # each stored block: Q^T H Q V = V diag(w)
+        assert np.abs(q.T @ (H @ (q @ v)) - v * w).max(initial=0.0) <= 1e-12 * norm
+    evals, evecs = op.full_eigensystem()
     assert evecs.shape == (op.dim, op.dim) and evecs.dtype == np.float64
     assert np.abs(evecs.T @ evecs - np.eye(op.dim)).max() <= 1e-12
     assert np.abs(H @ evecs - evecs * evals).max() <= 1e-12 * norm

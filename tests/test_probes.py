@@ -61,12 +61,13 @@ def list_pair_lowering_indices(hi, lo, pair_col):
     return np.array(rows, dtype=np.int64), np.array(mates, dtype=np.int64)
 
 
-def dense_eigh_propagate(H, psi0, times):
+def dense_eigh_propagate(H, psi0, times, rows=None):
     """Oracle for ``propagate``: one dense eigh of the whole sector matrix."""
     evals, evecs = np.linalg.eigh(H.dense())
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
     phase = np.exp(-1j * np.multiply.outer(evals, times))
-    return (evecs @ (phase * (evecs.T @ vec)[:, None])).T
+    full = (evecs @ (phase * (evecs.T @ vec)[:, None])).T
+    return full if rows is None else full[:, rows]
 
 
 def eigenbasis_pair_signal(params, k, sites, n_max, t_prep_J=0.19):
@@ -80,7 +81,7 @@ def eigenbasis_pair_signal(params, k, sites, n_max, t_prep_J=0.19):
     phased = {}
     for n in range(0, n_max + 1, 2):
         H = sector_hamiltonian(params, n)
-        evals, evecs = H.eigensystem()
+        evals, evecs = H.full_eigensystem()
         coef = evecs.T @ psi[np.asarray(H.basis.masks, dtype=np.int64)]
         phased[n] = np.exp(-1j * np.outer(evals, t_phys)) * coef[:, None]
     pairs = range(sites[0] - 1, sites[1])
@@ -375,7 +376,7 @@ def rowlist_quench_projectors(psi0, params, times_J):
         np.flatnonzero((occ == s).any(axis=1) & (occ == s + 1).any(axis=1))
         for s in range(L - 1)
     ]
-    evals, evecs = H.eigensystem()
+    evals, evecs = H.full_eigensystem()
     coef = evecs.conj().T @ psi0.data
     pup = np.zeros((len(times_J), L))
     pupp = np.zeros((len(times_J), L - 1))
