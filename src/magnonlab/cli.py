@@ -597,14 +597,14 @@ def build_parser():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            default=None, metavar=spec.kind.upper(),
                            help=f"{spec.help} (default {spec.default})")
-        _common_flags(p, name)
+        _common_flags(p)
     rep = sub.add_parser("reproduce", help="one-shot figure-data presets")
     rep.add_argument("figure", choices=FIGURES)
-    _common_flags(rep, None)
+    _common_flags(rep)
     return parser
 
 
-def _common_flags(p, name):
+def _common_flags(p):
     p.add_argument("--config", default=None, metavar="FILE",
                    help="flat key = value config file")
     p.add_argument("--out", default=None, metavar="DIR",

@@ -12,10 +12,10 @@ Three propagators with one state convention:
   ``exact_evolve`` is its single-time case. Quench maps, beat and pair
   spectroscopy and the entropy time series all read their states from
   it; pair spectroscopy asks only for the rows its readout touches.
-* ``krylov_evolve``: short-time Lanczos stepping with full
-  reorthogonalization, for sectors too large to diagonalize. Nothing in
-  the experiments calls it; it stays as the large-sector fallback that
-  the ``EXACT_DIM_MAX`` guard points to.
+* ``krylov_evolve``: the action of exp(-iHt) on one state from sparse
+  matrix products (``scipy.sparse.linalg.expm_multiply``), for sectors too
+  large to diagonalize. Nothing in the experiments calls it; it stays as
+  the large-sector fallback that the ``EXACT_DIM_MAX`` guard points to.
 * ``floquet_evolve``: the pulsed realization. Each step applies a global
   rotation about +-x/+-y followed by evolution under the bare XX coupling
   Hamiltonian (plus an optional detuning term (delta_err/2) sum_j sz_j that
@@ -138,71 +138,22 @@ def _real_spectral_step(evecs, phase, psi, readout=None):
     return readout @ coef.real + 1j * (readout @ coef.imag)
 
 
-def krylov_evolve(H, psi0, t, step=None, tol=1e-12, max_krylov=96):
-    """Lanczos propagation of psi0 over time t in substeps.
+def krylov_evolve(H, psi0, t):
+    """psi(t) = exp(-iHt) psi0 by the action of the sparse exponential.
 
-    Each substep builds an orthonormal Krylov basis of H (full
-    reorthogonalization) until the standard a-posteriori estimate
-    beta * |[exp(-i dt T)]_{m,1}| drops below tol, then applies the small
-    exponential exactly. Raises if max_krylov is hit before convergence.
+    ``scipy.sparse.linalg.expm_multiply`` (truncated Taylor series with
+    scaling, Al-Mohy & Higham 2011) applies the exponential with matrix
+    products only, for sectors too large to diagonalize. The import stays
+    here so that the experiments, which never call this, do not load it.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     mat = H.matrix if isinstance(H, SectorOperator) else H
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
-    vec = vec.astype(complex)
-    if t == 0:
-        out = vec.copy()
-    else:
-        if step is None:
-            # row-sum bound on the spectral radius sets a safe substep
-            rho = float(np.abs(mat).sum(axis=1).max())
-            step = min(abs(t), 8.0 / rho) if rho > 0 else abs(t)
-        n_steps = max(1, int(np.ceil(abs(t) / step)))
-        dt = t / n_steps
-        out = vec
-        for _ in range(n_steps):
-            out = _lanczos_step(mat, out, dt, tol, max_krylov)
+    out = expm_multiply(-1j * t * mat, vec.astype(complex))
     if isinstance(psi0, StateVector):
         return StateVector(data=out, basis=psi0.basis)
     return out
-
-
-def _lanczos_step(mat, vec, dt, tol, max_krylov):
-    beta0 = np.linalg.norm(vec)
-    if beta0 == 0:
-        return vec.copy()
-    V = [vec / beta0]
-    alphas, betas = [], []
-    for m in range(1, max_krylov + 1):
-        w = mat @ V[-1]
-        a = np.vdot(V[-1], w).real
-        alphas.append(a)
-        w = w - a * V[-1]
-        if len(V) > 1:
-            w = w - betas[-1] * V[-2]
-        for v in V:  # full reorthogonalization, dims here are modest
-            w = w - np.vdot(v, w) * v
-        b = np.linalg.norm(w)
-        T = np.diag(alphas)
-        if betas:
-            off = np.array(betas)
-            T = T + np.diag(off, 1) + np.diag(off, -1)
-        small = _expm_tridiag(T, dt)
-        if b < 1e-14:  # happy breakdown: Krylov space is invariant
-            return beta0 * (np.column_stack(V) @ small[:, 0])
-        err = b * abs(dt) * abs(small[-1, 0])
-        if err < tol:
-            return beta0 * (np.column_stack(V) @ small[:, 0])
-        betas.append(b)
-        V.append(w / b)
-    raise RuntimeError(
-        f"Lanczos failed to reach tol={tol:g} within {max_krylov} vectors; "
-        "reduce the step"
-    )
-
-
-def _expm_tridiag(T, dt):
-    evals, evecs = np.linalg.eigh(T)
-    return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
 
 
 def _parse_weight(token):

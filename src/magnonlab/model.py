@@ -19,8 +19,8 @@ couplings depend on |i-j| (or its cyclic minimum), so every sector
 Hamiltonian commutes with that reversal and is block diagonal in its
 eigenbasis. The eigensystem is kept in that block form, one
 (Q, eigenvalues, V) triple per block with Q the sparse isometry onto the
-block, so no (dim, dim) eigenvector matrix is stored; ``full_eigensystem``
-assembles that matrix for the few callers that read whole eigenvectors.
+block. It is the only eigen-format of a sector: no (dim, dim)
+eigenvector matrix is ever formed.
 The full 2^L space shares one occupation table, ``full_space_bits``.
 """
 
@@ -210,25 +210,6 @@ class SectorOperator:
         return tuple((q, *np.linalg.eigh((q.T @ hq).toarray()))
                      for q, hq in ((q_even, h_even), (q_odd, H @ q_odd)))
 
-    def full_eigensystem(self):
-        """(ascending eigenvalues, (dim, dim) real eigenvectors) of the sector.
-
-        Assembled from the cached blocks on every call, for the callers that
-        read whole eigenvectors; each column Q V is even or odd under the
-        site reversal.
-        """
-        blocks = self.eigensystem()
-        evals = np.concatenate([w for _, w, _ in blocks])
-        order = np.argsort(evals, kind="stable")
-        position = np.empty(self.dim, dtype=np.intp)
-        position[order] = np.arange(self.dim)  # sorted place of each block column
-        # filled as rows, one eigenvector each: contiguous writes, a
-        # column-major (dim, dim) result with no transposed copy
-        rows = np.empty((self.dim, self.dim))
-        for (q, _, v), place in zip(blocks, np.split(position, [len(blocks[0][1])])):
-            rows[place] = (q @ v).T
-        return evals[order], rows.T
-
 
 def zz_energies(bits, J):
     """(1/2) sum_ij s_i J_ij s_j with s = 2 bits - 1, one value per row of bits."""
@@ -267,9 +248,10 @@ def full_space_bits(L):
     """(2^L, L) uint8 occupation table of the full space: row m holds the bits of m."""
     if L > FULL_SPACE_MAX_L:
         raise ValueError(
-            f"full-space operators hold (2^{L}, {L}) occupation tables of "
-            f"{8 * L << L} bytes each at L={L}; they are limited to "
-            f"L <= {FULL_SPACE_MAX_L}"
+            f"full-space operators hold a (2^{L}, {L}) uint8 occupation table "
+            f"of {L << L} bytes at L={L}, and the Ising diagonal (zz_energies) "
+            f"builds a float64 sign table of {8 * L << L} bytes from it; they "
+            f"are limited to L <= {FULL_SPACE_MAX_L}"
         )
     # the four little-endian bytes of each index, unpacked low bit first; the
     # copy drops the 32 - L unused columns
@@ -350,9 +332,6 @@ class StateVector:
 
     def norm(self):
         return float(np.linalg.norm(self.data))
-
-    def normalized(self):
-        return StateVector(self.data / np.linalg.norm(self.data), self.basis)
 
     def overlap(self, other):
         if self.basis != other.basis:

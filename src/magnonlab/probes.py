@@ -355,13 +355,15 @@ def _pair_lowering_indices(hi, lo, pair_col):
 def _pair_lowering_block(params, n, pair_col):
     """sm_j sm_{j+1} from sector n to n-2, in the energy eigenbases.
 
-    Nothing in the package calls it: ``spectroscopy_two`` contracts in the
-    site basis. It stays as the eigenbasis reference the tests compare
-    that contraction against.
+    The eigenbases are the ascending eigenvectors of one dense ``eigh``
+    per sector, independent of the reflection blocks that ``propagate``
+    runs on. Nothing in the package calls it: ``spectroscopy_two``
+    contracts in the site basis. It stays as the eigenbasis reference the
+    tests compare that contraction against.
     """
     hi, lo = _cached_sector(params, n), _cached_sector(params, n - 2)
     rows, mates = _pair_lowering_indices(hi.basis, lo.basis, pair_col)
-    return lo.full_eigensystem()[1][mates].T @ hi.full_eigensystem()[1][rows]
+    return np.linalg.eigh(lo.dense())[1][mates].T @ np.linalg.eigh(hi.dense())[1][rows]
 
 
 def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,

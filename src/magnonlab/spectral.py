@@ -29,7 +29,6 @@ import numpy as np
 from .model import coupling_matrix, sector_hamiltonian, vacuum_energy
 
 BOUND_THRESHOLD_NUM = 5.0  # bound if L4 > 5/(L-1)
-LOCALIZED_CHECK_NUM = 3.0  # sanity floor used in tests
 
 
 def _check_k(k, allow_zero=False):
@@ -323,14 +322,16 @@ def phase_diagram(params, k_values=None, deltas=None, threads=None):
 def open_chain_top_l4(params, deltas):
     """Open-chain comparison: L4 of the top two-magnon eigenstate per delta.
 
-    Sector ED without momentum resolution; the relative-distance weights
-    are |psi(d)|^2 = sum_j |amp(j, j+d)|^2, d = 1 .. L-1.
+    Sector ED without momentum resolution; the top state is the last
+    eigenvector of the reflection block with the larger top eigenvalue.
+    The relative-distance weights are |psi(d)|^2 = sum_j |amp(j, j+d)|^2,
+    d = 1 .. L-1.
     """
     out = np.empty(len(deltas))
     for i, dl in enumerate(deltas):
         op = sector_hamiltonian(replace(params, delta=float(dl), boundary="open"), 2)
-        vals, vecs = op.full_eigensystem()
-        top = vecs[:, -1]
+        q, _, v = max((b for b in op.eigensystem() if len(b[1])), key=lambda b: b[1][-1])
+        top = q @ v[:, -1]
         occ = op.basis.occupations
         d = occ[:, 1] - occ[:, 0]
         w = np.zeros(params.L - 1)

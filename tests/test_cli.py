@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +298,15 @@ def test_pulse_guard_rejects_before_allocating(tmp_path, capsys):
     assert code == 1
     assert f"({8 * 4**L} bytes at L={L})" in capsys.readouterr().err
     assert peak < 2**20  # the dense matrix alone would be 512 MiB
+
+
+def test_cli_import_loads_no_scipy_solver_module():
+    # TwoMagnonBlock.top_state and krylov_evolve import these inside the
+    # function, which keeps them out of every experiment's start-up time
+    # and memory; a fresh interpreter sees what the import alone loads
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, magnonlab.cli; print(sorted(m for m in "
+            "('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip() == "[]"

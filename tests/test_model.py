@@ -247,9 +247,14 @@ def test_eigensystem_is_split_by_reflection(L, n, boundary):
     op = sector_hamiltonian(ModelParams(L=L, alpha=1.4, delta=2.3, boundary=boundary), n)
     H = op.dense()
     norm = np.abs(H).sum(axis=1).max()
-    for q, w, v in op.eigensystem():  # each stored block: Q^T H Q V = V diag(w)
+    blocks = op.eigensystem()
+    for q, w, v in blocks:  # each stored block: Q^T H Q V = V diag(w)
         assert np.abs(q.T @ (H @ (q @ v)) - v * w).max(initial=0.0) <= 1e-12 * norm
-    evals, evecs = op.full_eigensystem()
+    # the Q V columns of both blocks, in ascending order of their eigenvalues
+    evals = np.concatenate([w for _, w, _ in blocks])
+    evecs = np.hstack([q @ v for q, _, v in blocks])
+    order = np.argsort(evals, kind="stable")
+    evals, evecs = evals[order], evecs[:, order]
     assert evecs.shape == (op.dim, op.dim) and evecs.dtype == np.float64
     assert np.abs(evecs.T @ evecs - np.eye(op.dim)).max() <= 1e-12
     assert np.abs(H @ evecs - evecs * evals).max() <= 1e-12 * norm

@@ -81,7 +81,7 @@ def eigenbasis_pair_signal(params, k, sites, n_max, t_prep_J=0.19):
     phased = {}
     for n in range(0, n_max + 1, 2):
         H = sector_hamiltonian(params, n)
-        evals, evecs = H.full_eigensystem()
+        evals, evecs = np.linalg.eigh(H.dense())
         coef = evecs.T @ psi[np.asarray(H.basis.masks, dtype=np.int64)]
         phased[n] = np.exp(-1j * np.outer(evals, t_phys)) * coef[:, None]
     pairs = range(sites[0] - 1, sites[1])
@@ -342,14 +342,15 @@ def test_ising_preparation_guard_rejects_before_allocating():
     p = ModelParams(L=L, alpha=1.4, delta=3.0)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"{8 * L << L} bytes each at L={L}"):
+        with pytest.raises(ValueError, match=f"{L << L} bytes at L={L}, .* sign "
+                                             f"table of {8 * L << L} bytes"):
             ising_phase_state(p, 0.19, imprint_phases(1.0, L))
         with pytest.raises(ValueError, match=f"limited to L <= {FULL_SPACE_MAX_L}"):
             spectroscopy_two(p, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20  # one occupation table alone would be 6.25 GiB
+    assert peak < 2**20  # the uint8 table alone would be 800 MiB, its signs 6.25 GiB
 
 
 # ------------------------------------------------------------ quench maps
@@ -376,7 +377,7 @@ def rowlist_quench_projectors(psi0, params, times_J):
         np.flatnonzero((occ == s).any(axis=1) & (occ == s + 1).any(axis=1))
         for s in range(L - 1)
     ]
-    evals, evecs = H.full_eigensystem()
+    evals, evecs = np.linalg.eigh(H.dense())
     coef = evecs.conj().T @ psi0.data
     pup = np.zeros((len(times_J), L))
     pupp = np.zeros((len(times_J), L - 1))

@@ -259,6 +259,17 @@ def test_open_chain_l4_grows_with_delta():
     assert vals[1] > bound_threshold(20)
 
 
+@pytest.mark.parametrize("delta", [0.5, 3.5])
+def test_open_chain_l4_matches_dense_top_eigenvector(delta):
+    p = ModelParams(L=12, alpha=1.4)
+    op = sector_hamiltonian(ModelParams(L=12, alpha=1.4, delta=delta), 2)
+    top = np.linalg.eigh(op.dense())[1][:, -1]
+    occ = op.basis.occupations
+    w = np.bincount(occ[:, 1] - occ[:, 0], weights=top**2, minlength=12)[1:]
+    assert open_chain_top_l4(p, np.array([delta]))[0] == pytest.approx(
+        np.sum(w**2), abs=1e-12)
+
+
 def test_wavefunction_tails_bound_state():
     p = ModelParams(L=200, alpha=1.4, delta=3.0, boundary="ring")
     tail = wavefunction_tails(np.pi, p)
