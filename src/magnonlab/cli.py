@@ -373,7 +373,7 @@ def run_quench(cfg, outdir, seed):
         cols = [map_.times] + [map_.values[:, j] for j in range(len(map_.labels))]
         files.append(write_csv(Path(outdir) / f"quench_{map_.name}.csv",
                                _meta(cfg), names, cols))
-    part = np.array([bs_participation(row, params.L) for row in pair.values])
+    part = bs_participation(pair.values, params.L)
     files.append(write_csv(Path(outdir) / "participation.csv", _meta(cfg),
                            ["time", "participation"], [times, part]))
     front_names, front_cols = ["map", "time", "position"], [[], [], []]

@@ -36,15 +36,15 @@ place of V) maps the phased coefficients to the rows a caller reads. The
 global rotation acts on a (-1, 2, 2^q) view of the state for each site q
 (site q is bit q), so no axis is moved or copied.
 
-Pulse sequences are declarative: each line of a sequence file is
-``axis angle_deg weight`` where axis is +x, -x, +y or -y, the angle is in
-degrees, and the weight (pulse duration in units of tau) is either a float
-or a multiple of the anisotropy written like ``delta/2`` or ``delta*0.5``.
-Two built-ins ship: ``dd``, whose toggled detuning axes cancel within each
-weight class (first-order dynamical decoupling for every Delta), and
-``plain``, with the same pulse pattern but uncancelled detuning. Both end
-their 8-step cycle with the frame back at identity; at intermediate step
-counts the inverse accumulated frame R_f,n is applied before readout.
+Pulse sequences are data: a ``PulseSequence`` is a cycle of ``PulseStep``s,
+each a rotation about +x, -x, +y or -y by an angle in radians followed by a
+pulse of duration w_const + w_delta * Delta in units of tau. The two
+built-ins are tuples of steps in ``BUILT_IN``: ``dd``, whose toggled
+detuning axes cancel within each weight class (first-order dynamical
+decoupling for every Delta), and ``plain``, with the same pulse pattern
+but uncancelled detuning. Both end their 8-step cycle with the frame back
+at identity; at intermediate step counts the inverse accumulated frame
+R_f,n is applied before readout.
 """
 
 from dataclasses import dataclass
@@ -156,29 +156,16 @@ def krylov_evolve(H, psi0, t):
     return out
 
 
-def _parse_weight(token):
-    """Pulse duration in units of tau: float, or Delta-proportional forms
-    like ``delta/2``, ``delta*0.75``, ``2*delta``."""
-    tok = token.strip().lower()
-    if "delta" not in tok:
-        return float(tok), 0.0
-    if tok == "delta":
-        return 0.0, 1.0
-    for sep, invert in (("delta/", True), ("delta*", False)):
-        if tok.startswith(sep):
-            val = float(tok[len(sep):])
-            return 0.0, (1.0 / val if invert else val)
-    if tok.endswith("*delta"):
-        return 0.0, float(tok[: -len("*delta")])
-    raise ValueError(f"cannot parse pulse weight {token!r}")
-
-
 @dataclass(frozen=True)
 class PulseStep:
     axis: str  # '+x' | '-x' | '+y' | '-y'
     angle: float  # radians
     w_const: float
     w_delta: float
+
+    def __post_init__(self):
+        if self.axis not in ("+x", "-x", "+y", "-y"):
+            raise ValueError(f"rotation axis must be +-x or +-y, got {self.axis!r}")
 
     def weight(self, delta):
         return self.w_const + self.w_delta * delta
@@ -191,32 +178,33 @@ class PulseStep:
         return np.cos(ang / 2) * np.eye(2) - 1j * np.sin(ang / 2) * a
 
 
-DD_SEQUENCE = """
-# Decoupled cycle. Pulse axes in the toggled frame: x z z y y z z x;
-# toggled detuning axes -z -x -y +z -z +y +x +z sum to zero within the
-# unit-weight and the Delta-weight step classes separately.
-+x 180  1
-+y  90  delta/2
-+x  90  delta/2
-+y  90  1
-+x 180  1
-+y  90  delta/2
-+x -90  delta/2
-+y  90  1
-"""
-
-PLAIN_SEQUENCE = """
-# Same pulse pattern and weights as dd, but the toggled detuning axes of
-# the Delta-weight steps sum to -2x -2y: no echo.
-+x 180  1
-+y  90  delta/2
-+x  90  delta/2
-+y  90  1
-+x 180  1
-+y -90  delta/2
-+x  90  delta/2
-+y -90  1
-"""
+BUILT_IN = {
+    # Decoupled cycle. Pulse axes in the toggled frame: x z z y y z z x;
+    # toggled detuning axes -z -x -y +z -z +y +x +z sum to zero within the
+    # unit-weight and the Delta-weight step classes separately.
+    "dd": (
+        PulseStep("+x", np.deg2rad(180.0), 1.0, 0.0),
+        PulseStep("+y", np.deg2rad(90.0), 0.0, 0.5),
+        PulseStep("+x", np.deg2rad(90.0), 0.0, 0.5),
+        PulseStep("+y", np.deg2rad(90.0), 1.0, 0.0),
+        PulseStep("+x", np.deg2rad(180.0), 1.0, 0.0),
+        PulseStep("+y", np.deg2rad(90.0), 0.0, 0.5),
+        PulseStep("+x", np.deg2rad(-90.0), 0.0, 0.5),
+        PulseStep("+y", np.deg2rad(90.0), 1.0, 0.0),
+    ),
+    # Same pulse pattern and weights as dd, but the toggled detuning axes of
+    # the Delta-weight steps sum to -2x -2y: no echo.
+    "plain": (
+        PulseStep("+x", np.deg2rad(180.0), 1.0, 0.0),
+        PulseStep("+y", np.deg2rad(90.0), 0.0, 0.5),
+        PulseStep("+x", np.deg2rad(90.0), 0.0, 0.5),
+        PulseStep("+y", np.deg2rad(90.0), 1.0, 0.0),
+        PulseStep("+x", np.deg2rad(180.0), 1.0, 0.0),
+        PulseStep("+y", np.deg2rad(-90.0), 0.0, 0.5),
+        PulseStep("+x", np.deg2rad(90.0), 0.0, 0.5),
+        PulseStep("+y", np.deg2rad(-90.0), 1.0, 0.0),
+    ),
+}
 
 
 class PulseSequence:
@@ -237,37 +225,10 @@ class PulseSequence:
         self._validate()
 
     @classmethod
-    def from_text(cls, text, name="custom"):
-        steps = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"bad sequence line {raw!r}: want axis angle weight")
-            axis, angle_deg, wtok = parts
-            if axis not in ("+x", "-x", "+y", "-y"):
-                raise ValueError(f"rotation axis must be +-x or +-y, got {axis!r}")
-            wc, wd = _parse_weight(wtok)
-            steps.append(
-                PulseStep(axis=axis, angle=np.deg2rad(float(angle_deg)),
-                          w_const=wc, w_delta=wd)
-            )
-        return cls(steps, name=name)
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_text(fh.read(), name=str(path))
-
-    @classmethod
     def built_in(cls, name):
-        try:
-            text = {"dd": DD_SEQUENCE, "plain": PLAIN_SEQUENCE}[name]
-        except KeyError:
-            raise ValueError(f"unknown built-in sequence {name!r}") from None
-        return cls.from_text(text, name=name)
+        if name not in BUILT_IN:
+            raise ValueError(f"unknown built-in sequence {name!r}")
+        return cls(BUILT_IN[name], name=name)
 
     @property
     def cycle_len(self):
@@ -380,10 +341,10 @@ class EvolutionReport:
 def _pulse_hamiltonian(L, alpha, J, boundary, detuning):
     """Dense H_XX plus the detuning field, in a single float64 matrix."""
     params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
-    H = build_full_hamiltonian(params, kind="xx").toarray()
+    H = build_full_hamiltonian(params).toarray()
     if detuning:
-        bits = full_space_bits(L)
-        H[np.diag_indices_from(H)] += 0.5 * detuning * (2.0 * bits - 1.0).sum(axis=1)
+        magnons = full_space_bits(L).sum(axis=1)  # sum_j sz_j = 2 n - L
+        H[np.diag_indices_from(H)] += 0.5 * detuning * (2.0 * magnons - L)
     return H
 
 
@@ -397,7 +358,9 @@ def check_pulse_length(L):
     if L > PULSE_MAX_L:
         raise ValueError(
             f"the pulse simulator diagonalizes a dense 2^{L} x 2^{L} matrix "
-            f"({8 * 4**L} bytes at L={L}); it is limited to L <= {PULSE_MAX_L}"
+            f"({8 * 4**L} bytes at L={L}), and LAPACK's eigh holds about five "
+            "such matrices at once (702 MiB peak RSS measured at L=12); it is "
+            f"limited to L <= {PULSE_MAX_L}"
         )
 
 

@@ -48,6 +48,8 @@ class ModelParams:
             raise ValueError(f"L must be >= 2, got {self.L}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.J < np.inf:  # also rejects NaN
+            raise ValueError(f"J must be finite and positive, got {self.J}")
         if self.boundary not in ("open", "ring"):
             raise ValueError(f"boundary must be 'open' or 'ring', got {self.boundary!r}")
 
@@ -244,8 +246,7 @@ def sector_hamiltonian(params, n):
 FULL_SPACE_MAX_L = 24  # 2^24 amplitudes; beyond this use sector methods
 
 
-def full_space_bits(L):
-    """(2^L, L) uint8 occupation table of the full space: row m holds the bits of m."""
+def _check_full_space(L):
     if L > FULL_SPACE_MAX_L:
         raise ValueError(
             f"full-space operators hold a (2^{L}, {L}) uint8 occupation table "
@@ -253,64 +254,30 @@ def full_space_bits(L):
             f"builds a float64 sign table of {8 * L << L} bytes from it; they "
             f"are limited to L <= {FULL_SPACE_MAX_L}"
         )
+
+
+def full_space_bits(L):
+    """(2^L, L) uint8 occupation table of the full space: row m holds the bits of m."""
+    _check_full_space(L)
     # the four little-endian bytes of each index, unpacked low bit first; the
     # copy drops the 32 - L unused columns
     masks = np.arange(1 << L, dtype="<u4").view(np.uint8).reshape(-1, 4)
     return np.unpackbits(masks, axis=1, bitorder="little")[:, :L].copy()
 
 
-def build_full_hamiltonian(params, kind="xxz"):
-    """Full 2^L Hamiltonian as CSR. kind: 'xx' | 'yy' | 'zz' | 'xxz'.
+def build_full_hamiltonian(params):
+    """The pulse simulator's H_XX = sum_{i<j} J_ij sx_i sx_j on 2^L states, as CSR.
 
-    'xx'/'yy'/'zz' are the bare sum_{i<j} J_ij s^a_i s^a_j operators; 'xxz'
-    is (1/3)(H_XX + H_YY + delta * H_ZZ).
+    Row m holds J_ij in column m ^ (1 << i | 1 << j) for every pair, in pair
+    order (unsorted), so one (2^L, n_pairs) table is the whole index array.
     """
     L = params.L
-    kind = kind.lower()
-    if kind not in ("xx", "yy", "zz", "xxz"):
-        raise ValueError(f"unknown Hamiltonian kind {kind!r}")
-    if kind == "xxz":
-        Hxx = build_full_hamiltonian(params, "xx")
-        Hyy = build_full_hamiltonian(params, "yy")
-        Hzz = build_full_hamiltonian(params, "zz")
-        return ((Hxx + Hyy + params.delta * Hzz) / 3.0).tocsr()
-
-    bits = full_space_bits(L)  # raises beyond FULL_SPACE_MAX_L
-    dim = 1 << L
-    J = coupling_matrix(params)
-    idx = np.arange(dim, dtype=np.int64)
-
-    if kind == "zz":
-        return sparse.diags(zz_energies(bits, J)).tocsr()
-
-    rows, cols, vals = [], [], []
-    for i in range(L):
-        for j in range(i + 1, L):
-            if J[i, j] == 0.0:
-                continue
-            mask = (1 << i) | (1 << j)
-            flipped = idx ^ mask
-            if kind == "xx":
-                amp = np.full(dim, J[i, j])
-            else:  # yy: sign -(-1)^(b_i + b_j)
-                amp = -J[i, j] * (1.0 - 2.0 * ((bits[:, i] + bits[:, j]) % 2))
-            rows.append(flipped)
-            cols.append(idx)
-            vals.append(amp)
-    H = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return H.tocsr()
-
-
-def magnon_number_operator(L):
-    """Diagonal total magnon number on the full 2^L space."""
-    idx = np.arange(1 << L, dtype=np.int64)
-    counts = np.zeros(1 << L)
-    for j in range(L):
-        counts += (idx >> j) & 1
-    return sparse.diags(counts).tocsr()
+    _check_full_space(L)
+    i, j = np.triu_indices(L, 1)
+    cols = np.arange(1 << L)[:, None] ^ ((1 << i) | (1 << j))
+    vals = np.tile(coupling_matrix(params)[i, j], 1 << L)
+    indptr = np.arange(0, cols.size + 1, len(i))
+    return sparse.csr_matrix((vals, cols.ravel(), indptr), shape=(1 << L, 1 << L))
 
 
 @dataclass

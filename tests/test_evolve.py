@@ -8,7 +8,6 @@ from magnonlab.model import (
     ModelParams,
     StateVector,
     build_full_hamiltonian,
-    magnon_number_operator,
     sector_hamiltonian,
     sector_state_from_sites,
 )
@@ -16,6 +15,7 @@ from magnonlab.evolve import (
     EXACT_DIM_MAX,
     PULSE_MAX_L,
     PulseSequence,
+    PulseStep,
     _pulse_eigensystem,
     _pulse_hamiltonian,
     exact_evolve,
@@ -24,11 +24,12 @@ from magnonlab.evolve import (
     krylov_evolve,
     propagate,
 )
+from oracles import kron_hamiltonian, number_operator
 
 
-def full_space_propagate(params, psi0, t, kind="xxz"):
+def full_space_propagate(params, psi0, t):
     """Brute-force oracle: dense expm of the full 2^L Hamiltonian."""
-    H = build_full_hamiltonian(params, kind=kind).toarray()
+    H = kron_hamiltonian(params).toarray()
     return expm(-1j * t * H) @ psi0
 
 
@@ -221,38 +222,14 @@ def test_final_rotation_table_inverts_accumulated_frame():
         assert np.allclose(prod, np.eye(2), atol=1e-12)
 
 
-def test_sequence_file_round_trip(tmp_path):
-    path = tmp_path / "seq.txt"
-    from magnonlab.evolve import DD_SEQUENCE
-
-    path.write_text(DD_SEQUENCE)
-    seq = PulseSequence.from_file(path)
-    ref = PulseSequence.built_in("dd")
-    assert seq.toggled_pulse_axes == ref.toggled_pulse_axes
-    assert np.allclose(seq.weights(3.5), ref.weights(3.5))
-
-
-def test_weight_token_forms():
-    seq = PulseSequence.built_in("dd")
-    text = "\n".join(
-        f"{s.axis} {np.rad2deg(s.angle):g} "
-        + ("delta*0.5" if s.w_delta else str(s.w_const))
-        for s in seq.steps
-    )
-    alt = PulseSequence.from_text(text)
-    assert np.allclose(alt.weights(2.0), seq.weights(2.0))
-
-
 def test_invalid_sequences_raise():
     with pytest.raises(ValueError, match="axis"):
-        PulseSequence.from_text("+z 90 1")
+        PulseStep("+z", np.deg2rad(90.0), 1.0, 0.0)
     with pytest.raises(ValueError, match="identity"):
-        PulseSequence.from_text("+x 90 1")
+        PulseSequence([PulseStep("+x", np.deg2rad(90.0), 1.0, 0.0)])
     # frame closes but no YY substep ever occurs
     with pytest.raises(ValueError, match="substep|ratio|wall"):
-        PulseSequence.from_text("+x 180 1\n+x 180 1")
-    with pytest.raises(ValueError, match="weight"):
-        PulseSequence.from_text("+x 180 delta+1")
+        PulseSequence([PulseStep("+x", np.deg2rad(180.0), 1.0, 0.0)] * 2)
     with pytest.raises(ValueError, match="empty"):
         PulseSequence([])
 
@@ -268,7 +245,7 @@ def test_cycled_sequence_still_valid():
 
 
 def exact_full_state(params, psi0, t):
-    H = build_full_hamiltonian(params, kind="xxz").toarray()
+    H = kron_hamiltonian(params).toarray()
     evals, evecs = np.linalg.eigh(H)
     return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi0))
 
@@ -343,7 +320,7 @@ def test_floquet_number_leakage_is_weak():
     p = ModelParams(L=6, alpha=1.4, delta=3.5, boundary="open")
     psi0 = adjacent_flip_state(p, 2, 3)
     rep = floquet_evolve("dd", p, psi0, 64, 2.0)
-    N = magnon_number_operator(p.L)
+    N = number_operator(p.L)
     n_mean = np.vdot(rep.state.data, N * rep.state.data).real
     assert abs(n_mean - 2.0) < 0.05
     assert abs(n_mean - 2.0) > 1e-12  # pulses do leak a little
@@ -428,14 +405,15 @@ def test_floquet_matches_reference_loop(seq, detuning, scale, record_every,
 def test_floquet_length_guard_states_dense_size():
     L = PULSE_MAX_L + 1
     p = ModelParams(L=L, alpha=1.4, delta=3.5, boundary="open")
-    with pytest.raises(ValueError, match=rf"\({8 * 4**L} bytes at L={L}\)"):
+    with pytest.raises(ValueError, match=rf"\({8 * 4**L} bytes at L={L}\)") as err:
         floquet_evolve("dd", p, np.zeros(1), 8, 1.0)
+    assert "eigh holds about five such matrices" in str(err.value)
 
 
 def reference_pulse_eigensystem(L, alpha, J, boundary, detuning):
     """The pulse eigensystem as first built: a float copy and a dense diagonal."""
     params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
-    H = build_full_hamiltonian(params, kind="xx").toarray().astype(float)
+    H = build_full_hamiltonian(params).toarray().astype(float)
     if detuning:
         bits = (np.arange(2**L)[:, None] >> np.arange(L)) & 1
         H = H + np.diag(0.5 * detuning * (2.0 * bits - 1.0).sum(axis=1))
@@ -481,7 +459,7 @@ def test_xxz_evolution_conserves_magnon_number():
     rng = np.random.default_rng(11)
     psi0 = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
     psi0 /= np.linalg.norm(psi0)
-    N = magnon_number_operator(p.L)
+    N = number_operator(p.L)
     n0 = np.vdot(psi0, N * psi0).real
     n20 = np.vdot(psi0, N**2 * psi0).real
     for t in (0.7, 2.9):

@@ -13,42 +13,11 @@ from magnonlab.model import (
     build_full_hamiltonian,
     coupling_matrix,
     enumerate_sector,
-    magnon_number_operator,
     sector_hamiltonian,
     sector_state_from_sites,
     vacuum_energy,
 )
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[-1, 0], [0, 1]], dtype=complex)  # bit 1 = up = +1
-
-
-def kron_site(op, j, L):
-    """Operator on site j with site j mapped to bit (1 << j)."""
-    left = sparse.identity(2 ** (L - 1 - j), format="csr")
-    right = sparse.identity(2**j, format="csr")
-    return sparse.kron(left, sparse.kron(sparse.csr_matrix(op), right)).tocsr()
-
-
-def kron_hamiltonian(params, kind="xxz"):
-    """Brute-force Pauli-product construction, the full-space oracle."""
-    L = params.L
-    J = coupling_matrix(params)
-    terms = {"xx": (SX, SX), "yy": (SY, SY), "zz": (SZ, SZ)}
-    if kind == "xxz":
-        return (
-            kron_hamiltonian(params, "xx")
-            + kron_hamiltonian(params, "yy")
-            + params.delta * kron_hamiltonian(params, "zz")
-        ) / 3.0
-    a, b = terms[kind]
-    H = sparse.csr_matrix((2**L, 2**L), dtype=complex)
-    for i in range(L):
-        for j in range(i + 1, L):
-            H = H + J[i, j] * (kron_site(a, i, L) @ kron_site(b, j, L))
-    return H
-
+from oracles import kron_hamiltonian, number_operator
 
 def dict_sector_hamiltonian(params, n):
     """The sector build as first written, the oracle of the bits-table build.
@@ -156,10 +125,9 @@ def test_sector_bits_match_occupation_scatter(L, n):
 @pytest.mark.parametrize("delta", [0.0, 1.0, 3.5])
 def test_full_hamiltonian_matches_kron_oracle(boundary, delta):
     p = ModelParams(L=5, alpha=1.4, delta=delta, boundary=boundary)
-    for kind in ("xx", "yy", "zz", "xxz"):
-        built = build_full_hamiltonian(p, kind).toarray()
-        oracle = kron_hamiltonian(p, kind).toarray()
-        assert np.max(np.abs(built - oracle)) < 1e-12
+    built = build_full_hamiltonian(p).toarray()
+    oracle = kron_hamiltonian(p, "xx").toarray()
+    assert np.max(np.abs(built - oracle)) < 1e-12
 
 
 @pytest.mark.parametrize("boundary", ["open", "ring"])
@@ -204,16 +172,16 @@ def test_sector_matrix_is_real_symmetric():
 def test_xxz_commutes_with_magnon_number():
     for boundary in ("open", "ring"):
         p = ModelParams(L=8, alpha=1.4, delta=1.7, boundary=boundary)
-        H = build_full_hamiltonian(p, "xxz")
-        N = magnon_number_operator(8)
+        H = kron_hamiltonian(p, "xxz")
+        N = number_operator(8)
         comm = (H @ N - N @ H)
         assert abs(comm).max() == 0.0
 
 
 def test_xx_alone_does_not_conserve_magnon_number():
     p = ModelParams(L=2, alpha=1.4)
-    H = build_full_hamiltonian(p, "xx")
-    N = magnon_number_operator(2)
+    H = build_full_hamiltonian(p)
+    N = number_operator(2)
     comm = (H @ N - N @ H).toarray()
     assert np.max(np.abs(comm)) > 0.1
 
@@ -320,7 +288,7 @@ def test_vacuum_energy_matches_zero_sector():
 
 def test_full_space_guard():
     with pytest.raises(ValueError, match="full-space"):
-        build_full_hamiltonian(ModelParams(L=25), "xx")
+        build_full_hamiltonian(ModelParams(L=25))
 
 
 def test_state_vector_basics():
@@ -344,3 +312,7 @@ def test_param_validation():
         ModelParams(L=4, boundary="periodic")
     with pytest.raises(ValueError):
         ModelParams(L=4, alpha=-1.0)
+    # probes divide times by J: zero, negative or non-finite J is no chain
+    for J in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="J must be finite and positive"):
+            ModelParams(L=4, J=J)

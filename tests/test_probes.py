@@ -42,7 +42,7 @@ from magnonlab.spectral import dispersion_one, dispersion_two
 def ising_state_oracle(params, t_J, phases):
     """Brute-force e^{-i phi.sz/2} e^{-i t H_XX} |0> via dense expm."""
     L = params.L
-    H = build_full_hamiltonian(params, "xx").toarray()
+    H = build_full_hamiltonian(params).toarray()
     psi = np.zeros(1 << L, dtype=complex)
     psi[0] = 1.0
     psi = expm(-1j * (t_J / params.J) * H) @ psi
