@@ -16,6 +16,7 @@ only outside the hashed payload. All randomness flows from the single
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -583,6 +584,7 @@ def _manifest_holds(path):
                for name, digest in artifacts)
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="magnonlab",

@@ -247,12 +247,16 @@ FULL_SPACE_MAX_L = 24  # 2^24 amplitudes; beyond this use sector methods
 
 
 def _check_full_space(L):
+    # 56 bytes per amplitude is the tracemalloc peak of probes._ising_prep:
+    # the complex state (16), the transform's copy (16) and two generations
+    # of half-length butterfly outputs (24)
     if L > FULL_SPACE_MAX_L:
         raise ValueError(
             f"full-space operators hold a (2^{L}, {L}) uint8 occupation table "
-            f"of {L << L} bytes at L={L}, and the Ising diagonal (zz_energies) "
-            f"builds a float64 sign table of {8 * L << L} bytes from it; they "
-            f"are limited to L <= {FULL_SPACE_MAX_L}"
+            f"of {L << L} bytes at L={L}, and the Ising preparation a complex "
+            f"2^{L} state plus the working copies of its Walsh-Hadamard "
+            f"transform, about {56 << L} bytes; they are limited to "
+            f"L <= {FULL_SPACE_MAX_L}"
         )
 
 

@@ -12,7 +12,8 @@ emulation lives in the sampling module):
   phi_j = k j / 2 populates adjacent magnon pairs at pair momentum k;
   the pair coherence <sm_j sm_{j+1}> then oscillates at the two-magnon
   excitation energy. The Ising propagator is evaluated exactly in the
-  x basis and rotated back with a fast Walsh-Hadamard transform, once
+  x basis, its energies built from two half-chain tables and one cross
+  product, and rotated back with a fast Walsh-Hadamard transform, once
   per chain; each momentum imprints its phases on the cached sector
   components, every sector is evolved by ``evolve.propagate`` on only the
   rows the pair readout in the window touches, and the pair coherence is
@@ -38,6 +39,7 @@ from .evolve import propagate
 from .model import (
     ModelParams,
     StateVector,
+    _check_full_space,
     coupling_matrix,
     enumerate_sector,
     full_space_bits,
@@ -278,9 +280,23 @@ def _ising_prep(params, t_prep_J):
     H_XX = sum_{i<j} J_ij sx_i sx_j is diagonal in the x basis, with the
     diagonal of the z-basis H_ZZ, so the propagator is exact: phase the
     Hadamard-transformed vacuum by that diagonal and transform back.
+
+    The diagonal comes from a half-chain split: with h = L // 2 low sites
+    and index m = hi 2^h + lo, E[hi, lo] = E_hi[hi] + E_lo[lo]
+    + s_hi^T J_cross s_lo, so two half-chain tables and one
+    (2^(L-h), 2^h) product replace a (2^L, L) sign table.
     """
-    energies = zz_energies(full_space_bits(params.L), coupling_matrix(params))
-    psi_x = np.exp(-1j * (t_prep_J / params.J) * energies) / energies.size
+    L = params.L
+    _check_full_space(L)
+    h = L // 2
+    J = coupling_matrix(params)
+    bits_lo, bits_hi = full_space_bits(h), full_space_bits(L - h)
+    energies = (2.0 * bits_hi - 1.0) @ J[h:, :h] @ (2.0 * bits_lo - 1.0).T
+    energies += zz_energies(bits_hi, J[h:, h:])[:, None]
+    energies += zz_energies(bits_lo, J[:h, :h])
+    psi_x = np.exp(-1j * (t_prep_J / params.J) * energies.ravel())
+    del energies
+    psi_x /= psi_x.size
     return _walsh_hadamard(psi_x)
 
 

@@ -21,6 +21,8 @@ coordinate d = 1 .. L-1 separates bound (L4 above 5/(L-1)) from extended
 states (L4 of order 1/(L-1)).
 """
 
+import ctypes
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import mpmath as mp
@@ -29,6 +31,21 @@ import numpy as np
 from .model import coupling_matrix, sector_hamiltonian, vacuum_energy
 
 BOUND_THRESHOLD_NUM = 5.0  # bound if L4 > 5/(L-1)
+
+# Blocks below this dimension solve their top eigenpair on one BLAS thread.
+# top_state with 2 OpenBLAS threads against 1, ring L = 300/600/1000/1400/2000
+# (dims 149/299/499/699/999): 0.97x, 1.03x, 1.17x, 1.38x, 1.91x; below the
+# threshold a second thread only spins between the calls.
+ONE_THREAD_BELOW_DIM = 400
+
+_MAPS = "/proc/self/maps"
+# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def _check_k(k, allow_zero=False):
@@ -90,6 +107,55 @@ def group_velocity_one(k, params, tol=1e-12):
     return float(v[0]) if scalar else v
 
 
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS mapped into this process."""
+    try:
+        with open(_MAPS) as fh:
+            paths = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if p.startswith("/")):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: returns the same handle
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS on one thread inside the block, restored on exit.
+
+    The count is process-wide; no-op where no OpenBLAS or no symbol is found.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
+
+
+def _small_block_threads(dim):
+    """One BLAS thread for top_state loops over blocks of dimension ``dim``, if small."""
+    # top_state's scipy.linalg maps scipy's OpenBLAS; load it before the
+    # count is set. Not at module level: start-up would pay for it.
+    import scipy.linalg  # noqa: F401
+
+    return _one_blas_thread() if dim < ONE_THREAD_BELOW_DIM else nullcontext()
+
+
 def quantized_momenta(L, positive=True):
     """Ring momenta 2 pi m / L; positive=True keeps m = 1 .. floor(L/2)."""
     ms = np.arange(1, L // 2 + 1) if positive else np.arange(L)
@@ -125,7 +191,8 @@ class TwoMagnonBlock:
     def top_state(self, delta=None):
         """Highest eigenpair (energy, vector), without solving for the rest."""
         # imported on first use: at module level, scipy.linalg would cost
-        # every magnonlab process about 8 MiB and 0.09 s
+        # every magnonlab process about 8 MiB and 0.09 s; the loops in
+        # dispersion_two and phase_diagram import it before setting threads
         from scipy.linalg import eigh
 
         n = self.dim
@@ -250,18 +317,20 @@ def dispersion_two(k_values, params, d_max=None):
     Returns excitation energies eps2(k) - eps0 together with the L4 norm
     of the relative wavefunction and a bound flag (L4 above 5/(L-1));
     an unset flag marks the state as merged with the pair continuum.
+    Rings with L // 2 below ``ONE_THREAD_BELOW_DIM`` solve on one BLAS thread.
     """
     k_values = np.atleast_1d(np.asarray(k_values, dtype=float))
     e0 = vacuum_energy(params)
     thr = bound_threshold(params.L)
     energies, l4s, flags = [], [], []
-    for k in k_values:
-        block = two_magnon_block(k, params, d_max=d_max)
-        energy, top = block.top_state()
-        l4 = l4_of_weights(unfold_relative_weights(block, top))
-        energies.append(energy - e0)
-        l4s.append(l4)
-        flags.append(l4 > thr)
+    with _small_block_threads(params.L // 2):
+        for k in k_values:
+            block = two_magnon_block(k, params, d_max=d_max)
+            energy, top = block.top_state()
+            l4 = l4_of_weights(unfold_relative_weights(block, top))
+            energies.append(energy - e0)
+            l4s.append(l4)
+            flags.append(l4 > thr)
     return DispersionCurve(
         k=k_values,
         energy=np.array(energies),
@@ -294,9 +363,10 @@ def phase_diagram(params, k_values=None, deltas=None, threads=None):
 
     The block kinetic part is built once per k and reused across delta
     (the zz diagonal is linear in delta); each grid point solves for the
-    top eigenpair only.  Rows run one after another: a thread pool only
-    competed with the BLAS threads, so ``threads`` is accepted for old
-    callers and ignored.
+    top eigenpair only.  Rows run one after another, and blocks below
+    ``ONE_THREAD_BELOW_DIM`` (every L below 800) solve on one BLAS thread,
+    since a second one only spins between such small solves; ``threads``
+    is accepted for old callers and ignored.
     """
     if k_values is None:
         k_values = quantized_momenta(params.L)
@@ -306,10 +376,11 @@ def phase_diagram(params, k_values=None, deltas=None, threads=None):
     deltas = np.asarray(deltas, dtype=float)
 
     rows = []
-    for k in k_values:
-        block = two_magnon_block(k, params)
-        rows.append([l4_of_weights(unfold_relative_weights(block, block.top_state(dl)[1]))
-                     for dl in deltas])
+    with _small_block_threads(params.L // 2):
+        for k in k_values:
+            block = two_magnon_block(k, params)
+            rows.append([l4_of_weights(unfold_relative_weights(block, block.top_state(dl)[1]))
+                         for dl in deltas])
     return PhaseDiagram(
         k=k_values,
         delta=deltas,

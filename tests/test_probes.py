@@ -96,7 +96,8 @@ def eigenbasis_pair_signal(params, k, sites, n_max, t_prep_J=0.19):
 # ------------------------------------------------------------ preparations
 
 
-@pytest.mark.parametrize("L,boundary", [(3, "open"), (4, "ring"), (5, "open")])
+@pytest.mark.parametrize("L,boundary", [(2, "open"), (3, "open"), (4, "ring"),
+                                        (5, "open"), (9, "ring")])
 def test_ising_phase_state_matches_expm(L, boundary):
     p = ModelParams(L=L, alpha=1.4, delta=0.0, boundary=boundary)
     phases = imprint_phases(1.1, L)
@@ -342,15 +343,16 @@ def test_ising_preparation_guard_rejects_before_allocating():
     p = ModelParams(L=L, alpha=1.4, delta=3.0)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"{L << L} bytes at L={L}, .* sign "
-                                             f"table of {8 * L << L} bytes"):
+        with pytest.raises(ValueError, match=f"{L << L} bytes at L={L}, .* Ising "
+                                             f"preparation .* about {56 << L} bytes"):
             ising_phase_state(p, 0.19, imprint_phases(1.0, L))
         with pytest.raises(ValueError, match=f"limited to L <= {FULL_SPACE_MAX_L}"):
             spectroscopy_two(p, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20  # the uint8 table alone would be 800 MiB, its signs 6.25 GiB
+    assert peak < 2**20  # the uint8 table alone would be 800 MiB, the Ising
+    # state and its transform copies 1.75 GiB
 
 
 # ------------------------------------------------------------ quench maps

@@ -1,7 +1,11 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import zeta
 
+from magnonlab import spectral
 from magnonlab.model import ModelParams, sector_hamiltonian, vacuum_energy
 from magnonlab.spectral import (
     DispersionCurve,
@@ -250,6 +254,56 @@ def test_phase_diagram_onset_and_small_k_exclusion():
     assert not pd.bound[0, past_onset].any()
     assert pd.bound[:, past_onset].any()
     assert pd.l4.shape == (len(pd.k), len(pd.delta))
+
+
+def test_phase_diagram_matches_plain_top_state_loop():
+    p = ModelParams(L=40, alpha=1.4, boundary="ring")
+    deltas = np.linspace(0.0, 4.0, 9)
+    pd = phase_diagram(p, deltas=deltas)
+    blocks = [two_magnon_block(k, p) for k in pd.k]
+    want = np.array([[l4_of_weights(unfold_relative_weights(b, b.top_state(dl)[1]))
+                      for dl in deltas] for b in blocks])
+    assert np.array_equal(pd.bound, want > pd.threshold)
+    assert np.abs(pd.l4 - want).max() <= 1e-13
+
+
+def openblas_reader():
+    """``openblas()`` of perfbench/fingerprint.py, loaded from the source tree."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("perfbench_fingerprint", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.openblas
+
+
+def test_one_blas_thread_sets_and_restores_every_openblas(monkeypatch, tmp_path):
+    import scipy.linalg  # noqa: F401  maps scipy's OpenBLAS beside numpy's
+
+    read = openblas_reader()
+
+    def counts():
+        return [lib["threads"] for lib in read()]
+
+    before = counts()
+    if not before:
+        pytest.skip("no OpenBLAS mapped into this process")
+    assert len(spectral._openblas_thread_controls()) == len(before)
+    with spectral._one_blas_thread():
+        assert counts() == [1] * len(before)
+    assert counts() == before
+    with pytest.raises(RuntimeError, match="inside"):
+        with spectral._one_blas_thread():
+            assert counts() == [1] * len(before)
+            raise RuntimeError("inside")
+    assert counts() == before
+    # no maps file, or no known symbol: the context reads and sets nothing
+    for name, value in (("_MAPS", str(tmp_path / "missing")),
+                        ("_OPENBLAS_THREAD_SYMBOLS", (("no_get", "no_set"),))):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, name, value)
+            assert spectral._openblas_thread_controls() == []
+            with spectral._one_blas_thread():
+                assert counts() == before
 
 
 def test_open_chain_l4_grows_with_delta():
