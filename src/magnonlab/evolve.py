@@ -26,15 +26,16 @@ Three propagators with one state convention:
   substep group advancing effective time by 3 tau.
 
 The spectral steps of ``propagate`` and ``floquet_evolve`` share one
-primitive, ``_real_spectral_step``: the sector Hamiltonians and the pulse
-Hamiltonian H_XX + (delta_err/2) sum_j sz_j are real symmetric, so their
-eigenvectors V are real and V exp(-iEt) V^T psi is formed from real
-matrix products on the real and imaginary parts of psi, with no complex
-copy of V. A (dim,) phase gives one state, a (dim, n_times) phase a whole
-time grid, and an optional output matrix (Q V restricted to some rows, in
-place of V) maps the phased coefficients to the rows a caller reads. The
-global rotation acts on a (-1, 2, 2^q) view of the state for each site q
-(site q is bit q), so no axis is moved or copied.
+primitive, ``_real_spectral_step``: the Hamiltonians are real symmetric, so
+V exp(-iEt) V^T psi is formed from real matrix products on the real and
+imaginary parts of psi. A (dim,) phase gives one state, a (dim, n_times)
+phase a whole time grid, and an optional output matrix (Q V restricted to
+some rows) maps the phased coefficients to the rows a caller reads. The
+pulse Hamiltonian H_XX + (delta_err/2) sum_j sz_j conserves prod_j sz_j and
+the site reversal: its eigensystem is four z-parity x reflection blocks in
+the sector format, and a pulse step is one sparse product into the stacked
+block coordinates, the four block steps and one sparse product back. The
+global rotation applies three sites' 8x8 Kronecker product at a time.
 
 Pulse sequences are data: a ``PulseSequence`` is a cycle of ``PulseStep``s,
 each a rotation about +x, -x, +y or -y by an angle in radians followed by a
@@ -48,22 +49,25 @@ R_f,n is applied before readout.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
+from scipy import sparse
 
 from .model import (
     ModelParams,
     SectorOperator,
     StateVector,
+    _reflection_blocks,
+    _reflection_isometry,
     build_full_hamiltonian,
     full_space_bits,
 )
 
 EXACT_DIM_MAX = 20_000
-# The pulse simulator diagonalizes a dense 2^L x 2^L float64 matrix. A cold
-# start took 0.2 s at L=10, 1.3 s at L=11 and 10 s at 700 MiB peak RSS at
-# L=12 on 2 cores, growing about 8x in time and 3-4x in memory per site.
+# The pulse eigensystem is four dense blocks of about 2^(L-2). Cold starts took
+# 0.06 s at 59 MiB peak RSS at L=10, 0.2 s at 74 MiB at L=11 and 0.9 s at
+# 129 MiB at L=12 on 2 cores, 50 MiB of it imports; eigh nears 8x per site.
 PULSE_MAX_L = 12
 PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -326,7 +330,8 @@ class PulseSequence:
 @dataclass
 class EvolutionReport:
     """Outcome of a pulsed run: effective times of the recorded snapshots
-    (final rotation applied), the final state, and bookkeeping."""
+    (final rotation applied), the final state, and bookkeeping, including
+    the steps of an unfinished last cycle (``partial_steps``)."""
 
     times: np.ndarray
     states: list
@@ -336,43 +341,77 @@ class EvolutionReport:
     detuning: float
     sequence: str
     fidelity: float | None = None
+    partial_steps: int = 0
 
 
-def _pulse_hamiltonian(L, alpha, J, boundary, detuning):
-    """Dense H_XX plus the detuning field, in a single float64 matrix."""
-    params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
-    H = build_full_hamiltonian(params).toarray()
-    if detuning:
-        magnons = full_space_bits(L).sum(axis=1)  # sum_j sz_j = 2 n - L
-        H[np.diag_indices_from(H)] += 0.5 * detuning * (2.0 * magnons - L)
-    return H
+@lru_cache(maxsize=2)
+def _pulse_blocks(L):
+    """([(Q_even, Q_odd) per z-parity], Q, Q^T): the sparse (2^L, d) isometries
+    onto the z-parity x reflection blocks, and Q = [Q_1 .. Q_4] as CSR."""
+    bits = full_space_bits(L)
+    mirror = bits[:, ::-1] @ (1 << np.arange(L))  # row of the reversed config
+    pairs = []
+    for parity in (0, 1):
+        keep = np.flatnonzero(bits.sum(axis=1) % 2 == parity)
+        embed = sparse.identity(1 << L, format="csr")[:, keep]
+        half = _reflection_isometry(np.searchsorted(keep, mirror[keep]))
+        pairs.append([embed @ q for q in half])
+    stacked = sparse.hstack([q for pair in pairs for q in pair], format="csr")
+    return pairs, stacked, stacked.T.tocsr()
 
 
 @lru_cache(maxsize=4)
 def _pulse_eigensystem(L, alpha, J, boundary, detuning):
-    return np.linalg.eigh(_pulse_hamiltonian(L, alpha, J, boundary, detuning))
+    """H_XX + (detuning/2) sum_j sz_j as four z-parity x reflection blocks
+    (Q, evals, V), in ``_pulse_blocks`` order: H_XX flips spins in pairs with
+    couplings that depend on |i - j| only, and sum_j sz_j = 2n - L."""
+    params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
+    H = build_full_hamiltonian(params)
+    if detuning:
+        magnons = full_space_bits(L).sum(axis=1)
+        H = H + sparse.diags(0.5 * detuning * (2.0 * magnons - L))
+    return sum((_reflection_blocks(H, *pair) for pair in _pulse_blocks(L)[0]), ())
 
 
 def check_pulse_length(L):
-    """Reject chains whose dense pulse eigensystem would exceed PULSE_MAX_L."""
+    """Reject chains whose pulse eigensystem would exceed PULSE_MAX_L."""
     if L > PULSE_MAX_L:
+        d = (2 ** (L - 1) + 2 ** (L // 2)) // 2
         raise ValueError(
-            f"the pulse simulator diagonalizes a dense 2^{L} x 2^{L} matrix "
-            f"({8 * 4**L} bytes at L={L}), and LAPACK's eigh holds about five "
-            "such matrices at once (702 MiB peak RSS measured at L=12); it is "
-            f"limited to L <= {PULSE_MAX_L}"
+            f"the pulse simulator diagonalizes four dense z-parity x reflection "
+            f"blocks, the largest of dim {d} ({8 * d * d} bytes at L={L}); a "
+            "cold start took 0.9 s at 129 MiB peak RSS at L=12, growing toward "
+            f"8x in time per site, and it is limited to L <= {PULSE_MAX_L}"
         )
 
 
-def _apply_global_rotation(site_rotations, psi):
-    """Apply site_rotations[q] to site q of a full-space state.
+def _site_groups(site_rotations):
+    """Kronecker products of the rotations of three sites each, the lowest last."""
+    return [reduce(np.kron, site_rotations[q:q + 3][::-1])
+            for q in range(0, len(site_rotations), 3)]
 
-    Site q is bit q, so the middle axis of the (-1, 2, 2^q) view is that
-    site and one batched 2x2 product rotates it without moving any axis.
+
+def _apply_global_rotation(groups, psi):
+    """Apply ``_site_groups`` products to a full-space state.
+
+    Site q is bit q, so the middle axis of the (-1, 8, 8^g) view holds the
+    sites of group g, and one batched product rotates them.
     """
-    for q, u in enumerate(site_rotations):
-        psi = np.matmul(u, psi.reshape(-1, 2, 1 << q))
+    for g, u in enumerate(groups):
+        psi = np.matmul(u, psi.reshape(-1, len(u), 8**g))
     return psi.reshape(-1)
+
+
+def _pulse_step(blocks, phases, q, q_t, psi):
+    """exp(-iHw) psi through the blocks, with phases[b] = exp(-i E_b w); q and
+    q_t (at most two entries per row and column) map out of and into them."""
+    z = q_t @ psi
+    start = 0
+    for (_, _, v), phase in zip(blocks, phases):
+        stop = start + len(phase)
+        z[start:stop] = _real_spectral_step(v, phase, z[start:stop])
+        start = stop
+    return q @ z
 
 
 def floquet_evolve(seq, params, psi0, n_steps, t_eff, detuning=0.0,
@@ -398,23 +437,23 @@ def floquet_evolve(seq, params, psi0, n_steps, t_eff, detuning=0.0,
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
     if vec.shape != (2**params.L,):
         raise ValueError("psi0 must be a full-space state")
-    if rotation_scale is not None:
-        rotation_scale = np.asarray(rotation_scale, dtype=float)
-        if rotation_scale.shape != (params.L,):
-            raise ValueError("rotation_scale must provide one factor per site")
+    scales = np.ones(params.L) if rotation_scale is None else np.asarray(
+        rotation_scale, dtype=float)
+    if scales.shape != (params.L,):
+        raise ValueError("rotation_scale must provide one factor per site")
 
     # uniform effective-time smear: one cycle advances cycle_effective * tau
     tau = t_eff * seq.cycle_len / (seq.cycle_effective * n_steps)
     eff_per_step = t_eff / n_steps
-    evals, evecs = _pulse_eigensystem(
+    blocks = _pulse_eigensystem(
         params.L, params.alpha, params.J, params.boundary, float(detuning)
     )
+    _, q, q_t = _pulse_blocks(params.L)
     weights = seq.weights(params.delta) * tau
-    phases = [np.exp(-1j * evals * w) if w else None for w in weights]
-    if rotation_scale is None:
-        pulses = [[s.rotation()] * params.L for s in seq.steps]
-    else:
-        pulses = [[s.rotation(scale=f) for f in rotation_scale] for s in seq.steps]
+    phases = [[np.exp(-1j * e * w) for _, e, _ in blocks] if w else None
+              for w in weights]
+    pulses = [_site_groups([s.rotation(scale=f) for f in scales]) for s in seq.steps]
+    frames = [_site_groups([rf] * params.L) for rf in seq.final_rotations]
 
     psi = vec.astype(complex)
     times, states = [], []
@@ -422,15 +461,13 @@ def floquet_evolve(seq, params, psi0, n_steps, t_eff, detuning=0.0,
         k = (n - 1) % seq.cycle_len
         psi = _apply_global_rotation(pulses[k], psi)
         if phases[k] is not None:
-            psi = _real_spectral_step(evecs, phases[k], psi)
+            psi = _pulse_step(blocks, phases[k], q, q_t, psi)
         if record_every and n % record_every == 0 and n < n_steps:
-            rf = seq.final_rotations[n % seq.cycle_len]
-            snap = _apply_global_rotation([rf] * params.L, psi)
+            snap = _apply_global_rotation(frames[n % seq.cycle_len], psi)
             times.append(n * eff_per_step)
             states.append(StateVector(data=snap, basis=("full", params.L)))
 
-    rf = seq.final_rotations[n_steps % seq.cycle_len]
-    psi = _apply_global_rotation([rf] * params.L, psi)
+    psi = _apply_global_rotation(frames[n_steps % seq.cycle_len], psi)
     final = StateVector(data=psi, basis=("full", params.L))
     times.append(t_eff)
     states.append(final)
@@ -438,4 +475,5 @@ def floquet_evolve(seq, params, psi0, n_steps, t_eff, detuning=0.0,
     return EvolutionReport(
         times=np.array(times), states=states, state=final, n_steps=n_steps,
         tau=tau, detuning=detuning, sequence=seq.name, fidelity=fid,
+        partial_steps=n_steps % seq.cycle_len,
     )

@@ -13,11 +13,11 @@ internal indexing (I/O uses 1-based site labels).
 ``SectorBasis`` alone maps a configuration to a row (``index_of``, one
 ``searchsorted`` on its sorted masks). ``sector_hamiltonian`` builds every
 sector as CSR from its ``bits`` table with no loop over configurations.
-Only ``SectorOperator.eigensystem`` densifies, and only the two halves of
-the sector that the site reversal j -> L-1-j leaves even and odd: the
-couplings depend on |i-j| (or its cyclic minimum), so every sector
-Hamiltonian commutes with that reversal and is block diagonal in its
-eigenbasis. The eigensystem is kept in that block form, one
+Only ``_reflection_blocks`` densifies (for ``SectorOperator.eigensystem``
+and the pulse blocks), and only the halves that the reversal j -> L-1-j
+leaves even and odd: the couplings depend on |i-j| (or its cyclic
+minimum), so every sector Hamiltonian commutes with that reversal and is
+block diagonal in its eigenbasis. The eigensystem is kept in that block form, one
 (Q, eigenvalues, V) triple per block with Q the sparse isometry onto the
 block. It is the only eigen-format of a sector: no (dim, dim)
 eigenvector matrix is ever formed.
@@ -195,22 +195,24 @@ class SectorOperator:
         if self._eig is None:
             with self._eig_lock:
                 if self._eig is None:
-                    self._eig = self._diagonalize()
+                    self._eig = _reflection_blocks(
+                        self.matrix, *_reflection_isometry(self.basis.mirror))
         return self._eig
 
-    def _diagonalize(self):
-        H = self.matrix
-        q_even, q_odd = _reflection_isometry(self.basis.mirror)
-        h_even = H @ q_even
-        coupling = np.abs((q_odd.T @ h_even).data).max(initial=0.0)
-        scale = abs(H).sum(axis=1).max()  # the row-sum norm bounds |H|
-        if coupling > 1e-12 * scale:
-            raise ValueError(
-                f"sector matrix couples the reflection-even and -odd blocks by "
-                f"{coupling:.3g} (norm {scale:.3g}): it breaks the site reversal"
-            )
-        return tuple((q, *np.linalg.eigh((q.T @ hq).toarray()))
-                     for q, hq in ((q_even, h_even), (q_odd, H @ q_odd)))
+
+def _reflection_blocks(H, q_even, q_odd):
+    """((q_even, evals, V), (q_odd, evals, V)), V from a dense eigh of q^T H q.
+    Raises ValueError if the sparse H couples the blocks beyond 1e-12 of its norm."""
+    h_even = H @ q_even
+    coupling = np.abs((q_odd.T @ h_even).data).max(initial=0.0)
+    scale = abs(H).sum(axis=1).max()  # the row-sum norm bounds |H|
+    if coupling > 1e-12 * scale:
+        raise ValueError(
+            f"matrix couples the reflection-even and -odd blocks by "
+            f"{coupling:.3g} (norm {scale:.3g}): it breaks the site reversal"
+        )
+    return tuple((q, *np.linalg.eigh((q.T @ hq).toarray()))
+                 for q, hq in ((q_even, h_even), (q_odd, H @ q_odd)))
 
 
 def zz_energies(bits, J):

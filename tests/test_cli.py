@@ -296,8 +296,9 @@ def test_pulse_guard_rejects_before_allocating(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert f"({8 * 4**L} bytes at L={L})" in capsys.readouterr().err
-    assert peak < 2**20  # the dense matrix alone would be 512 MiB
+    d = (2 ** (L - 1) + 2 ** (L // 2)) // 2
+    assert f"dim {d} ({8 * d * d} bytes at L={L})" in capsys.readouterr().err
+    assert peak < 2**20  # the largest block alone would be 33 MiB
 
 
 def test_cli_import_loads_no_scipy_solver_module():

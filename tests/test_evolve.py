@@ -2,12 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from magnonlab.model import (
     ModelParams,
     StateVector,
+    _reflection_blocks,
     build_full_hamiltonian,
+    full_space_bits,
     sector_hamiltonian,
     sector_state_from_sites,
 )
@@ -16,8 +19,8 @@ from magnonlab.evolve import (
     PULSE_MAX_L,
     PulseSequence,
     PulseStep,
+    _pulse_blocks,
     _pulse_eigensystem,
-    _pulse_hamiltonian,
     exact_evolve,
     fidelity,
     floquet_evolve,
@@ -360,7 +363,7 @@ def reference_floquet(seq, p, psi0, n_steps, t_eff, detuning, rotation_scale,
     if second_order:
         seq = seq.symmetrized()
     tau = t_eff * seq.cycle_len / (seq.cycle_effective * n_steps)
-    evals, evecs = _pulse_eigensystem(p.L, p.alpha, p.J, p.boundary, detuning)
+    evals, evecs = reference_pulse_eigensystem(p.L, p.alpha, p.J, p.boundary, detuning)
     weights = seq.weights(p.delta) * tau
     psi, states = psi0.astype(complex), []
     for n in range(1, n_steps + 1):
@@ -404,14 +407,15 @@ def test_floquet_matches_reference_loop(seq, detuning, scale, record_every,
 
 def test_floquet_length_guard_states_dense_size():
     L = PULSE_MAX_L + 1
+    d = (2 ** (L - 1) + 2 ** (L // 2)) // 2  # the largest block: 2080 at L=13
     p = ModelParams(L=L, alpha=1.4, delta=3.5, boundary="open")
-    with pytest.raises(ValueError, match=rf"\({8 * 4**L} bytes at L={L}\)") as err:
+    with pytest.raises(ValueError, match=rf"dim {d} \({8 * d * d} bytes at L={L}\)") as err:
         floquet_evolve("dd", p, np.zeros(1), 8, 1.0)
-    assert "eigh holds about five such matrices" in str(err.value)
+    assert "four dense z-parity x reflection blocks" in str(err.value)
 
 
 def reference_pulse_eigensystem(L, alpha, J, boundary, detuning):
-    """The pulse eigensystem as first built: a float copy and a dense diagonal."""
+    """The dense pulse eigensystem: H_XX and a dense diagonal, one eigh."""
     params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
     H = build_full_hamiltonian(params).toarray().astype(float)
     if detuning:
@@ -424,10 +428,16 @@ def reference_pulse_eigensystem(L, alpha, J, boundary, detuning):
 @pytest.mark.parametrize("detuning", [0.0, -0.6, 1.3])
 def test_pulse_eigensystem_is_bit_identical_to_reference(boundary, detuning):
     args = (8, 1.4, 1.0, boundary, detuning)
-    evals, evecs = _pulse_eigensystem.__wrapped__(*args)
+    blocks = _pulse_eigensystem.__wrapped__(*args)
     ref_vals, ref_vecs = reference_pulse_eigensystem(*args)
-    assert np.array_equal(evals, ref_vals)
-    assert np.array_equal(evecs, ref_vecs)
+    H = ref_vecs @ (ref_vals[:, None] * ref_vecs.T)
+    norm = np.abs(ref_vals).max()
+    assert [q.shape[1] for q, _, _ in blocks] == [72, 56, 64, 64]
+    evals = np.concatenate([w for _, w, _ in blocks])
+    evecs = np.hstack([q @ v for q, _, v in blocks])
+    assert np.abs(np.sort(evals) - ref_vals).max() <= 1e-12 * norm
+    assert np.abs(evecs.T @ evecs - np.eye(2**8)).max() <= 1e-12
+    assert np.abs(H @ evecs - evecs * evals).max() <= 1e-12 * norm
 
 
 def test_pulse_eigensystem_allocates_one_dense_matrix_per_role():
@@ -435,20 +445,42 @@ def test_pulse_eigensystem_allocates_one_dense_matrix_per_role():
     matrix = 8 * 4**L
     args = (L, 1.4, 1.0, "open", 0.7)
     _pulse_eigensystem.__wrapped__(*args)  # warm imports outside the trace
+    _pulse_blocks.cache_clear()
     tracemalloc.start()
     try:
-        _pulse_hamiltonian(*args)
-        build_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         _pulse_eigensystem.__wrapped__(*args)
-        eig_peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the float copy or a dense diagonal would double the build
-    assert build_peak < 1.25 * matrix
-    # the Hamiltonian and the returned eigenvectors; LAPACK's workspace is
-    # allocated outside numpy and not traced
-    assert eig_peak < 2.25 * matrix
+    # the four blocks' eigenvectors hold a quarter of a dense 2^L x 2^L
+    # matrix, and the whole build peaked at 0.46 of one; LAPACK's workspace
+    # is allocated outside numpy and not traced
+    assert peak < 0.75 * matrix
+
+
+def test_reflection_blocks_reject_a_matrix_that_breaks_the_reversal():
+    L = 6
+    H = build_full_hamiltonian(ModelParams(L=L, alpha=1.4))
+    pairs = _pulse_blocks(L)[0]
+    for q_even, q_odd in pairs:
+        _reflection_blocks(H, q_even, q_odd)
+    # a field on site 0 alone keeps prod_j sz_j but not the site reversal
+    field = sparse.diags(1.0 - 2.0 * full_space_bits(L)[:, 0])
+    for q_even, q_odd in pairs:
+        with pytest.raises(ValueError, match="site reversal"):
+            _reflection_blocks(H + 1e-6 * field, q_even, q_odd)
+
+
+@pytest.mark.parametrize("seq, second_order, n_steps, partial", [
+    ("dd", False, 16, 0), ("dd", False, 21, 5), ("plain", True, 34, 0),
+    ("plain", True, 40, 6),
+])
+def test_floquet_report_counts_partial_cycle_steps(seq, second_order, n_steps,
+                                                   partial):
+    p = ModelParams(L=4, alpha=1.4, delta=2.0, boundary="open")
+    psi0 = adjacent_flip_state(p, 1, 2)
+    rep = floquet_evolve(seq, p, psi0, n_steps, 1.0, second_order=second_order)
+    assert rep.partial_steps == partial
 
 
 # ---------------------------------------------------------------- invariants
