@@ -33,7 +33,7 @@ from .entropy import (
     config_mutual_proxy_exact,
     region_entropies,
 )
-from .evolve import check_pulse_length, exact_evolve, floquet_evolve, propagate
+from .evolve import check_pulse_length, exact_evolve, floquet_sweep, propagate
 from .model import (
     ModelParams,
     StateVector,
@@ -429,13 +429,8 @@ def run_floquet_bench(cfg, outdir, seed):
     ref[masks] = ref_sector.data
     detunings = np.linspace(-cfg["det_max"], cfg["det_max"], cfg["n_det"])
 
-    # both sequences back to back per detuning share one cached eigensystem
-    f_dd, f_plain = np.array([
-        [floquet_evolve(seq, params, full0, cfg["n_steps"], cfg["t_eff"],
-                        detuning=float(det), reference=ref).fidelity
-         for seq in ("dd", "plain")]
-        for det in detunings
-    ]).T
+    f_dd, f_plain = floquet_sweep(("dd", "plain"), params, full0, cfg["n_steps"],
+                                  cfg["t_eff"], detunings, ref).T
     path = write_csv(Path(outdir) / "floquet_bench.csv", _meta(cfg),
                      ["detuning", "fidelity_dd", "fidelity_plain"],
                      [detunings, f_dd, f_plain])

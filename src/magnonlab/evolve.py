@@ -16,26 +16,33 @@ Three propagators with one state convention:
   matrix products (``scipy.sparse.linalg.expm_multiply``), for sectors too
   large to diagonalize. Nothing in the experiments calls it; it stays as
   the large-sector fallback that the ``EXACT_DIM_MAX`` guard points to.
-* ``floquet_evolve``: the pulsed realization. Each step applies a global
-  rotation about +-x/+-y followed by evolution under the bare XX coupling
-  Hamiltonian (plus an optional detuning term (delta_err/2) sum_j sz_j that
-  models a drive-frequency offset, active during pulses). In the toggled
-  frame the pulses realize XX-, YY- and ZZ-type substeps whose wall-time
-  ratio 1 : 1 : Delta makes the cycle average equal to the target
-  (1/3)(XX + YY + Delta ZZ) Hamiltonian, with one (tau, tau, Delta tau)
-  substep group advancing effective time by 3 tau.
+* ``floquet_evolve`` and ``floquet_sweep``: the pulsed realization. Each
+  step applies a global rotation about +-x/+-y followed by evolution under
+  the bare XX coupling Hamiltonian (plus an optional detuning term
+  (delta_err/2) sum_j sz_j that models a drive-frequency offset, active
+  during pulses). In the toggled frame the pulses realize XX-, YY- and
+  ZZ-type substeps whose wall-time ratio 1 : 1 : Delta makes the cycle
+  average equal to the target (1/3)(XX + YY + Delta ZZ) Hamiltonian, with
+  one (tau, tau, Delta tau) substep group advancing effective time by
+  3 tau. ``floquet_sweep`` returns the fidelities of every (detuning,
+  sequence) pair; ``floquet_evolve`` is its one-detuning, one-sequence case
+  with snapshots, and both run one private step loop.
 
-The spectral steps of ``propagate`` and ``floquet_evolve`` share one
-primitive, ``_real_spectral_step``: the Hamiltonians are real symmetric, so
-V exp(-iEt) V^T psi is formed from real matrix products on the real and
-imaginary parts of psi. A (dim,) phase gives one state, a (dim, n_times)
-phase a whole time grid, and an optional output matrix (Q V restricted to
-some rows) maps the phased coefficients to the rows a caller reads. The
-pulse Hamiltonian H_XX + (delta_err/2) sum_j sz_j conserves prod_j sz_j and
-the site reversal: its eigensystem is four z-parity x reflection blocks in
-the sector format, and a pulse step is one sparse product into the stacked
-block coordinates, the four block steps and one sparse product back. The
-global rotation applies three sites' 8x8 Kronecker product at a time.
+``propagate``'s spectral step, ``_real_spectral_step``, uses that the
+Hamiltonians are real symmetric: V exp(-iEt) V^T psi is formed from real
+matrix products on the real and imaginary parts of psi. A (dim,) phase
+gives one state, a (dim, n_times) phase a whole time grid, and an optional
+output matrix (Q V restricted to some rows) maps the phased coefficients
+to the rows a caller reads. The pulse Hamiltonian H_XX + (delta_err/2)
+sum_j sz_j conserves prod_j sz_j and the site reversal: its eigensystem is
+four z-parity x reflection blocks in the sector format. The pulse loop
+steps all runs in lockstep as one (2^L, n_det, n_seq) block. A global
+rotation applies three sites' 8x8 Kronecker product at a time to every
+column at once, or to each sequence's columns where the sequences'
+rotations differ. A pulse step is one sparse product into the stacked block
+coordinates, one real product each way per block and detuning on the
+(d, 2 n_seq) float view of the block's rows, and one sparse product back.
+Detunings run in chunks whose eigenvectors fit ``SWEEP_CHUNK_BYTES``.
 
 Pulse sequences are data: a ``PulseSequence`` is a cycle of ``PulseStep``s,
 each a rotation about +x, -x, +y or -y by an angle in radians followed by a
@@ -69,6 +76,10 @@ EXACT_DIM_MAX = 20_000
 # 0.06 s at 59 MiB peak RSS at L=10, 0.2 s at 74 MiB at L=11 and 0.9 s at
 # 129 MiB at L=12 on 2 cores, 50 MiB of it imports; eigh nears 8x per site.
 PULSE_MAX_L = 12
+# floquet_sweep holds the eigenvectors of this many bytes of detunings at once
+# (at least one): all of 5 at L=9 (0.5 MiB each), 3 at L=10, one at L=12
+# (32 MiB). More detunings per chunk cost memory and save little time.
+SWEEP_CHUNK_BYTES = 8 << 20
 PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -373,15 +384,36 @@ def _pulse_eigensystem(L, alpha, J, boundary, detuning):
     return sum((_reflection_blocks(H, *pair) for pair in _pulse_blocks(L)[0]), ())
 
 
+def _pulse_block_dims(L):
+    """Dims of the four ``_pulse_blocks`` in order, in closed form: each
+    z-parity holds 2^(L-1) configurations, and its reflection-even block
+    exceeds the odd one by the palindromes of that parity (all of them for
+    even L, half for odd L)."""
+    half = 1 << (L - 1)
+    pal = 1 << ((L + 1) // 2)
+    return [(half + sign * p) // 2
+            for p in ((pal, 0) if L % 2 == 0 else (pal // 2, pal // 2))
+            for sign in (1, -1)]
+
+
+def _sweep_chunk(L):
+    """(detunings per ``floquet_sweep`` chunk, eigenvector bytes per detuning)."""
+    per_detuning = 8 * sum(d * d for d in _pulse_block_dims(L))
+    return max(1, SWEEP_CHUNK_BYTES // per_detuning), per_detuning
+
+
 def check_pulse_length(L):
     """Reject chains whose pulse eigensystem would exceed PULSE_MAX_L."""
     if L > PULSE_MAX_L:
-        d = (2 ** (L - 1) + 2 ** (L // 2)) // 2
+        d = max(_pulse_block_dims(L))
+        chunk, per_detuning = _sweep_chunk(L)
         raise ValueError(
             f"the pulse simulator diagonalizes four dense z-parity x reflection "
-            f"blocks, the largest of dim {d} ({8 * d * d} bytes at L={L}); a "
-            "cold start took 0.9 s at 129 MiB peak RSS at L=12, growing toward "
-            f"8x in time per site, and it is limited to L <= {PULSE_MAX_L}"
+            f"blocks, the largest of dim {d} ({8 * d * d} bytes at L={L}), and a "
+            f"detuning sweep holds the eigenvectors of {chunk} detuning(s) at "
+            f"once ({chunk * per_detuning} bytes); a cold start took 0.9 s at "
+            "129 MiB peak RSS at L=12, growing toward 8x in time per site, and it "
+            f"is limited to L <= {PULSE_MAX_L}"
         )
 
 
@@ -392,26 +424,111 @@ def _site_groups(site_rotations):
 
 
 def _apply_global_rotation(groups, psi):
-    """Apply ``_site_groups`` products to a full-space state.
+    """Apply ``_site_groups`` products to every column of a full-space block.
 
-    Site q is bit q, so the middle axis of the (-1, 8, 8^g) view holds the
-    sites of group g, and one batched product rotates them.
+    Site q is bit q of the first axis, so the middle axis of the
+    (-1, 8, 8^g * columns) view holds the sites of group g, and one batched
+    product rotates them in every column.
     """
+    shape = psi.shape
+    columns = psi.size // shape[0]
     for g, u in enumerate(groups):
-        psi = np.matmul(u, psi.reshape(-1, len(u), 8**g))
-    return psi.reshape(-1)
+        psi = np.matmul(u, psi.reshape(-1, len(u), 8**g * columns))
+    return psi.reshape(shape)
 
 
-def _pulse_step(blocks, phases, q, q_t, psi):
-    """exp(-iHw) psi through the blocks, with phases[b] = exp(-i E_b w); q and
-    q_t (at most two entries per row and column) map out of and into them."""
-    z = q_t @ psi
-    start = 0
-    for (_, _, v), phase in zip(blocks, phases):
-        stop = start + len(phase)
-        z[start:stop] = _real_spectral_step(v, phase, z[start:stop])
-        start = stop
-    return q @ z
+def _rotate_columns(groups, keys, psi):
+    """Rotate sequence column s of the (2^L, n_det, n_seq) block by
+    groups[keys[s]]: one batched product when every sequence agrees."""
+    if all(key == keys[0] for key in keys):
+        return _apply_global_rotation(groups[keys[0]], psi)
+    out = np.empty_like(psi)
+    for s, key in enumerate(keys):
+        out[..., s] = _apply_global_rotation(groups[key], psi[..., s])
+    return out
+
+
+def _pulse_step(eigs, phases, q, q_t, psi):
+    """exp(-iH_i w_s) on column (i, s) of the (2^L, n_det, n_seq) block.
+
+    q_t and q (at most two entries per row and column) map every column
+    into and out of the stacked block coordinates at once. There, block b
+    of detuning i, with eigenvectors V and phases[i][b] = exp(-i E w) of
+    shape (d, n_seq), forms V (phase * V^T z) from one real product each
+    way on the (d, 2 n_seq) float view of its rows.
+    """
+    shape = psi.shape
+    z = (q_t @ psi.reshape(shape[0], -1)).reshape(shape)
+    for i, (blocks, block_phases) in enumerate(zip(eigs, phases)):
+        start = 0
+        for (_, _, v), phase in zip(blocks, block_phases):
+            stop = start + len(v)
+            rows = z[start:stop, i].view(float)
+            coef = (v.T @ rows).view(complex) * phase
+            rows[...] = v @ coef.view(float)
+            start = stop
+    return (q @ z.reshape(shape[0], -1)).reshape(shape)
+
+
+def _pulse_inputs(params, psi0, n_steps, rotation_scale):
+    """Validated (full-space state, per-site rotation scales) of a pulsed run."""
+    check_pulse_length(params.L)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
+    if vec.shape != (2**params.L,):
+        raise ValueError("psi0 must be a full-space state")
+    scales = np.ones(params.L) if rotation_scale is None else np.asarray(
+        rotation_scale, dtype=float)
+    if scales.shape != (params.L,):
+        raise ValueError("rotation_scale must provide one factor per site")
+    return vec, scales
+
+
+def _tau(seq, n_steps, t_eff):
+    """Pulse unit of a run: one cycle advances cycle_effective * tau."""
+    return t_eff * seq.cycle_len / (seq.cycle_effective * n_steps)
+
+
+def _pulse_loop(seqs, params, eigs, psi, n_steps, t_eff, scales, record_every=None):
+    """Step the (2^L, n_det, n_seq) block psi through n_steps pulses.
+
+    Column (i, s) runs seqs[s] with its own tau under the pulse
+    eigensystem eigs[i]. Each rotation is one batched product over the
+    block, or one per sequence where the sequences' rotations differ; the
+    phases of each distinct tuple of per-column weights are formed once.
+    Returns the final block and (n, block) snapshots every record_every
+    steps, both with the corrective rotations R_f,n applied.
+    """
+    _, q, q_t = _pulse_blocks(params.L)
+    taus = [_tau(seq, n_steps, t_eff) for seq in seqs]
+    groups = {}  # rotation key -> _site_groups, shared by equal rotations
+    for seq in seqs:
+        for s in seq.steps:
+            if (s.axis, s.angle) not in groups:
+                groups[s.axis, s.angle] = _site_groups(
+                    [s.rotation(scale=f) for f in scales])
+
+    def frames(n):
+        rfs = [seq.final_rotations[n % seq.cycle_len] for seq in seqs]
+        for rf in rfs:
+            if rf.tobytes() not in groups:
+                groups[rf.tobytes()] = _site_groups([rf] * params.L)
+        return [rf.tobytes() for rf in rfs]
+
+    phases, snapshots = {}, []
+    for n in range(1, n_steps + 1):
+        steps = [seq.steps[(n - 1) % seq.cycle_len] for seq in seqs]
+        psi = _rotate_columns(groups, [(s.axis, s.angle) for s in steps], psi)
+        w = tuple(s.weight(params.delta) * tau for s, tau in zip(steps, taus))
+        if any(w):
+            if w not in phases:
+                phases[w] = [[np.exp(-1j * np.multiply.outer(e, w)) for _, e, _ in blocks]
+                             for blocks in eigs]
+            psi = _pulse_step(eigs, phases[w], q, q_t, psi)
+        if record_every and n % record_every == 0 and n < n_steps:
+            snapshots.append((n, _rotate_columns(groups, frames(n), psi)))
+    return _rotate_columns(groups, frames(n_steps), psi), snapshots
 
 
 def floquet_evolve(seq, params, psi0, n_steps, t_eff, detuning=0.0,
@@ -426,54 +543,60 @@ def floquet_evolve(seq, params, psi0, n_steps, t_eff, detuning=0.0,
     rotation angle) emulates inhomogeneous pulse amplitudes; R_f,n stays
     ideal since it is analysis-side bookkeeping, not a hardware pulse.
     ``reference`` (full-space array) pins report.fidelity at the end.
+    This is the one-detuning, one-sequence case of ``floquet_sweep``'s loop.
     """
     if isinstance(seq, str):
         seq = PulseSequence.built_in(seq)
     if second_order:
         seq = seq.symmetrized()
-    check_pulse_length(params.L)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
-    if vec.shape != (2**params.L,):
-        raise ValueError("psi0 must be a full-space state")
-    scales = np.ones(params.L) if rotation_scale is None else np.asarray(
-        rotation_scale, dtype=float)
-    if scales.shape != (params.L,):
-        raise ValueError("rotation_scale must provide one factor per site")
-
-    # uniform effective-time smear: one cycle advances cycle_effective * tau
-    tau = t_eff * seq.cycle_len / (seq.cycle_effective * n_steps)
-    eff_per_step = t_eff / n_steps
-    blocks = _pulse_eigensystem(
+    vec, scales = _pulse_inputs(params, psi0, n_steps, rotation_scale)
+    eig = _pulse_eigensystem(
         params.L, params.alpha, params.J, params.boundary, float(detuning)
     )
-    _, q, q_t = _pulse_blocks(params.L)
-    weights = seq.weights(params.delta) * tau
-    phases = [[np.exp(-1j * e * w) for _, e, _ in blocks] if w else None
-              for w in weights]
-    pulses = [_site_groups([s.rotation(scale=f) for f in scales]) for s in seq.steps]
-    frames = [_site_groups([rf] * params.L) for rf in seq.final_rotations]
-
-    psi = vec.astype(complex)
-    times, states = [], []
-    for n in range(1, n_steps + 1):
-        k = (n - 1) % seq.cycle_len
-        psi = _apply_global_rotation(pulses[k], psi)
-        if phases[k] is not None:
-            psi = _pulse_step(blocks, phases[k], q, q_t, psi)
-        if record_every and n % record_every == 0 and n < n_steps:
-            snap = _apply_global_rotation(frames[n % seq.cycle_len], psi)
-            times.append(n * eff_per_step)
-            states.append(StateVector(data=snap, basis=("full", params.L)))
-
-    psi = _apply_global_rotation(frames[n_steps % seq.cycle_len], psi)
-    final = StateVector(data=psi, basis=("full", params.L))
-    times.append(t_eff)
+    psi, snapshots = _pulse_loop([seq], params, [eig], vec.astype(complex)[:, None, None],
+                                 n_steps, t_eff, scales, record_every)
+    basis = ("full", params.L)
+    final = StateVector(data=psi.reshape(-1), basis=basis)
+    times = [n * (t_eff / n_steps) for n, _ in snapshots] + [t_eff]
+    states = [StateVector(data=s.reshape(-1), basis=basis) for _, s in snapshots]
     states.append(final)
     fid = None if reference is None else fidelity(final.data, reference)
     return EvolutionReport(
         times=np.array(times), states=states, state=final, n_steps=n_steps,
-        tau=tau, detuning=detuning, sequence=seq.name, fidelity=fid,
-        partial_steps=n_steps % seq.cycle_len,
+        tau=_tau(seq, n_steps, t_eff), detuning=detuning, sequence=seq.name,
+        fidelity=fid, partial_steps=n_steps % seq.cycle_len,
     )
+
+
+def floquet_sweep(seqs, params, psi0, n_steps, t_eff, detunings, reference,
+                  rotation_scale=None):
+    """|<reference|psi>|^2 after n_steps pulses, per detuning and sequence.
+
+    Returns a (len(detunings), len(seqs)) array whose (i, s) entry equals
+    ``floquet_evolve(seqs[s], params, psi0, n_steps, t_eff, detunings[i],
+    reference, rotation_scale=rotation_scale).fidelity`` to roundoff. All
+    runs step together as one (2^L, n_det, n_seq) block, so each pulse costs
+    a few batched products instead of one set per run. Detunings go in
+    chunks whose eigenvectors, read from ``_pulse_eigensystem``, fit in
+    SWEEP_CHUNK_BYTES (one detuning per chunk when one alone is larger).
+    """
+    seqs = [PulseSequence.built_in(s) if isinstance(s, str) else s for s in seqs]
+    if not seqs:
+        raise ValueError("floquet_sweep needs at least one sequence")
+    vec, scales = _pulse_inputs(params, psi0, n_steps, rotation_scale)
+    ref = reference.data if isinstance(reference, StateVector) else np.asarray(reference)
+    if ref.shape != vec.shape:
+        raise ValueError("reference must be a full-space state")
+    detunings = np.asarray(detunings, dtype=float)
+    chunk = _sweep_chunk(params.L)[0]
+    out = np.empty((len(detunings), len(seqs)))
+    for lo in range(0, len(detunings), chunk):
+        eigs = [_pulse_eigensystem(params.L, params.alpha, params.J, params.boundary,
+                                   float(det))
+                for det in detunings[lo:lo + chunk]]
+        psi = np.repeat(vec.astype(complex)[:, None], len(eigs) * len(seqs), axis=1)
+        psi, _ = _pulse_loop(seqs, params, eigs, psi.reshape(-1, len(eigs), len(seqs)),
+                             n_steps, t_eff, scales)
+        out[lo:lo + len(eigs)] = np.abs(ref.conj() @ psi.reshape(vec.size, -1)).reshape(
+            len(eigs), len(seqs)) ** 2
+    return out

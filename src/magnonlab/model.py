@@ -249,15 +249,16 @@ FULL_SPACE_MAX_L = 24  # 2^24 amplitudes; beyond this use sector methods
 
 
 def _check_full_space(L):
-    # 56 bytes per amplitude is the tracemalloc peak of probes._ising_prep:
-    # the complex state (16), the transform's copy (16) and two generations
-    # of half-length butterfly outputs (24)
+    # 40 bytes per amplitude is the tracemalloc peak of probes._ising_prep:
+    # the complex state (16), the transform's in-place copy (16) and one
+    # half-length butterfly sum (8); forming the x-basis phases from the
+    # energies peaks at the same 40
     if L > FULL_SPACE_MAX_L:
         raise ValueError(
             f"full-space operators hold a (2^{L}, {L}) uint8 occupation table "
             f"of {L << L} bytes at L={L}, and the Ising preparation a complex "
             f"2^{L} state plus the working copies of its Walsh-Hadamard "
-            f"transform, about {56 << L} bytes; they are limited to "
+            f"transform, about {40 << L} bytes; they are limited to "
             f"L <= {FULL_SPACE_MAX_L}"
         )
 

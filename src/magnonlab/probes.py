@@ -260,16 +260,19 @@ def spectroscopy_one(params, k, q=None, gamma=0.7, t_max_J=SPECTRO_ONE_TMAX,
 
 
 def _walsh_hadamard(vec):
-    """Unnormalized fast Walsh-Hadamard transform, any 2^L length."""
+    """Unnormalized fast Walsh-Hadamard transform, any 2^L length.
+
+    The butterflies run in place on one copy of vec, with one half-length
+    sum alive at a time: 24 bytes per complex amplitude beyond vec.
+    """
     a = vec.copy()
-    n = a.size
     h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :], a[:, 1, :] = top, bot
-        a = a.reshape(n)
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        top = pairs[:, 0] + pairs[:, 1]
+        np.subtract(pairs[:, 0], pairs[:, 1], out=pairs[:, 1])
+        pairs[:, 0] = top
+        del top
         h *= 2
     return a
 
@@ -367,19 +370,30 @@ def _pair_lowering_indices(hi, lo, pair_col):
     return rows, lo.index_of(hi.masks[rows] ^ pair)
 
 
+@lru_cache(maxsize=4)
+def _dense_eigensystem(params, n):
+    """(ascending eigenvalues, eigenvectors) of one dense ``eigh`` of sector n,
+    read-only."""
+    out = np.linalg.eigh(_cached_sector(params, n).dense())
+    for arr in out:
+        arr.flags.writeable = False
+    return tuple(out)
+
+
 @lru_cache(maxsize=48)
 def _pair_lowering_block(params, n, pair_col):
     """sm_j sm_{j+1} from sector n to n-2, in the energy eigenbases.
 
     The eigenbases are the ascending eigenvectors of one dense ``eigh``
-    per sector, independent of the reflection blocks that ``propagate``
-    runs on. Nothing in the package calls it: ``spectroscopy_two``
-    contracts in the site basis. It stays as the eigenbasis reference the
-    tests compare that contraction against.
+    per sector, shared by every pair and independent of the reflection
+    blocks that ``propagate`` runs on. Nothing in the package calls it:
+    ``spectroscopy_two`` contracts in the site basis. It stays as the
+    eigenbasis reference the tests compare that contraction against.
     """
     hi, lo = _cached_sector(params, n), _cached_sector(params, n - 2)
     rows, mates = _pair_lowering_indices(hi.basis, lo.basis, pair_col)
-    return np.linalg.eigh(lo.dense())[1][mates].T @ np.linalg.eigh(hi.dense())[1][rows]
+    lo_vecs = _dense_eigensystem(params, n - 2)[1]
+    return lo_vecs[mates].T @ _dense_eigensystem(params, n)[1][rows]
 
 
 def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,

@@ -14,16 +14,20 @@ from magnonlab.model import (
     sector_hamiltonian,
     sector_state_from_sites,
 )
+from magnonlab import evolve
 from magnonlab.evolve import (
     EXACT_DIM_MAX,
     PULSE_MAX_L,
     PulseSequence,
     PulseStep,
+    _pulse_block_dims,
     _pulse_blocks,
     _pulse_eigensystem,
+    _sweep_chunk,
     exact_evolve,
     fidelity,
     floquet_evolve,
+    floquet_sweep,
     krylov_evolve,
     propagate,
 )
@@ -412,6 +416,45 @@ def test_floquet_length_guard_states_dense_size():
     with pytest.raises(ValueError, match=rf"dim {d} \({8 * d * d} bytes at L={L}\)") as err:
         floquet_evolve("dd", p, np.zeros(1), 8, 1.0)
     assert "four dense z-parity x reflection blocks" in str(err.value)
+    # blocks of 2080, 2016, 2080 and 2016: one detuning exceeds the chunk budget
+    assert f"1 detuning(s) at once ({8 * 2 * (2080**2 + 2016**2)} bytes)" in str(err.value)
+
+
+def test_pulse_block_dims_and_sweep_chunks():
+    for L in range(2, 11):
+        pairs = _pulse_blocks(L)[0]
+        assert _pulse_block_dims(L) == [q.shape[1] for pair in pairs for q in pair]
+    assert _sweep_chunk(9)[0] >= 5  # the pulsed_sweep benchmark in one chunk
+    assert _sweep_chunk(12) == (1, 8 * (1056**2 + 992**2 + 2 * 1024**2))
+
+
+@pytest.mark.parametrize("scale", [None, [1.05, 0.97, 1.02, 0.95, 1.01, 0.99]])
+def test_floquet_sweep_matches_per_run_calls_and_reference_loop(monkeypatch, scale):
+    p = ModelParams(L=6, alpha=1.4, delta=3.5, boundary="open")
+    rng = np.random.default_rng(7)
+    psi0 = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
+    psi0 /= np.linalg.norm(psi0)
+    ref = exact_full_state(p, psi0, 2.0)
+    dets = np.array([-0.9, -0.3, 0.0, 0.4, 1.1])
+    scale = None if scale is None else np.array(scale)
+    # two detunings per chunk, so the sweep runs chunks of 2, 2 and 1
+    monkeypatch.setattr(evolve, "SWEEP_CHUNK_BYTES", 2 * _sweep_chunk(6)[1] + 1)
+    assert _sweep_chunk(6)[0] == 2
+    # the mirrored cycle has 17 steps of other weights and frames
+    runs = [("dd", False), ("plain", False), ("plain", True)]
+    seqs = [PulseSequence.built_in(name) for name, _ in runs]
+    seqs[2] = seqs[2].symmetrized()
+    got = floquet_sweep(seqs, p, psi0, 40, 2.0, dets, ref, rotation_scale=scale)
+    assert got.shape == (len(dets), len(runs))
+    for i, det in enumerate(dets):
+        for s, (name, second_order) in enumerate(runs):
+            run = floquet_evolve(name, p, psi0, 40, 2.0, detuning=det, reference=ref,
+                                 rotation_scale=scale, second_order=second_order)
+            loop = reference_floquet(name, p, psi0, 40, 2.0, det, scale, None,
+                                     second_order)[-1]
+            assert abs(got[i, s] - run.fidelity) <= 1e-12
+            assert abs(got[i, s] - abs(np.vdot(loop, ref)) ** 2) <= 1e-12
+    assert np.ptp(got) > 0.1
 
 
 def reference_pulse_eigensystem(L, alpha, J, boundary, detuning):

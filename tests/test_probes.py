@@ -18,6 +18,7 @@ from magnonlab.probes import (
     N_SAMPLES,
     SPECTRO_TWO_TMAX,
     SpacetimeMap,
+    _dense_eigensystem,
     _imprint,
     _ising_sectors,
     _pair_lowering_block,
@@ -74,15 +75,16 @@ def eigenbasis_pair_signal(params, k, sites, n_max, t_prep_J=0.19):
     """Pair coherence of spectroscopy_two, contracted in the eigenbases.
 
     The full-space preparation is projected per sector, expanded in each
-    sector's eigenbasis, phased, and lowered by _pair_lowering_block.
+    sector's eigenbasis, phased, and lowered by _pair_lowering_block, whose
+    eigenbasis (one dense eigh per sector) it shares.
     """
     psi = ising_phase_state(params, t_prep_J, imprint_phases(k, params.L))
     t_phys = np.linspace(0.0, SPECTRO_TWO_TMAX, N_SAMPLES, endpoint=False) / params.J
     phased = {}
     for n in range(0, n_max + 1, 2):
-        H = sector_hamiltonian(params, n)
-        evals, evecs = np.linalg.eigh(H.dense())
-        coef = evecs.T @ psi[np.asarray(H.basis.masks, dtype=np.int64)]
+        evals, evecs = _dense_eigensystem(params, n)
+        masks = enumerate_sector(params.L, n).masks
+        coef = evecs.T @ psi[np.asarray(masks, dtype=np.int64)]
         phased[n] = np.exp(-1j * np.outer(evals, t_phys)) * coef[:, None]
     pairs = range(sites[0] - 1, sites[1])
     signal = np.zeros((len(pairs), N_SAMPLES), dtype=complex)
@@ -344,7 +346,7 @@ def test_ising_preparation_guard_rejects_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"{L << L} bytes at L={L}, .* Ising "
-                                             f"preparation .* about {56 << L} bytes"):
+                                             f"preparation .* about {40 << L} bytes"):
             ising_phase_state(p, 0.19, imprint_phases(1.0, L))
         with pytest.raises(ValueError, match=f"limited to L <= {FULL_SPACE_MAX_L}"):
             spectroscopy_two(p, 1.0)
@@ -353,6 +355,26 @@ def test_ising_preparation_guard_rejects_before_allocating():
         tracemalloc.stop()
     assert peak < 2**20  # the uint8 table alone would be 800 MiB, the Ising
     # state and its transform copies 1.75 GiB
+
+
+def test_walsh_hadamard_works_in_place_on_one_copy():
+    rng = np.random.default_rng(3)
+    vec = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]])
+    h4 = np.kron(np.kron(hadamard, hadamard), np.kron(hadamard, hadamard))
+    assert np.abs(probes._walsh_hadamard(vec[:16]) - h4 @ vec[:16]).max() < 1e-12
+    before = vec.copy()
+    tracemalloc.start()
+    try:
+        out = probes._walsh_hadamard(vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vec, before)
+    assert np.allclose(probes._walsh_hadamard(out), vec.size * vec)  # H H = 2^L
+    # the copy (16 bytes per amplitude), one half-length sum (8) and the
+    # ufunc buffers read 30; two live generations of butterflies read 44
+    assert peak <= 32 * vec.size
 
 
 # ------------------------------------------------------------ quench maps
