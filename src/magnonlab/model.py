@@ -46,8 +46,10 @@ class ModelParams:
     def __post_init__(self):
         if self.L < 2:
             raise ValueError(f"L must be >= 2, got {self.L}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:  # also rejects NaN
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not np.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if not 0 < self.J < np.inf:  # also rejects NaN
             raise ValueError(f"J must be finite and positive, got {self.J}")
         if self.boundary not in ("open", "ring"):

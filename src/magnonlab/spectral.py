@@ -24,8 +24,8 @@ states (L4 of order 1/(L-1)).
 import ctypes
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .model import coupling_matrix, sector_hamiltonian, vacuum_energy
@@ -69,6 +69,8 @@ def dispersion_one(k, params, mode="infinite", tol=1e-12):
     if mode == "infinite":
         if alpha <= 1:
             raise ValueError("infinite-chain series requires alpha > 1")
+        import mpmath as mp  # only this mode and group_velocity_one need it
+
         with mp.workdps(max(15, int(-np.log10(tol)) + 6)):
             zeta = float(mp.zeta(alpha))
             cos_part = np.array(
@@ -97,6 +99,8 @@ def group_velocity_one(k, params, tol=1e-12):
     Evaluated as -(4J/3) Im Li_{alpha-1}(e^{ik}).  For 1 < alpha <= 2 the
     magnitude grows without bound as k -> 0+ (dispersion cusp at k = 0).
     """
+    import mpmath as mp  # not at module level: every start-up would pay for it
+
     scalar = np.isscalar(k)
     k = _check_k(k)
     with mp.workdps(max(15, int(-np.log10(tol)) + 6)):
@@ -181,24 +185,49 @@ class TwoMagnonBlock:
     def hamiltonian(self, delta=None):
         if delta is None:
             delta = self.params.delta
+        if not np.isfinite(delta):  # dsyevr would return NaN with info = 0
+            raise ValueError(f"delta must be finite, got {delta}")
         h = self.kinetic.copy()
-        h[np.diag_indices_from(h)] += delta * self.u_diag
+        h.flat[:: self.dim + 1] += delta * self.u_diag
         return h
 
     def eigensystem(self, delta=None):
         return np.linalg.eigh(self.hamiltonian(delta))
 
     def top_state(self, delta=None):
-        """Highest eigenpair (energy, vector), without solving for the rest."""
+        """Highest eigenpair (energy, vector), without solving for the rest.
+
+        One LAPACK ``dsyevr`` call (range 'I', il = iu = dim, lower
+        triangle) with the workspace of ``dsyevr_lwork``: the routine and
+        workspace of ``scipy.linalg.eigh(h, subset_by_index=[dim-1, dim-1])``,
+        whose result this is byte for byte, without its argument handling.
+        """
         # imported on first use: at module level, scipy.linalg would cost
         # every magnonlab process about 8 MiB and 0.09 s; the loops in
         # dispersion_two and phase_diagram import it before setting threads
-        from scipy.linalg import eigh
+        from scipy.linalg.lapack import dsyevr
 
         n = self.dim
-        vals, vecs = eigh(self.hamiltonian(delta), subset_by_index=[n - 1, n - 1],
-                          overwrite_a=True)
-        return vals[0], vecs[:, 0]
+        if n == 0:  # at L = 2 the odd-m block has no pair state
+            raise ValueError(f"the two-magnon block at k={self.k} is empty")
+        h = self.hamiltonian(delta)
+        # h is exactly symmetric, so its transpose is the F-ordered matrix
+        # itself, which f2py hands to LAPACK without a copy
+        lwork, liwork = _dsyevr_work(n)
+        w, z, _, _, info = dsyevr(h.T, range="I", il=n, iu=n, lower=1, overwrite_a=1,
+                                  lwork=lwork, liwork=liwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+        return w[0], z[:, 0]
+
+
+@lru_cache(maxsize=None)
+def _dsyevr_work(n):
+    """(lwork, liwork) that dsyevr_lwork reports for dimension n, lower triangle."""
+    from scipy.linalg.lapack import dsyevr_lwork
+
+    work, iwork, _ = dsyevr_lwork(n, lower=1)
+    return int(work), int(iwork)
 
 
 def two_magnon_block(k, params, d_max=None):
@@ -206,7 +235,10 @@ def two_magnon_block(k, params, d_max=None):
 
     d_max truncates the relative distance basis (defaults to floor(L/2),
     the exact block).  Energies are absolute: the union over all m is
-    isospectral to the two-magnon ring sector Hamiltonian.
+    isospectral to the two-magnon ring sector Hamiltonian.  The kinetic
+    block gathers from one hop table over the 2L-1 integer offsets, which
+    evaluates cos and the coupling once per offset instead of once per
+    entry; the block is byte-identical to the per-entry evaluation.
     """
     if params.boundary != "ring":
         raise ValueError("two-magnon momentum blocks require boundary='ring'")
@@ -236,22 +268,19 @@ def two_magnon_block(k, params, d_max=None):
     # extended-label hop amplitude for d -> d' with all pairs listed as
     # (j, j+d), d = 1..L-1: both one-magnon moves change d by l = d'-d mod L,
     # and since e^{ikL} = 1 their phases e^{ik(l - s/2)} + e^{-iks/2}, with
-    # s = d'-d, sum to the real 2 cos(ks/2)
-    dp = dist[:, None].astype(float)  # d' rows
-    d0 = dist[None, :].astype(float)  # d  cols
+    # s = d'-d, sum to the real 2 cos(ks/2). One table over the offsets
+    # s = -(L-1) .. L-1 serves both d'-d and the fold L-d'-d of the
+    # reflected label L-d'; table[L-1 + s] holds offset s.
+    s = np.arange(1 - L, L)
+    table = 4.0 / 3.0 * Jc[s % L] * np.cos(0.5 * k * s)
+    M1 = table[L - 1 + dist[:, None] - dist[None, :]]  # d' rows, d cols
+    M2 = table[2 * L - 1 - dist[:, None] - dist[None, :]]
+    antipode = 2 * dist == L
     sgn = -1.0 if m % 2 else 1.0
-
-    def hop(dprime, d):
-        s = dprime - d
-        return 4.0 / 3.0 * Jc[np.mod(s, L).astype(int)] * np.cos(0.5 * k * s)
-
-    M1 = hop(dp, d0)
-    M2 = hop(L - dp, d0)  # fold of the reflected label L-d'
-    antipode = np.isclose(dp, L / 2.0)
-    kin = M1 + sgn * np.where(antipode, 0.0, M2)
+    kin = M1 + sgn * np.where(antipode[:, None], 0.0, M2)
 
     # normalization: |k,d> carries sqrt(2) relative to the antipodal state
-    c = np.where(np.isclose(dist, L / 2.0), 1.0, np.sqrt(2.0))
+    c = np.where(antipode, 1.0, np.sqrt(2.0))
     kin = kin * (c[None, :] / c[:, None])
 
     sym_err = np.max(np.abs(kin - kin.T)) if nd else 0.0

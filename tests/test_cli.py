@@ -303,12 +303,25 @@ def test_pulse_guard_rejects_before_allocating(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy_solver_module():
-    # TwoMagnonBlock.top_state and krylov_evolve import these inside the
-    # function, which keeps them out of every experiment's start-up time
-    # and memory; a fresh interpreter sees what the import alone loads
+    # TwoMagnonBlock.top_state, krylov_evolve and the polylog series of
+    # dispersion_one / group_velocity_one import these inside the function,
+    # which keeps them out of every experiment's start-up time and memory;
+    # a fresh interpreter sees what the import alone loads
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, magnonlab.cli; print(sorted(m for m in "
-            "('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))")
+            "('scipy.linalg', 'scipy.sparse.linalg', 'mpmath') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [["dispersion1", "--alpha", "nan"],
+                                  ["quench", "--delta", "nan"]])
+def test_cli_non_finite_model_parameter_fails_fast(tmp_path, args):
+    # both once hung or died inside a solver; the parameter check names the field
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "magnonlab.cli", *args, "--length", "8",
+                          "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert out.returncode != 0
+    assert f"{args[1][2:]} must be finite" in out.stderr

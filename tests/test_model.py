@@ -316,3 +316,15 @@ def test_param_validation():
     for J in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="J must be finite and positive"):
             ModelParams(L=4, J=J)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_params_reject_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        ModelParams(L=4, alpha=alpha)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta must be finite"):
+        ModelParams(L=4, delta=delta)

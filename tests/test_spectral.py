@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.special import zeta
 
 from magnonlab import spectral
@@ -155,6 +156,8 @@ def test_real_kinetic_matches_complex_reference(L):
 @pytest.mark.parametrize("L,ms", [(12, range(12)), (13, range(13)), (300, (1, 2, 75, 149, 150))])
 @pytest.mark.parametrize("delta", [0.0, 1.5, 4.0])
 def test_top_state_is_last_pair_of_full_eigh(L, ms, delta):
+    # top_state calls dsyevr with scipy's workspace: the pair scipy's
+    # subset eigh gives, byte for byte (dims 149 and 150 at L = 300)
     p = ModelParams(L=L, alpha=1.4, delta=3.0, boundary="ring")
     for m in ms:
         block = two_magnon_block(2.0 * np.pi * m / L, p)
@@ -163,6 +166,36 @@ def test_top_state_is_last_pair_of_full_eigh(L, ms, delta):
         assert top.shape == (block.dim,)
         assert energy == pytest.approx(vals[-1], abs=1e-12)
         assert abs(np.dot(top, vecs[:, -1])) >= 1.0 - 1e-12
+        n = block.dim
+        ref_vals, ref_vecs = eigh(block.hamiltonian(delta), subset_by_index=[n - 1, n - 1])
+        assert np.array_equal(energy, ref_vals[0])
+        assert np.array_equal(top, ref_vecs[:, 0])
+
+
+@pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
+def test_top_state_and_phase_diagram_reject_non_finite_delta(delta):
+    p = ModelParams(L=12, alpha=1.4, boundary="ring")
+    block = two_magnon_block(2.0 * np.pi / 12, p)
+    with pytest.raises(ValueError, match="delta must be finite"):
+        block.top_state(delta=delta)
+    with pytest.raises(ValueError, match="delta must be finite"):
+        phase_diagram(p, deltas=[0.0, delta])
+
+
+def test_top_state_of_empty_block_is_an_error():
+    block = two_magnon_block(np.pi, ModelParams(L=2, boundary="ring"))
+    assert block.dim == 0
+    with pytest.raises(ValueError, match="empty"):
+        block.top_state()
+
+
+def test_top_state_raises_on_lapack_failure(monkeypatch):
+    import scipy.linalg.lapack as lapack
+
+    block = two_magnon_block(2.0 * np.pi / 12, ModelParams(L=12, boundary="ring"))
+    monkeypatch.setattr(lapack, "dsyevr", lambda a, **kw: (None, None, 0, None, 3))
+    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+        block.top_state()
 
 
 def unfold_reference_loop(block, vec):
