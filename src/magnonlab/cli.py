@@ -155,9 +155,6 @@ SCHEMAS = {
     },
 }
 
-FIGURES = ("fig1c", "fig1d", "fig2", "fig3", "fig4", "figS5", "figS6")
-
-
 def _with_time_twins(schema):
     out = dict(schema)
     for key, spec in schema.items():
@@ -226,6 +223,13 @@ def _model(cfg):
         L=cfg["length"], alpha=cfg["alpha"], delta=cfg.get("delta", 0.0),
         J=1.0, boundary=cfg.get("boundary", "open"),
     )
+
+
+def _grid_count(cfg, key, minimum=1):
+    """cfg[key], rejected unless it gives a grid of at least ``minimum`` points."""
+    if cfg[key] < minimum:
+        raise ConfigError(f"'{key}' must be at least {minimum}, got {cfg[key]}")
+    return cfg[key]
 
 
 # --------------------------------------------------------------- artifacts
@@ -299,21 +303,18 @@ def run_dispersion1(cfg, outdir, seed):
         k = quantized_momenta(params.L)
     else:
         k = standing_wave_momenta(params.L)
-    energy = np.array([dispersion_one(float(q), params) for q in k])
-    velocity = np.array([group_velocity_one(float(q), params) for q in k])
+    energy = dispersion_one(k, params)
+    velocity = group_velocity_one(k, params)
     names = ["index", "k", "energy", "velocity"]
     cols = [np.arange(1, len(k) + 1), k, energy, velocity]
     notes = {}
     if cfg["measure"]:
         if params.boundary != "open":
             raise ConfigError("measure = 1 needs boundary = open (standing waves)")
-        ref = float(k[0])
-        beat_ref = dispersion_one(ref, params)
-
         signals = [spectroscopy_one(params, float(q), t_max_J=cfg["t_max"])
                    for q in k]
         measured = np.array([s.frequency for s in signals])
-        analytic = np.abs(energy - beat_ref)
+        analytic = np.abs(energy - energy[0])
         names += ["beat_measured", "beat_analytic", "resolution"]
         cols += [measured, analytic, np.array([s.resolution for s in signals])]
         notes["max_beat_error_bins"] = float(
@@ -350,8 +351,9 @@ def run_dispersion2(cfg, outdir, seed):
 def run_phase_diagram(cfg, outdir, seed):
     params = ModelParams(L=cfg["length"], alpha=cfg["alpha"], boundary="ring")
     k_all = quantized_momenta(params.L)
-    idx = np.unique(np.round(np.linspace(0, len(k_all) - 1, cfg["n_k"])).astype(int))
-    deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["n_delta"])
+    n_k = _grid_count(cfg, "n_k")
+    idx = np.unique(np.round(np.linspace(0, len(k_all) - 1, n_k)).astype(int))
+    deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], _grid_count(cfg, "n_delta"))
     pd = phase_diagram(params, k_values=k_all[idx], deltas=deltas)
     kk, dd = np.meshgrid(pd.k, pd.delta, indexing="ij")
     path = write_csv(
@@ -366,7 +368,7 @@ def run_phase_diagram(cfg, outdir, seed):
 def run_quench(cfg, outdir, seed):
     params = _model(cfg)
     psi0 = center_pair_state(params, cfg["separation"])
-    times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
+    times = np.linspace(0.0, cfg["t_max"], _grid_count(cfg, "n_times"))
     site, pair = quench_projectors(psi0, params, times)
     files, notes = [], {}
     for map_ in (site, pair):
@@ -399,7 +401,9 @@ def run_quench(cfg, outdir, seed):
 def run_participation(cfg, outdir, seed):
     params = ModelParams(L=cfg["length"], alpha=cfg["alpha"], J=1.0,
                          boundary=cfg["boundary"])
-    deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["n_delta"])
+    # the notes read the steepest slope between two grid points
+    n_delta = _grid_count(cfg, "n_delta", 2)
+    deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], n_delta)
     compare = (cfg["compare_length"], cfg["compare_t"]) if cfg["compare_length"] else None
     curve = participation_crossover(params, deltas, tJ_eval=cfg["t_eval"],
                                     compare=compare)
@@ -418,6 +422,13 @@ def run_participation(cfg, outdir, seed):
 
 
 def run_floquet_bench(cfg, outdir, seed):
+    # the notes read detuning zero at the middle grid point
+    n_det = cfg["n_det"]
+    if n_det < 1 or n_det % 2 == 0 or (n_det < 3 and cfg["det_max"] != 0):
+        raise ConfigError(
+            f"'n_det' must be odd, so that the middle detuning is zero, and at "
+            f"least 3 unless det_max = 0; got {n_det}"
+        )
     params = _model(cfg)
     check_pulse_length(params.L)
     psi0 = center_pair_state(params)
@@ -461,7 +472,7 @@ def _level_width(x, y, level):
 def run_entropy(cfg, outdir, seed):
     params = _model(cfg)
     psi0 = center_pair_state(params, cfg["separation"])
-    times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
+    times = np.linspace(0.0, cfg["t_max"], _grid_count(cfg, "n_times"))
     A, B = cfg["region_a"], cfg["region_b"]
     rows = {name: [] for name in
             ("mutual_info", "proxy", "proxy_config_only", "s_a", "s_b", "s_ab")}
@@ -541,6 +552,7 @@ PRESETS = {
     "figS6": [("floquet-bench", {"length": 10, "delta": 3.5, "t_eff": 3.3,
                                  "n_steps": 128}, "")],
 }
+FIGURES = tuple(PRESETS)
 
 
 # -------------------------------------------------------------------- main

@@ -6,9 +6,9 @@ Three propagators with one state convention:
   cached eigensystem of a sector Hamiltonian, which is stored as its
   reflection-even and -odd blocks (Q, eigenvalues, V) and never as a
   (dim, dim) eigenvector matrix. Per block the eigenbasis coefficients
-  V^T Q^T psi0 are formed once and every time point costs one real matrix
-  product with Q V, restricted to the rows the caller reads: the result
-  is (n_times, len(rows)), or (n_times, dim) for every row.
+  V^T Q^T psi0 are formed once and one spectral step applies the phases
+  of every time point and Q V, restricted to the rows the caller reads:
+  the result is (n_times, len(rows)), or (n_times, dim) for every row.
   ``exact_evolve`` is its single-time case. Quench maps, beat and pair
   spectroscopy and the entropy time series all read their states from
   it; pair spectroscopy asks only for the rows its readout touches.
@@ -28,20 +28,20 @@ Three propagators with one state convention:
   sequence) pair; ``floquet_evolve`` is its one-detuning, one-sequence case
   with snapshots, and both run one private step loop.
 
-``propagate``'s spectral step, ``_real_spectral_step``, uses that the
-Hamiltonians are real symmetric: V exp(-iEt) V^T psi is formed from real
-matrix products on the real and imaginary parts of psi. A (dim,) phase
-gives one state, a (dim, n_times) phase a whole time grid, and an optional
-output matrix (Q V restricted to some rows) maps the phased coefficients
-to the rows a caller reads. The pulse Hamiltonian H_XX + (delta_err/2)
-sum_j sz_j conserves prod_j sz_j and the site reversal: its eigensystem is
-four z-parity x reflection blocks in the sector format. The pulse loop
-steps all runs in lockstep as one (2^L, n_det, n_seq) block. A global
-rotation applies three sites' 8x8 Kronecker product at a time to every
-column at once, or to each sequence's columns where the sequences'
-rotations differ. A pulse step is one sparse product into the stacked block
-coordinates, one real product each way per block and detuning on the
-(d, 2 n_seq) float view of the block's rows, and one sparse product back.
+Both paths run one kernel, ``_spectral_step``, which uses that the
+Hamiltonians are real symmetric: readout @ (phase * (V^T z)) for a complex
+(d, m) block z is one real matrix product each way on the (d, 2m) float
+view, where readout is V or, for ``propagate``, Q V restricted to the rows
+a caller reads. ``propagate`` passes psi0's coefficients as one column and
+a (d, n_times) phase; a pulse step passes a block's rows with one column
+per sequence. The pulse Hamiltonian H_XX + (delta_err/2) sum_j sz_j
+conserves prod_j sz_j and the site reversal: its eigensystem is four
+z-parity x reflection blocks in the sector format. The pulse loop steps all
+runs in lockstep as one (2^L, n_det, n_seq) block. A global rotation
+applies three sites' 8x8 Kronecker product at a time to every column at
+once, or to each sequence's columns where the sequences' rotations differ.
+A pulse step is one sparse product into the stacked block coordinates, one
+spectral step per block and detuning, and one sparse product back.
 Detunings run in chunks whose eigenvectors fit ``SWEEP_CHUNK_BYTES``.
 
 Pulse sequences are data: a ``PulseSequence`` is a cycle of ``PulseStep``s,
@@ -80,6 +80,8 @@ PULSE_MAX_L = 12
 # (at least one): all of 5 at L=9 (0.5 MiB each), 3 at L=10, one at L=12
 # (32 MiB). More detunings per chunk cost memory and save little time.
 SWEEP_CHUNK_BYTES = 8 << 20
+# _spectral_step forms V^T z as (z^T V)^T from this dim: 1.0 vs 3.4-4.1 ms at 1548
+SPECTRAL_ROW_FORM_DIM = 768
 PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -103,9 +105,9 @@ def propagate(H, psi0, times, rows=None):
 
     rows selects the basis rows to return, all of them (dim) when None.
     Per reflection block (Q, E, V) of ``H.eigensystem()`` the
-    coefficients V^T Q^T psi0 are formed once, and all phases are applied
-    by real matrix products with Q[rows] V. A scalar t gives one
-    (len(rows),) state with matrix-vector arithmetic.
+    coefficients V^T Q^T psi0 are formed once, and ``_spectral_step``
+    applies every phase and the readout Q[rows] V at once. A scalar t
+    gives one (len(rows),) state.
     """
     if H.dim > EXACT_DIM_MAX:
         raise ValueError(
@@ -117,13 +119,14 @@ def propagate(H, psi0, times, rows=None):
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
     if vec.shape != (H.dim,):
         raise ValueError(f"state length {vec.shape} does not match dim {H.dim}")
+    grid = np.reshape(times, -1)
     n_out = H.dim if rows is None else len(rows)
-    out = np.zeros((n_out,) + np.shape(times), dtype=complex)
+    out = np.zeros((n_out, len(grid)), dtype=complex)
     for q, evals, evecs in H.eigensystem():
-        phase = np.exp(-1j * np.multiply.outer(evals, times))
+        z = np.asarray(q.T @ vec, dtype=complex).reshape(-1, 1)
         readout = (q if rows is None else q[rows]) @ evecs
-        out += _real_spectral_step(evecs, phase, q.T @ vec, readout)
-    return out.T
+        out += _spectral_step(evecs, np.exp(-1j * np.outer(evals, grid)), z, readout)
+    return out.T.reshape(np.shape(times) + (n_out,))
 
 
 def exact_evolve(H, psi0, t):
@@ -134,23 +137,20 @@ def exact_evolve(H, psi0, t):
     return out
 
 
-def _real_spectral_step(evecs, phase, psi, readout=None):
-    """readout @ (phase * (evecs.T @ psi)) for real orthogonal evecs.
+def _spectral_step(evecs, phase, z, readout=None):
+    """readout @ (phase * (evecs.T @ z)) for real orthogonal evecs.
 
-    phase is (d,) for one state or (d, n_times) for one state per column;
-    readout, a real (n_out, d) matrix, defaults to evecs. The real and
-    imaginary parts of psi go through separate real products, so no
-    matrix is conjugated or upcast to complex.
+    z is a complex (d, m) block whose last axis is contiguous, and phase
+    broadcasts against (d, m); readout, a real (n_out, d) matrix, defaults
+    to evecs. Each product is one real GEMM on the (., 2m) float view, so
+    no matrix is conjugated or upcast to complex.
     """
-    if np.iscomplexobj(evecs):
+    if evecs.dtype.kind == "c":
         raise TypeError("the spectral step needs real eigenvectors")
-    if readout is None:
-        readout = evecs
-    coef = evecs.T @ psi.real + 1j * (evecs.T @ psi.imag)
-    if phase.ndim == 2:
-        coef = coef[:, None]
-    coef = coef * phase
-    return readout @ coef.real + 1j * (readout @ coef.imag)
+    zf = z.view(float)
+    big = len(evecs) >= SPECTRAL_ROW_FORM_DIM
+    coef = ((zf.T @ evecs).T.copy() if big else evecs.T @ zf).view(complex) * phase
+    return ((evecs if readout is None else readout) @ coef.view(float)).view(complex)
 
 
 def krylov_evolve(H, psi0, t):
@@ -454,8 +454,8 @@ def _pulse_step(eigs, phases, q, q_t, psi):
     q_t and q (at most two entries per row and column) map every column
     into and out of the stacked block coordinates at once. There, block b
     of detuning i, with eigenvectors V and phases[i][b] = exp(-i E w) of
-    shape (d, n_seq), forms V (phase * V^T z) from one real product each
-    way on the (d, 2 n_seq) float view of its rows.
+    shape (d, n_seq), replaces its rows z by the spectral step V (phase *
+    V^T z).
     """
     shape = psi.shape
     z = (q_t @ psi.reshape(shape[0], -1)).reshape(shape)
@@ -463,9 +463,8 @@ def _pulse_step(eigs, phases, q, q_t, psi):
         start = 0
         for (_, _, v), phase in zip(blocks, block_phases):
             stop = start + len(v)
-            rows = z[start:stop, i].view(float)
-            coef = (v.T @ rows).view(complex) * phase
-            rows[...] = v @ coef.view(float)
+            rows = z[start:stop, i]
+            rows[...] = _spectral_step(v, phase, rows)
             start = stop
     return (q @ z.reshape(shape[0], -1)).reshape(shape)
 

@@ -169,6 +169,36 @@ def test_floquet_bench_diagonalizes_once_per_detuning(threads, tmp_path):
     assert (info.misses, info.hits) == (5, 0)
 
 
+def files_under(path):
+    return [f for f in path.rglob("*") if f.is_file()]
+
+
+@pytest.mark.parametrize("n_det, det_max", [("4", "2.0"), ("0", "2.0"),
+                                            ("1", "2.0"), ("-1", "0.0")])
+def test_floquet_bench_needs_zero_detuning_at_the_middle(n_det, det_max, tmp_path,
+                                                         capsys):
+    # the notes read fidelity_dd_zero and the widths at the middle grid point
+    out = tmp_path / "o"
+    assert main(["floquet-bench", "--length", "4", "--n-steps", "8",
+                 "--n-det", n_det, "--det-max", det_max, "--out", str(out)]) == 2
+    assert "config error: 'n_det' must be odd" in capsys.readouterr().err
+    assert files_under(out) == []
+
+
+@pytest.mark.parametrize("args, key", [
+    (["phase-diagram", "--length", "20", "--n-k", "0"], "n_k"),
+    (["phase-diagram", "--length", "20", "--n-delta", "0"], "n_delta"),
+    (["participation", "--length", "8", "--n-delta", "1"], "n_delta"),
+    (["quench", "--length", "8", "--n-times", "0"], "n_times"),
+    (["entropy", "--length", "10", "--n-times", "0"], "n_times"),
+])
+def test_grid_count_without_a_grid_is_a_config_error(args, key, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(args + ["--out", str(out)]) == 2
+    assert f"config error: '{key}' must be at least" in capsys.readouterr().err
+    assert files_under(out) == []
+
+
 def test_entropy_columns_match_direct_evaluation(tmp_path):
     out = tmp_path / "o"
     assert main(["entropy", "--length", "10", "--delta", "4.5",

@@ -96,6 +96,27 @@ def test_exact_evolve_matches_complex_spectral_step():
         assert np.max(np.abs(exact_evolve(H, psi, t).data - ref)) <= 1e-13
 
 
+def test_spectral_step_rejects_complex_eigenvectors():
+    # products on the float views equal V (phase * V^T z) only for a real V
+    z = np.ones((3, 2), dtype=complex)
+    with pytest.raises(TypeError, match="needs real eigenvectors"):
+        evolve._spectral_step(np.eye(3, dtype=complex), np.ones((3, 1)), z)
+
+
+@pytest.mark.parametrize("row_form_dim", [1, 10**9])
+def test_spectral_step_row_and_column_forms_match_complex_step(monkeypatch, row_form_dim):
+    monkeypatch.setattr(evolve, "SPECTRAL_ROW_FORM_DIM", row_form_dim)
+    rng = np.random.default_rng(3)
+    evals, evecs = np.linalg.eigh(rng.normal(size=(40, 40)) + rng.normal(size=(40, 40)).T)
+    z = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    phase = np.exp(-1j * np.multiply.outer(evals, [0.3, 1.1, 2.0]))
+    readout = rng.normal(size=(7, 40))
+    ref = reference_spectral_step(evecs, phase, z)
+    assert np.max(np.abs(evolve._spectral_step(evecs, phase, z) - ref)) <= 1e-13
+    assert np.max(np.abs(evolve._spectral_step(evecs, phase, z, readout)
+                         - readout @ evecs.T @ ref)) <= 1e-12
+
+
 def test_exact_evolve_dimension_guard():
     class Stub:
         dim = EXACT_DIM_MAX + 1
@@ -144,6 +165,8 @@ def test_propagate_rows_match_the_full_propagation(L, n, boundary):
     v /= np.linalg.norm(v)
     times = np.linspace(0.0, 7.9, 24)
     full = propagate(H, v, times)
+    # a real state goes through the same complex kernel
+    assert np.array_equal(propagate(H, v.real, times), propagate(H, v.real + 0j, times))
     mirror = H.basis.mirror
     palindromes = np.flatnonzero(mirror == np.arange(H.dim))
     assert palindromes.size  # the selection below reads palindromic rows
