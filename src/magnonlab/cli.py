@@ -265,6 +265,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         return float(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -429,6 +431,8 @@ def run_floquet_bench(cfg, outdir, seed):
             f"'n_det' must be odd, so that the middle detuning is zero, and at "
             f"least 3 unless det_max = 0; got {n_det}"
         )
+    if cfg["det_max"] < 0:
+        raise ConfigError(f"'det_max' must be at least 0, got {cfg['det_max']}")
     params = _model(cfg)
     check_pulse_length(params.L)
     psi0 = center_pair_state(params)
@@ -445,19 +449,20 @@ def run_floquet_bench(cfg, outdir, seed):
     path = write_csv(Path(outdir) / "floquet_bench.csv", _meta(cfg),
                      ["detuning", "fidelity_dd", "fidelity_plain"],
                      [detunings, f_dd, f_plain])
-    notes = {
-        "fidelity_dd_zero": float(f_dd[len(detunings) // 2]),
-        "width_dd_at_0.8": _level_width(detunings, f_dd, 0.8),
-        "width_plain_at_0.8": _level_width(detunings, f_plain, 0.8),
-    }
+    notes = {"fidelity_dd_zero": float(f_dd[len(detunings) // 2])}
+    for name, f in (("dd", f_dd), ("plain", f_plain)):
+        width, clipped = _level_width(detunings, f, 0.8)
+        notes[f"width_{name}_at_0.8"] = width
+        notes[f"width_{name}_at_0.8_clipped"] = clipped
     return [path], notes
 
 
 def _level_width(x, y, level):
-    """Width of the contiguous y >= level interval around the center."""
+    """(width, clipped) of the contiguous y >= level interval around the
+    center; clipped if it reaches a grid edge, where the width is a lower bound."""
     mid = len(x) // 2
     if y[mid] < level:
-        return 0.0
+        return 0.0, False
     lo = hi = mid
     while lo > 0 and y[lo - 1] >= level:
         lo -= 1
@@ -466,7 +471,7 @@ def _level_width(x, y, level):
     left = x[lo] if lo == 0 else np.interp(level, [y[lo - 1], y[lo]], [x[lo - 1], x[lo]])
     right = x[hi] if hi == len(x) - 1 else np.interp(
         level, [y[hi + 1], y[hi]], [x[hi + 1], x[hi]])
-    return float(right - left)
+    return float(right - left), lo == 0 or hi == len(x) - 1
 
 
 def run_entropy(cfg, outdir, seed):
@@ -493,10 +498,11 @@ def run_entropy(cfg, outdir, seed):
 
 
 def run_sample(cfg, outdir, seed):
+    n_snapshots = _grid_count(cfg, "n_snapshots", 2)  # the jackknife needs two
     params = _model(cfg)
     psi0 = center_pair_state(params, cfg["separation"])
     psi = exact_evolve(sector_hamiltonian(params, 2), psi0, cfg["t"])
-    snaps = sample_snapshots(psi, cfg["n_snapshots"], seed=(seed, 0),
+    snaps = sample_snapshots(psi, n_snapshots, seed=(seed, 0),
                              params=params, t_J=cfg["t"])
     if cfg["postselect_n"] >= 0:
         snaps = postselect(snaps, cfg["postselect_n"])

@@ -20,12 +20,12 @@ frequencies included, since the marginals come from the same counts), so
 
 a function of the local number distribution p(n) alone: it carries no
 information about configurations within a sector. It is evaluated in
-that closed form. A sector state and a snapshot set enter the same way,
-as (M, L) occupation rows with weights |psi|^2 or 1/N, and p(n) is one
-weighted bincount of the local magnon count. The mutual-information
-combination is emitted in two variants, with and without the
-number-entropy parts, since only their sum is fixed by the measured
-data. Natural logarithms everywhere.
+that closed form. A sector state and a snapshot set enter through the
+same rows as the `sampling` estimators: p(n) is one bincount of the local
+magnon count, weighted by |psi|^2 or divided by the snapshot count N.
+The mutual-information combination is emitted in two variants, with and
+without the number-entropy parts, since only their sum is fixed by the
+measured data. Natural logarithms everywhere.
 """
 
 from dataclasses import dataclass
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import StateVector, enumerate_sector
+from .sampling import _rows
 
 DEFAULT_REGION_A = (7, 8, 9)  # centered 3-site segments for L = 20
 DEFAULT_REGION_B = (12, 13, 14)
@@ -187,25 +188,21 @@ class ProxyResult:
     flagged: bool
 
 
-def _number_distribution(bits, weights, cols):
-    """p(n) of the magnon count on columns cols, by a weighted bincount."""
-    return np.bincount(bits[:, cols].sum(axis=1, dtype=np.intp), weights=weights)
-
-
-def _proxy(bits, weights, regions, n_snapshots=None):
+def _proxy(bits, weights, regions):
     """ProxyResult over the (A, B, A u B) regions of weighted rows.
 
-    With n_snapshots given, the weights are 1/N frequencies, p(n) N rounds
-    to each sector's snapshot count, and a sector held by fewer than
-    MIN_SECTOR_COUNTS snapshots sets the flag.
+    weights None marks snapshot rows: p(n) is each sector's count / N, and
+    a sector held by fewer than MIN_SECTOR_COUNTS snapshots sets the flag.
     """
     number_part, surrogate_part = {}, {}
     flagged = False
     for name, sites in zip(("A", "B", "AB"), regions):
-        p = _number_distribution(bits, weights, [s - 1 for s in sites])
+        counts = bits[:, [s - 1 for s in sites]].sum(axis=1, dtype=np.intp)
+        p = np.bincount(counts, weights=weights)
         p = p[p > 0]
-        if n_snapshots is not None:
-            flagged |= bool(np.any(np.rint(p * n_snapshots) < MIN_SECTOR_COUNTS))
+        if weights is None:
+            flagged |= bool(np.any(p < MIN_SECTOR_COUNTS))
+            p = p / len(bits)
         number_part[name] = float(-np.sum(p * np.log(p)))
         surrogate_part[name] = float(np.sum(p * p * (1.0 - p)))
     with_n = {r: number_part[r] + surrogate_part[r] for r in number_part}
@@ -218,19 +215,14 @@ def _proxy(bits, weights, regions, n_snapshots=None):
     )
 
 
-def config_mutual_proxy(snapshots, region_a=DEFAULT_REGION_A,
+def config_mutual_proxy(source, region_a=DEFAULT_REGION_A,
                         region_b=DEFAULT_REGION_B):
-    """Snapshot plug-in estimate of the mutual-information proxy I_c."""
-    if snapshots.empty:
-        raise ValueError("no snapshots retained; cannot estimate")
-    N = snapshots.n_retained
-    regions = _region_pair(region_a, region_b, snapshots.L)
-    return _proxy(snapshots.bits, np.full(N, 1.0 / N), regions, n_snapshots=N)
+    """I_c of a SnapshotSet (plug-in) or a sector StateVector (Born weights)."""
+    bits, weights = _rows(source)
+    return _proxy(bits, weights, _region_pair(region_a, region_b, bits.shape[1]))
 
 
 def config_mutual_proxy_exact(psi, region_a=DEFAULT_REGION_A,
                               region_b=DEFAULT_REGION_B):
     """Infinite-sample I_c from exact Born probabilities (theory curves)."""
-    regions = _region_pair(region_a, region_b, psi.basis[1])
-    bits = enumerate_sector(psi.basis[1], psi.basis[2]).bits
-    return _proxy(bits, np.abs(psi.data) ** 2, regions)
+    return config_mutual_proxy(psi, region_a, region_b)

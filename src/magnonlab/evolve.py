@@ -76,10 +76,13 @@ EXACT_DIM_MAX = 20_000
 # 0.06 s at 59 MiB peak RSS at L=10, 0.2 s at 74 MiB at L=11 and 0.9 s at
 # 129 MiB at L=12 on 2 cores, 50 MiB of it imports; eigh nears 8x per site.
 PULSE_MAX_L = 12
-# floquet_sweep holds the eigenvectors of this many bytes of detunings at once
-# (at least one): all of 5 at L=9 (0.5 MiB each), 3 at L=10, one at L=12
-# (32 MiB). More detunings per chunk cost memory and save little time.
+# floquet_sweep diagonalizes detunings in chunks of this many eigenvector bytes
+# (at least one detuning): all of 5 at L=9 (0.5 MiB each), 3 at L=10, one at
+# L=12 (32 MiB). More detunings per chunk cost memory and save little time.
 SWEEP_CHUNK_BYTES = 8 << 20
+# _pulse_eigensystem caches this many detunings, the most recent, so a sweep
+# retains the eigenvectors of max(chunk, 4) of them: 4 x 8.4 MB = 33.6 MB at L=11
+PULSE_CACHE_ENTRIES = 4
 # _spectral_step forms V^T z as (z^T V)^T from this dim: 1.0 vs 3.4-4.1 ms at 1548
 SPECTRAL_ROW_FORM_DIM = 768
 PAULI = {
@@ -371,7 +374,7 @@ def _pulse_blocks(L):
     return pairs, stacked, stacked.T.tocsr()
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=PULSE_CACHE_ENTRIES)
 def _pulse_eigensystem(L, alpha, J, boundary, detuning):
     """H_XX + (detuning/2) sum_j sz_j as four z-parity x reflection blocks
     (Q, evals, V), in ``_pulse_blocks`` order: H_XX flips spins in pairs with
@@ -407,11 +410,13 @@ def check_pulse_length(L):
     if L > PULSE_MAX_L:
         d = max(_pulse_block_dims(L))
         chunk, per_detuning = _sweep_chunk(L)
+        held = max(chunk, PULSE_CACHE_ENTRIES)
         raise ValueError(
             f"the pulse simulator diagonalizes four dense z-parity x reflection "
             f"blocks, the largest of dim {d} ({8 * d * d} bytes at L={L}), and a "
-            f"detuning sweep holds the eigenvectors of {chunk} detuning(s) at "
-            f"once ({chunk * per_detuning} bytes); a cold start took 0.9 s at "
+            f"detuning sweep retains the eigenvectors of {held} detunings "
+            f"({held * per_detuning} bytes: chunks of {chunk}, and the last "
+            f"{PULSE_CACHE_ENTRIES} stay cached); a cold start took 0.9 s at "
             "129 MiB peak RSS at L=12, growing toward 8x in time per site, and it "
             f"is limited to L <= {PULSE_MAX_L}"
         )

@@ -8,18 +8,19 @@ sets are reproducible across platforms. For parallel time points pass
 seed=(root, time_index): the derived streams are independent and do not
 depend on scheduling order.
 
-Estimators that are functions of per-snapshot column means declare so
-(`_from_column_means`): their delete-one jackknife is then formed in
-closed form from the column sums, O(N L) instead of O(N^2 L) (Efron &
-Stein, Ann. Stat. 9, 1981). estimate_pup, estimate_pupp and
-estimate_participation declare it; any other callable, lambdas included,
-takes the generic delete-one loop. The declaration lives in the
-function's __dict__, so wrappers made with functools.wraps keep it.
+Each estimator is stated once, as from_means(column means, L) of per-row
+integer columns, and takes a SnapshotSet (each row counts once) or a
+sector StateVector (basis rows weighted by |psi|^2). The jackknife forms
+all N delete-one means from the column sums in closed form, O(N L) (Efron
+& Stein, Ann. Stat. 9, 1981). Any plug-in function of configuration
+frequencies fits, as means of one-hot columns. The statement lives in the
+estimator's __dict__, so wrappers made with functools.wraps keep it.
 
 Snapshot files are newline-delimited blocks: one JSON metadata line, then
 one bitstring line (site 1 leftmost, '1' = up) per retained snapshot.
 """
 
+import functools
 import json
 from dataclasses import dataclass, replace
 
@@ -135,74 +136,70 @@ def _require_counts(snapshots):
         raise ValueError("no snapshots retained; cannot estimate")
 
 
-def _from_column_means(columns, from_means):
-    """Declare an estimator equal to from_means(column means, L).
+def _rows(source):
+    """(bits, weights): snapshot rows with weights None (a mean is an integer
+    column sum / N), or a sector state's basis rows with weights |psi|^2."""
+    if isinstance(source, SnapshotSet):
+        _require_counts(source)
+        return source.bits, None
+    if not (isinstance(source, StateVector) and source.basis[0] == "sector"):
+        raise ValueError("expected a SnapshotSet or a sector StateVector")
+    return enumerate_sector(source.L, source.basis[2]).bits, np.abs(source.data) ** 2
 
-    columns maps the (N, L) bit array to (N, m) integer per-snapshot
-    columns; from_means maps means of shape (..., m) to the estimate and
-    broadcasts over leading axes. jackknife reads the declaration from
-    the estimator's `column_means` attribute.
+
+def _from_column_means(columns, from_means):
+    """Turn the decorated stub into the estimator from_means(column means, L).
+
+    columns maps (M, L) 0/1 rows to (M, m) integer columns; from_means
+    broadcasts over leading axes of the means. jackknife reads the pair
+    from the estimator's `column_means` attribute.
     """
-    def declare(estimator):
+    def declare(stub):
+        @functools.wraps(stub)
+        def estimator(source):
+            bits, weights = _rows(source)
+            x = columns(bits)
+            means = x.sum(axis=0) / len(x) if weights is None else weights @ x
+            return from_means(means, bits.shape[1])
         estimator.column_means = (columns, from_means)
         return estimator
     return declare
 
 
 @_from_column_means(lambda bits: bits, lambda means, L: means)
-def estimate_pup(snapshots):
+def estimate_pup(source):
     """Per-site up fraction <P_j>."""
-    _require_counts(snapshots)
-    return snapshots.bits.mean(axis=0)
 
 
 @_from_column_means(adjacent_pairs, lambda means, L: means)
-def estimate_pupp(snapshots):
+def estimate_pupp(source):
     """Adjacent-pair fraction <P_j P_{j+1}>, labels = left site."""
-    _require_counts(snapshots)
-    return adjacent_pairs(snapshots.bits).mean(axis=0)
 
 
 @_from_column_means(adjacent_pairs, bs_participation)
-def estimate_participation(snapshots):
+def estimate_participation(source):
     """Renormalized adjacent-pair participation from the pair fractions."""
-    return bs_participation(estimate_pupp(snapshots), snapshots.L)
 
 
 def jackknife(estimator, snapshots):
     """Delete-one jackknife (bias-corrected mean, standard error).
 
-    estimator maps a SnapshotSet to a scalar or vector. For a plain
-    sample mean the standard error reproduces std/sqrt(N) exactly.
-
-    An estimator that declares itself a function of column means
-    (estimate_pup, estimate_pupp, estimate_participation, and wrappers of
-    them made with functools.wraps) takes the O(N L) path: with S the
-    column sums, all N delete-one means are (S - x_i) / (N - 1), one
-    (N, m) array. The sums are exact integers, so these are the very
-    means the loop forms. Any other callable, lambdas included, is re-run
-    on each of the N delete-one subsets, O(N^2 L).
+    estimator is one made by `_from_column_means`, or a functools.wraps
+    wrapper of one. With S the exact integer column sums, all N delete-one
+    means are (S - x_i) / (N - 1), one (N, m) array. For a plain sample
+    mean the standard error is std/sqrt(N) exactly.
     """
+    if not hasattr(estimator, "column_means"):
+        raise TypeError(f"{estimator!r} declares no column means")
+    columns, from_means = estimator.column_means
     _require_counts(snapshots)
     N = snapshots.n_retained
     if N < 2:
         raise ValueError(f"jackknife needs at least 2 snapshots, got {N}")
-    declared = getattr(estimator, "column_means", None)
-    if declared is not None:
-        columns, from_means = declared
-        x = columns(snapshots.bits)
-        sums = x.sum(axis=0)
-        full = np.asarray(from_means(sums / N, snapshots.L), dtype=float)
-        parts = np.asarray(from_means((sums - x) / (N - 1), snapshots.L),
-                           dtype=float)
-    else:
-        full = np.asarray(estimator(snapshots), dtype=float)
-        parts = np.empty((N,) + full.shape)
-        sel = np.ones(N, dtype=bool)
-        for i in range(N):
-            sel[i] = False
-            parts[i] = estimator(replace(snapshots, bits=snapshots.bits[sel]))
-            sel[i] = True
+    x = columns(snapshots.bits)
+    sums = x.sum(axis=0)
+    full = np.asarray(from_means(sums / N, snapshots.L), dtype=float)
+    parts = np.asarray(from_means((sums - x) / (N - 1), snapshots.L), dtype=float)
     mean_parts = parts.mean(axis=0)
     corrected = N * full - (N - 1) * mean_parts
     err = np.sqrt((N - 1) / N * np.sum((parts - mean_parts) ** 2, axis=0))

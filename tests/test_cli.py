@@ -157,6 +157,32 @@ def test_floquet_bench_symmetry_and_widths(tmp_path):
     assert notes["width_dd_at_0.8"] >= notes["width_plain_at_0.8"]
 
 
+@pytest.mark.parametrize("det_max, clipped", [("0.8", True), ("40.0", False)])
+def test_floquet_bench_flags_a_width_clipped_by_the_grid(det_max, clipped, tmp_path):
+    # dd stays above 0.8 out to +-0.8 here, so that width is only a lower bound
+    out = tmp_path / "o"
+    assert main(["floquet-bench", "--length", "4", "--delta", "3.5",
+                 "--t-eff", "0.8", "--n-steps", "16", "--det-max", det_max,
+                 "--n-det", "5", "--out", str(out)]) == 0
+    _, _, rows = load_csv(out / "floquet_bench.csv")
+    dd = [float(r[1]) for r in rows]
+    assert (min(dd) >= 0.8) is clipped
+    notes = manifest(out)["notes"]
+    assert notes["width_dd_at_0.8_clipped"] is clipped
+    if clipped:
+        assert notes["width_dd_at_0.8"] == 2 * float(det_max)
+    assert notes["width_plain_at_0.8_clipped"] is (min(float(r[2]) for r in rows) >= 0.8)
+
+
+def test_floquet_bench_rejects_a_negative_det_max(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["floquet-bench", "--length", "4", "--n-steps", "16", "--t-eff", "0.8",
+                 "--delta", "3.5", "--det-max", "-0.8", "--n-det", "5",
+                 "--out", str(out)]) == 2
+    assert "config error: 'det_max' must be at least 0" in capsys.readouterr().err
+    assert files_under(out) == []
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_floquet_bench_diagonalizes_once_per_detuning(threads, tmp_path):
     # the sweep reads each detuning's eigensystem once for both sequences,
@@ -191,6 +217,8 @@ def test_floquet_bench_needs_zero_detuning_at_the_middle(n_det, det_max, tmp_pat
     (["participation", "--length", "8", "--n-delta", "1"], "n_delta"),
     (["quench", "--length", "8", "--n-times", "0"], "n_times"),
     (["entropy", "--length", "10", "--n-times", "0"], "n_times"),
+    (["sample", "--length", "8", "--n-snapshots", "-5"], "n_snapshots"),
+    (["sample", "--length", "8", "--n-snapshots", "1"], "n_snapshots"),
 ])
 def test_grid_count_without_a_grid_is_a_config_error(args, key, tmp_path, capsys):
     out = tmp_path / "o"

@@ -270,6 +270,7 @@ def test_proxy_matches_dict_oracle(delta, tJ):
     psi = evolved_state(L=12, delta=delta, tJ=tJ)
     regions = ((3, 4, 5), (8, 9, 10), (3, 4, 5, 8, 9, 10))
     exact = config_mutual_proxy_exact(psi, regions[0], regions[1])
+    assert config_mutual_proxy(psi, regions[0], regions[1]) == exact
     value, config_only, _ = dict_proxy(psi, regions, 12)
     assert abs(exact.value - value) <= 1e-12
     assert abs(exact.config_only - config_only) <= 1e-12

@@ -439,8 +439,28 @@ def test_floquet_length_guard_states_dense_size():
     with pytest.raises(ValueError, match=rf"dim {d} \({8 * d * d} bytes at L={L}\)") as err:
         floquet_evolve("dd", p, np.zeros(1), 8, 1.0)
     assert "four dense z-parity x reflection blocks" in str(err.value)
-    # blocks of 2080, 2016, 2080 and 2016: one detuning exceeds the chunk budget
-    assert f"1 detuning(s) at once ({8 * 2 * (2080**2 + 2016**2)} bytes)" in str(err.value)
+    # blocks of 2080, 2016, 2080 and 2016: one detuning exceeds the chunk budget,
+    # but the pulse cache still keeps four
+    assert (f"retains the eigenvectors of 4 detunings "
+            f"({4 * 8 * 2 * (2080**2 + 2016**2)} bytes: chunks of 1") in str(err.value)
+
+
+def test_sweep_retains_the_cached_eigenvectors_the_guard_states(monkeypatch):
+    # one detuning per chunk, as from L=11 on: the cache, not the chunk, bounds
+    # what a sweep of five detunings leaves behind
+    L = 6
+    monkeypatch.setattr(evolve, "SWEEP_CHUNK_BYTES", 1)
+    chunk, per_detuning = _sweep_chunk(L)
+    p = ModelParams(L=L, alpha=1.4, delta=3.5, boundary="open")
+    psi0 = np.eye(2**L)[0b001100].astype(complex)
+    dets = [-0.8, -0.4, 0.0, 0.4, 0.8]
+    _pulse_eigensystem.cache_clear()
+    floquet_sweep(["dd"], p, psi0, 8, 1.0, dets, psi0)
+    held = [_pulse_eigensystem(L, 1.4, p.J, "open", d) for d in dets[-4:]]
+    info = _pulse_eigensystem.cache_info()
+    assert (chunk, info.misses, info.hits, info.currsize) == (1, 5, 4, 4)
+    retained = sum(V.nbytes for eig in held for _, _, V in eig)
+    assert retained == max(chunk, evolve.PULSE_CACHE_ENTRIES) * per_detuning
 
 
 def test_pulse_block_dims_and_sweep_chunks():

@@ -1,11 +1,12 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from magnonlab.evolve import exact_evolve, floquet_evolve
+from magnonlab.evolve import exact_evolve, floquet_evolve, propagate
 from magnonlab.model import ModelParams, StateVector, sector_hamiltonian
-from magnonlab.probes import bs_participation, center_pair_state
+from magnonlab.probes import bs_participation, center_pair_state, quench_projectors
 from magnonlab.sampling import (
     DEFAULT_SNAPSHOTS,
     SnapshotSet,
@@ -133,10 +134,10 @@ def test_wrong_count_in_postselected_set_rejected():
 
 
 def test_jackknife_constant_estimator_zero_error():
-    _, psi = evolved_pair_state()
-    snaps = sample_snapshots(psi, 64, seed=4)
-    mean, err = jackknife(lambda s: 1.7, snaps)
-    assert mean == pytest.approx(1.7, abs=1e-12)
+    # every snapshot of a basis state is the same adjacent pair
+    snaps = sample_snapshots(center_pair_state(ModelParams(L=10)), 64, seed=4)
+    mean, err = jackknife(estimate_participation, snaps)
+    assert mean == pytest.approx(1.0, abs=1e-12)
     assert err == pytest.approx(0.0, abs=1e-12)
 
 
@@ -144,9 +145,9 @@ def test_jackknife_mean_estimator_matches_sem_exactly():
     _, psi = evolved_pair_state()
     snaps = sample_snapshots(psi, 128, seed=9)
     x = snaps.bits[:, 4].astype(float)
-    mean, err = jackknife(lambda s: s.bits[:, 4].mean(), snaps)
-    assert mean == pytest.approx(x.mean(), abs=1e-12)
-    assert err == pytest.approx(x.std(ddof=1) / np.sqrt(len(x)), abs=1e-12)
+    mean, err = jackknife(estimate_pup, snaps)
+    assert mean[4] == pytest.approx(x.mean(), abs=1e-12)
+    assert err[4] == pytest.approx(x.std(ddof=1) / np.sqrt(len(x)), abs=1e-12)
 
 
 def test_jackknife_needs_two_snapshots():
@@ -186,7 +187,14 @@ def _closed_form_sets():
 def test_jackknife_closed_form_matches_delete_one_loop(estimator, name):
     snaps = _closed_form_sets()[name]
     fast = jackknife(estimator, snaps)
-    loop = jackknife(lambda s: estimator(s), snaps)  # declares nothing
+    # the textbook form: re-run the estimator on each delete-one subset
+    N = snaps.n_retained
+    full = np.asarray(estimator(snaps), dtype=float)
+    parts = np.array([estimator(replace(snaps, bits=np.delete(snaps.bits, i, axis=0)))
+                      for i in range(N)], dtype=float)
+    mean_parts = parts.mean(axis=0)
+    loop = (N * full - (N - 1) * mean_parts,
+            np.sqrt((N - 1) / N * np.sum((parts - mean_parts) ** 2, axis=0)))
     for got, want in zip(fast, loop):
         assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= 1e-15
     if name == "site_never_up" and estimator is not estimate_participation:
@@ -206,9 +214,29 @@ def test_jackknife_wrapped_estimator_keeps_linear_path():
 
     assert np.array_equal(jackknife(counted, snaps)[1],
                           jackknife(estimate_pupp, snaps)[1])
-    assert calls == []  # no per-row re-evaluation
-    jackknife(lambda s: counted(s), snaps)
-    assert len(calls) == 201  # the loop: full set plus 200 deletions
+    assert calls == []  # the declaration is read, the estimator never called
+
+
+def test_jackknife_rejects_an_undeclared_estimator():
+    _, psi = evolved_pair_state()
+    snaps = sample_snapshots(psi, 20, seed=6)
+    with pytest.raises(TypeError, match="declares no column means"):
+        jackknife(lambda s: estimate_pup(s), snaps)
+
+
+def test_estimators_on_exact_state_match_quench_projector_maps():
+    p = ModelParams(L=10, alpha=1.4, delta=2.0)
+    psi0 = center_pair_state(p)
+    times = [0.0, 0.7, 2.0]
+    site, pair = quench_projectors(psi0, p, times)
+    for i, data in enumerate(propagate(sector_hamiltonian(p, 2), psi0, times)):
+        psi = StateVector(data, psi0.basis)
+        assert np.max(np.abs(estimate_pup(psi) - site.values[i])) <= 1e-14
+        assert np.max(np.abs(estimate_pupp(psi) - pair.values[i])) <= 1e-14
+        assert estimate_participation(psi) == pytest.approx(
+            bs_participation(pair.values[i], 10), abs=1e-14)
+    with pytest.raises(ValueError, match="sector StateVector"):
+        estimate_pup(StateVector(np.eye(4)[0], ("full", 2)))
 
 
 def test_pair_estimator_unbiased_over_seeds():
