@@ -82,6 +82,7 @@ class KeySpec:
     default: object
     help: str
     time: bool = False  # tJ value with an auto-generated *_s twin
+    window: bool = False  # a time window: finite and positive
 
 
 MODEL_KEYS = {
@@ -96,13 +97,15 @@ SCHEMAS = {
     "dispersion1": {
         **MODEL_KEYS,
         "measure": KeySpec("int", 0, "1: add FFT beat notes from plane-wave spectroscopy"),
-        "t_max": KeySpec("float", 16.0, "spectroscopy window", time=True),
+        "t_max": KeySpec("float", 16.0, "spectroscopy window", time=True,
+                         window=True),
     },
     "dispersion2": {
         **MODEL_KEYS,
         "measure": KeySpec("int", 0, "1: add FFT peaks from pair spectroscopy"),
         "sites": KeySpec("sites", (8, 13), "readout window for pair spectroscopy"),
-        "t_max": KeySpec("float", 8.0, "spectroscopy window", time=True),
+        "t_max": KeySpec("float", 8.0, "spectroscopy window", time=True,
+                         window=True),
     },
     "phase-diagram": {
         "length": KeySpec("int", 300, "number of spins (ring)"),
@@ -115,7 +118,8 @@ SCHEMAS = {
     "quench": {
         **MODEL_KEYS,
         "separation": KeySpec("int", 1, "initial magnon separation in sites"),
-        "t_max": KeySpec("float", 5.5, "evolution window", time=True),
+        "t_max": KeySpec("float", 5.5, "evolution window", time=True,
+                         window=True),
         "n_times": KeySpec("int", 40, "time grid points"),
         "front_level": KeySpec("float", 0.5, "threshold fraction for the front"),
     },
@@ -133,7 +137,8 @@ SCHEMAS = {
     },
     "floquet-bench": {
         **MODEL_KEYS,
-        "t_eff": KeySpec("float", 3.3, "target effective time", time=True),
+        "t_eff": KeySpec("float", 3.3, "target effective time", time=True,
+                         window=True),
         "n_steps": KeySpec("int", 128, "pulse steps"),
         "det_max": KeySpec("float", 2.0, "detuning sweep half-width (units of J)"),
         "n_det": KeySpec("int", 21, "detuning grid points"),
@@ -141,7 +146,8 @@ SCHEMAS = {
     "entropy": {
         **MODEL_KEYS,
         "separation": KeySpec("int", 1, "initial magnon separation in sites"),
-        "t_max": KeySpec("float", 3.0, "evolution window", time=True),
+        "t_max": KeySpec("float", 3.0, "evolution window", time=True,
+                         window=True),
         "n_times": KeySpec("int", 13, "time grid points"),
         "region_a": KeySpec("sites", DEFAULT_REGION_A, "segment A sites"),
         "region_b": KeySpec("sites", DEFAULT_REGION_B, "segment B sites"),
@@ -215,6 +221,8 @@ def resolve_config(experiment, file_cfg, cli_cfg):
                     f"'{key}_s' given in seconds but 'coupling' (rad/s) is not set"
                 )
             vals[key] = seconds * coupling
+        if spec.window and not 0 < vals[key] < np.inf:  # also rejects NaN
+            raise ConfigError(f"'{key}' must be finite and positive, got {vals[key]!r}")
     return vals
 
 

@@ -2,20 +2,22 @@
 
 Three propagators with one state convention:
 
-* ``propagate``: psi(t) = exp(-iHt) psi0 on a whole time grid, through the
-  cached eigensystem of a sector Hamiltonian, which is stored as its
-  reflection-even and -odd blocks (Q, eigenvalues, V) and never as a
-  (dim, dim) eigenvector matrix. Per block the eigenbasis coefficients
-  V^T Q^T psi0 are formed once and one spectral step applies the phases
-  of every time point and Q V, restricted to the rows the caller reads:
-  the result is (n_times, len(rows)), or (n_times, dim) for every row.
+* ``propagate``: psi(t) = exp(-iHt) psi0 on a whole time grid, restricted
+  to the rows the caller reads: the result is (n_times, len(rows)), or
+  (n_times, dim) for every row. A sector below ``CHEBYSHEV_MIN_DIM`` runs
+  through its cached eigensystem, stored as the reflection-even and -odd
+  blocks (Q, eigenvalues, V) and never as a (dim, dim) eigenvector matrix:
+  per block the eigenbasis coefficients V^T Q^T psi0 are formed once and
+  one spectral step applies the phases of every time point and Q V. From
+  ``CHEBYSHEV_MIN_DIM`` on, a Chebyshev series of exp(-iHt) in sparse
+  products gives every time point at once, and no eigensystem is formed.
   ``exact_evolve`` is its single-time case. Quench maps, beat and pair
   spectroscopy and the entropy time series all read their states from
   it; pair spectroscopy asks only for the rows its readout touches.
-* ``krylov_evolve``: the action of exp(-iHt) on one state from sparse
-  matrix products (``scipy.sparse.linalg.expm_multiply``), for sectors too
-  large to diagonalize. Nothing in the experiments calls it; it stays as
-  the large-sector fallback that the ``EXACT_DIM_MAX`` guard points to.
+* ``krylov_evolve``: the action of exp(-iHt) on one state at one time from
+  sparse matrix products (``scipy.sparse.linalg.expm_multiply``). Nothing
+  in the experiments calls it, and the ``EXACT_DIM_MAX`` guard of
+  ``propagate`` still points to it.
 * ``floquet_evolve`` and ``floquet_sweep``: the pulsed realization. Each
   step applies a global rotation about +-x/+-y followed by evolution under
   the bare XX coupling Hamiltonian (plus an optional detuning term
@@ -28,20 +30,21 @@ Three propagators with one state convention:
   sequence) pair; ``floquet_evolve`` is its one-detuning, one-sequence case
   with snapshots, and both run one private step loop.
 
-Both paths run one kernel, ``_spectral_step``, which uses that the
-Hamiltonians are real symmetric: readout @ (phase * (V^T z)) for a complex
-(d, m) block z is one real matrix product each way on the (d, 2m) float
-view, where readout is V or, for ``propagate``, Q V restricted to the rows
-a caller reads. ``propagate`` passes psi0's coefficients as one column and
-a (d, n_times) phase; a pulse step passes a block's rows with one column
-per sequence. The pulse Hamiltonian H_XX + (delta_err/2) sum_j sz_j
-conserves prod_j sz_j and the site reversal: its eigensystem is four
-z-parity x reflection blocks in the sector format. The pulse loop steps all
-runs in lockstep as one (2^L, n_det, n_seq) block. A global rotation
-applies three sites' 8x8 Kronecker product at a time to every column at
-once, or to each sequence's columns where the sequences' rotations differ.
-A pulse step is one sparse product into the stacked block coordinates, one
-spectral step per block and detuning, and one sparse product back.
+The dense sector path and the pulse steps run one kernel, ``_spectral_step``,
+which uses that the Hamiltonians are real symmetric: readout @ (phase *
+(V^T z)) for a complex (d, m) block z is one real matrix product each way on
+the (d, 2m) float view, where readout is V or, for ``propagate``, Q V
+restricted to the rows a caller reads. ``propagate`` passes psi0's
+coefficients as one column and a (d, n_times) phase; a pulse step passes a
+block's rows with one column per sequence. The pulse Hamiltonian
+H_XX + (delta_err/2) sum_j sz_j conserves prod_j sz_j and the site
+reversal: its eigensystem is four z-parity x reflection blocks in the
+sector format. The pulse loop steps all runs in lockstep as one
+(2^L, n_det, n_seq) block. A global rotation applies three sites' 8x8
+Kronecker product at a time to every column at once, or to each sequence's
+columns where the sequences' rotations differ. A pulse step is one sparse
+product into the stacked block coordinates, one spectral step per block and
+detuning, and one sparse product back.
 Detunings run in chunks whose eigenvectors fit ``SWEEP_CHUNK_BYTES``.
 
 Pulse sequences are data: a ``PulseSequence`` is a cycle of ``PulseStep``s,
@@ -57,6 +60,7 @@ R_f,n is applied before readout.
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import islice
 
 import numpy as np
 from scipy import sparse
@@ -72,6 +76,19 @@ from .model import (
 )
 
 EXACT_DIM_MAX = 20_000
+# propagate runs the Chebyshev series from this sector dim on. Over the ladder of
+# one dispersion2 measurement on 2 cores (n=4 sector cold, one propagation per
+# momentum), dense vs Chebyshev read 0.15-0.19 vs 0.19-0.21 s at dim 1001
+# (L=14), 0.24-0.33 vs 0.16-0.28 s at 1365 (L=15), 0.37-0.49 vs 0.25-0.42 s
+# at 1820 (L=16). The dense path caches its eigensystem and amortizes it over
+# more time grids, so the crossover rises with the calls per sector.
+CHEBYSHEV_MIN_DIM = 1200
+# the Chebyshev series stops where its Bessel tail falls below this, relative
+# to |psi0|
+CHEBYSHEV_TOL = 1e-14
+# the series is summed over blocks of orders whose kept rows fit in this many
+# bytes, so a long time window (K in the thousands) does not hold every order
+CHEBYSHEV_BLOCK_BYTES = 8 << 20
 # The pulse eigensystem is four dense blocks of about 2^(L-2). Cold starts took
 # 0.06 s at 59 MiB peak RSS at L=10, 0.2 s at 74 MiB at L=11 and 0.9 s at
 # 129 MiB at L=12 on 2 cores, 50 MiB of it imports; eigh nears 8x per site.
@@ -107,10 +124,12 @@ def propagate(H, psi0, times, rows=None):
     """exp(-iHt) psi0 for every t in times, as a (n_times, len(rows)) array.
 
     rows selects the basis rows to return, all of them (dim) when None.
-    Per reflection block (Q, E, V) of ``H.eigensystem()`` the
-    coefficients V^T Q^T psi0 are formed once, and ``_spectral_step``
-    applies every phase and the readout Q[rows] V at once. A scalar t
-    gives one (len(rows),) state.
+    Below CHEBYSHEV_MIN_DIM, per reflection block (Q, E, V) of
+    ``H.eigensystem()`` the coefficients V^T Q^T psi0 are formed once, and
+    ``_spectral_step`` applies every phase and the readout Q[rows] V at
+    once. From CHEBYSHEV_MIN_DIM on, ``_chebyshev_series`` evolves psi0
+    with sparse products only and never diagonalizes H. A scalar t gives
+    one (len(rows),) state.
     """
     if H.dim > EXACT_DIM_MAX:
         raise ValueError(
@@ -123,13 +142,101 @@ def propagate(H, psi0, times, rows=None):
     if vec.shape != (H.dim,):
         raise ValueError(f"state length {vec.shape} does not match dim {H.dim}")
     grid = np.reshape(times, -1)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"times must be finite, got {grid[~np.isfinite(grid)]}")
     n_out = H.dim if rows is None else len(rows)
+    shape = np.shape(times) + (n_out,)
+    if H.dim >= CHEBYSHEV_MIN_DIM:
+        return _chebyshev_series(H.matrix, vec, grid, rows).reshape(shape)
     out = np.zeros((n_out, len(grid)), dtype=complex)
     for q, evals, evecs in H.eigensystem():
         z = np.asarray(q.T @ vec, dtype=complex).reshape(-1, 1)
         readout = (q if rows is None else q[rows]) @ evecs
         out += _spectral_step(evecs, np.exp(-1j * np.outer(evals, grid)), z, readout)
-    return out.T.reshape(np.shape(times) + (n_out,))
+    return out.T.reshape(shape)
+
+
+def _chebyshev_series(mat, vec, grid, rows):
+    """exp(-i mat t) vec at every t of grid, as (n_times, len(rows)).
+
+    Gershgorin discs put the spectrum of the real symmetric mat in
+    [b - a, b + a], so h = (mat - b)/a has its spectrum in [-1, 1] and
+    exp(-i mat t) = e^(-ibt) sum_k (2 - delta_k0) (-i)^k J_k(at) T_k(h)
+    (Tal-Ezer & Kosloff 1984). |T_k(h) vec| <= |vec|, so the series stops
+    at the first order K whose Bessel tail at a max|t| is below
+    CHEBYSHEV_TOL. Only the kept rows of each order T_k(h) vec
+    (``_chebyshev_orders``) are stored, and one (n_times, k) @ (k, n_rows)
+    product per block of orders sums the series at every time, a block
+    holding CHEBYSHEV_BLOCK_BYTES. A zero-width spectrum (a = 0) is a pure
+    phase.
+    """
+    diag = mat.diagonal()
+    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
+    e_min, e_max = np.min(diag - radius), np.max(diag + radius)
+    a, b = (e_max - e_min) / 2, (e_max + e_min) / 2
+    x = a * np.abs(grid)
+    x_max = x.max(initial=0.0)
+    # past k = x, J_k(x) falls faster than exponentially: the table ends
+    # where the terms lie far below the tolerance; its last row is x_max
+    bessel = _bessel_j(np.append(x, x_max), int(x_max + 20 * np.cbrt(x_max) + 60))
+    tail = 2 * np.cumsum(np.abs(bessel[-1, ::-1]))[::-1]
+    n_orders = max(1, int(np.argmax(tail <= CHEBYSHEV_TOL)))
+    # (-i)^k J_k(at) = (-i sign t)^k J_k(a|t|), read off the quarter turns
+    k = np.arange(n_orders)
+    turns = np.outer(np.where(grid < 0, -1, 1), k) % 4
+    coef = bessel[:-1, :n_orders] * np.array([1, -1j, -1, 1j])[turns]
+    coef[:, 1:] *= 2
+    coef *= np.exp(-1j * b * grid)[:, None]
+    keep = slice(None) if rows is None else rows
+    n_rows = len(vec) if rows is None else len(rows)
+    orders = _chebyshev_orders(mat, a, b, vec, keep, n_orders)
+    block = max(1, CHEBYSHEV_BLOCK_BYTES // (16 * max(1, n_rows)))
+    out = np.zeros((len(grid), n_rows), dtype=complex)
+    for lo in range(0, n_orders, block):
+        moments = np.array(list(islice(orders, block)), dtype=complex)
+        out += coef[:, lo:lo + len(moments)] @ moments
+    return out
+
+
+def _chebyshev_orders(mat, a, b, vec, keep, n_orders):
+    """T_k(h) vec for k < n_orders, h = (mat - b)/a, each restricted to keep.
+
+    T_(k+1) = 2h T_k - T_(k-1) runs on the real and imaginary parts of vec
+    as 1-D real sparse products, T_(k+1) overwriting T_(k-1).
+    """
+    yield vec[keep]
+    if n_orders == 1:
+        return
+    two_h = (mat - b * sparse.identity(len(vec), format="csr")) * (2 / a)
+    prev = [vec.real.astype(float), vec.imag.astype(float)]
+    cur = [0.5 * (two_h @ p) for p in prev]
+    for k in range(1, n_orders):
+        yield cur[0][keep] + 1j * cur[1][keep]
+        if k + 1 < n_orders:
+            prev, cur = cur, [np.subtract(two_h @ c, p, out=p)
+                              for c, p in zip(cur, prev)]
+
+
+def _bessel_j(x, n):
+    """J_k(x) for k < n at every x >= 0, as (len(x), n).
+
+    Miller's downward recurrence J_(k-1) = (2k/x) J_k - J_(k+1) from an
+    order well above n, rescaled before it overflows and normalized by
+    J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.27 and 9.1.46).
+    It agrees with mpmath to 2e-15 up to x = 3000.
+    """
+    top = n + 30 + int(np.sqrt(40 * n))
+    f = np.zeros((top + 2, len(x)))
+    f[top] = 1e-300
+    two_over_x = 2 / np.where(x > 0, x, 1.0)
+    for k in range(top, 0, -1):
+        np.subtract(k * two_over_x * f[k], f[k + 1], out=f[k - 1])
+        big = np.abs(f[k - 1]) > 1e250
+        if big.any():
+            f[k - 1:, big] *= 1e-250
+    out = (f[:n] / (f[0] + 2 * f[2::2].sum(axis=0))).T
+    out[x == 0] = np.arange(n) == 0
+    return out
 
 
 def exact_evolve(H, psi0, t):

@@ -17,7 +17,10 @@ emulation lives in the sampling module):
   per chain; each momentum imprints its phases on the cached sector
   components, every sector is evolved by ``evolve.propagate`` on only the
   rows the pair readout in the window touches, and the pair coherence is
-  gathered from those site-basis trajectories.
+  gathered from those site-basis trajectories. ``propagate`` runs the
+  small sectors (n = 0, 2 at L=20) through their cached reflection
+  blocks and the large ones (n = 4, dim 4845 at L=20) through a Chebyshev
+  series of sparse products, so no dense eigensystem of n = 4 is formed.
 * quench light cones: site and adjacent-pair projector maps from an
   initial two-magnon product state, plus the renormalized adjacent-pair
   participation (sum_j <P_j,j+1> - 2/L)/(1 - 2/L).
@@ -355,6 +358,13 @@ def prepare_two_magnon(params, k, t_prep_J=0.19):
 
 @lru_cache(maxsize=8)
 def _cached_sector(params, n):
+    """The shared ``sector_hamiltonian``, whose eigensystem stays cached on it.
+
+    ``propagate`` diagonalizes only sectors below ``CHEBYSHEV_MIN_DIM``,
+    so a cached eigensystem (two reflection blocks of about dim/2, their
+    eigenvectors 8 bytes per entry) holds at most about 4 dim^2 bytes:
+    under 5.8 MB each, so under 46 MB for all 8 entries.
+    """
     return sector_hamiltonian(params, n)
 
 

@@ -212,6 +212,27 @@ def test_floquet_bench_needs_zero_detuning_at_the_middle(n_det, det_max, tmp_pat
 
 
 @pytest.mark.parametrize("args, key", [
+    # each once died with a traceback or wrote outputs of a meaningless window
+    (["dispersion1", "--measure", "1", "--t-max", "0"], "t_max"),
+    (["dispersion2", "--measure", "1", "--t-max", "0"], "t_max"),
+    (["dispersion2", "--t-max", "-1"], "t_max"),
+    (["dispersion2", "--measure", "1", "--t-max", "nan"], "t_max"),
+    (["quench", "--t-max", "-2"], "t_max"),
+    (["quench", "--t-max", "inf"], "t_max"),
+    (["entropy", "--t-max", "-1"], "t_max"),
+    (["floquet-bench", "--t-eff", "0"], "t_eff"),
+    # checked after the seconds twin is converted
+    (["quench", "--t-max-s", "-0.01", "--coupling", "369"], "t_max"),
+    (["floquet-bench", "--t-eff-s", "nan", "--coupling", "369"], "t_eff"),
+])
+def test_time_window_must_be_finite_and_positive(args, key, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(args + ["--length", "8", "--out", str(out)]) == 2
+    assert f"config error: '{key}' must be finite and positive" in capsys.readouterr().err
+    assert files_under(out) == []
+
+
+@pytest.mark.parametrize("args, key", [
     (["phase-diagram", "--length", "20", "--n-k", "0"], "n_k"),
     (["phase-diagram", "--length", "20", "--n-delta", "0"], "n_delta"),
     (["participation", "--length", "8", "--n-delta", "1"], "n_delta"),

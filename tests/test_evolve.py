@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import sparse
@@ -13,6 +14,7 @@ from magnonlab.model import (
     full_space_bits,
     sector_hamiltonian,
     sector_state_from_sites,
+    vacuum_energy,
 )
 from magnonlab import evolve
 from magnonlab.evolve import (
@@ -126,20 +128,22 @@ def test_exact_evolve_dimension_guard():
 
 
 @pytest.mark.parametrize("L, n", [(10, 2), (8, 3)])
-def test_propagate_matches_exact_evolve_at_every_time(L, n):
+def test_propagate_matches_exact_evolve_at_every_time(monkeypatch, L, n):
     p = ModelParams(L=L, alpha=1.4, delta=2.0, boundary="open")
     H = sector_hamiltonian(p, n)
     rng = np.random.default_rng(L + n)
     v = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
     v /= np.linalg.norm(v)
     times = np.linspace(0.0, 7.9, 40)
-    grid = propagate(H, v, times)
-    assert grid.shape == (len(times), H.dim)
     evals, evecs = np.linalg.eigh(H.dense())
-    for t, row in zip(times, grid):
-        ref = reference_spectral_step(evecs, np.exp(-1j * evals * t), v)
-        assert np.max(np.abs(row - exact_evolve(H, v, t))) <= 1e-13
-        assert np.max(np.abs(row - ref)) <= 1e-13
+    for min_dim in (1, 10**9):  # the Chebyshev series, then the dense blocks
+        monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", min_dim)
+        grid = propagate(H, v, times)
+        assert grid.shape == (len(times), H.dim)
+        for t, row in zip(times, grid):
+            ref = reference_spectral_step(evecs, np.exp(-1j * evals * t), v)
+            assert np.max(np.abs(row - exact_evolve(H, v, t))) <= 1e-13
+            assert np.max(np.abs(row - ref)) <= 1e-13
 
 
 def test_propagate_dimension_guard():
@@ -157,30 +161,111 @@ def test_propagate_dimension_guard():
 
 @pytest.mark.parametrize("boundary", ["open", "ring"])
 @pytest.mark.parametrize("L, n", [(10, 2), (9, 3), (10, 4)])
-def test_propagate_rows_match_the_full_propagation(L, n, boundary):
+def test_propagate_rows_match_the_full_propagation(monkeypatch, L, n, boundary):
     p = ModelParams(L=L, alpha=1.4, delta=2.0, boundary=boundary)
     H = sector_hamiltonian(p, n)
     rng = np.random.default_rng(L * n)
     v = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
     v /= np.linalg.norm(v)
     times = np.linspace(0.0, 7.9, 24)
-    full = propagate(H, v, times)
-    # a real state goes through the same complex kernel
-    assert np.array_equal(propagate(H, v.real, times), propagate(H, v.real + 0j, times))
     mirror = H.basis.mirror
     palindromes = np.flatnonzero(mirror == np.arange(H.dim))
     assert palindromes.size  # the selection below reads palindromic rows
     pairs = np.flatnonzero(mirror != np.arange(H.dim))
-    for R in (np.sort(np.concatenate([palindromes[::2], pairs[::3]])),
-              rng.permutation(H.dim)[: H.dim // 4],  # unsorted
-              np.arange(H.dim),
-              np.empty(0, dtype=np.intp)):
-        got = propagate(H, v, times, rows=R)
-        assert got.shape == (len(times), len(R))
-        assert np.abs(got - full[:, R]).max(initial=0.0) <= 1e-13
-        one = propagate(H, v, 3.1, rows=R)  # scalar t
-        assert one.shape == (len(R),)
-        assert np.abs(one - propagate(H, v, 3.1)[R]).max(initial=0.0) <= 1e-13
+    selections = (np.sort(np.concatenate([palindromes[::2], pairs[::3]])),
+                  rng.permutation(H.dim)[: H.dim // 4],  # unsorted
+                  np.arange(H.dim),
+                  np.empty(0, dtype=np.intp))
+    for min_dim in (1, 10**9):  # the Chebyshev series, then the dense blocks
+        monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", min_dim)
+        full = propagate(H, v, times)
+        # a real state goes through the same complex kernel
+        assert np.array_equal(propagate(H, v.real, times),
+                              propagate(H, v.real + 0j, times))
+        for R in selections:
+            got = propagate(H, v, times, rows=R)
+            assert got.shape == (len(times), len(R))
+            assert np.abs(got - full[:, R]).max(initial=0.0) <= 1e-13
+            one = propagate(H, v, 3.1, rows=R)  # scalar t
+            assert one.shape == (len(R),)
+            assert np.abs(one - propagate(H, v, 3.1)[R]).max(initial=0.0) <= 1e-13
+
+
+def chebyshev_and_dense(monkeypatch, H, v, times, rows=None):
+    """propagate on the Chebyshev branch, then on the dense one."""
+    out = []
+    for min_dim in (1, 10**9):
+        monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", min_dim)
+        out.append(propagate(H, v, times, rows=rows))
+    return out
+
+
+def gershgorin_half_width(H):
+    diag = H.matrix.diagonal()
+    radius = np.abs(H.dense()).sum(axis=1) - np.abs(diag)
+    return (np.max(diag + radius) - np.min(diag - radius)) / 2
+
+
+@pytest.mark.parametrize("times, min_orders", [
+    (np.linspace(-6.0, 2.0, 17), 0),  # negative times
+    (np.linspace(0.0, 40.0, 9), 200),  # a long window
+])
+def test_chebyshev_series_matches_the_dense_blocks(monkeypatch, times, min_orders):
+    p = ModelParams(L=10, alpha=1.4, delta=3.0, boundary="ring")
+    H = sector_hamiltonian(p, 3)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+    v /= np.linalg.norm(v)
+    # J_k(a max|t|) weighs at every order k up to a max|t|, so K exceeds it
+    assert gershgorin_half_width(H) * np.abs(times).max() > min_orders
+    rows = rng.permutation(H.dim)[:30]
+    cheb, dense = chebyshev_and_dense(monkeypatch, H, v, times, rows)
+    assert np.abs(cheb - dense).max() <= 1e-12
+    # summed over blocks of 7 orders instead of one block
+    monkeypatch.setattr(evolve, "CHEBYSHEV_BLOCK_BYTES", 16 * len(rows) * 7)
+    cheb, _ = chebyshev_and_dense(monkeypatch, H, v, times, rows)
+    assert np.abs(cheb - dense).max() <= 1e-12
+
+
+def test_bessel_table_matches_mpmath():
+    x = np.array([0.0, 0.3, 35.0, 352.0])
+    table = evolve._bessel_j(x, 420)
+    assert table.shape == (4, 420)
+    for row, xv in zip(table, x):
+        for k in (0, 1, 7, 34, 35, 36, 200, 351, 352, 380, 419):
+            assert row[k] == pytest.approx(float(mpmath.besselj(k, xv)), abs=2e-15)
+
+
+def test_chebyshev_series_of_a_zero_width_sector_is_a_phase(monkeypatch):
+    # the vacuum sector (dim 1) has a = 0: e^(-i E_0 t), no division by a
+    p = ModelParams(L=8, alpha=1.4, delta=3.0)
+    H = sector_hamiltonian(p, 0)
+    times = np.linspace(-3.0, 5.0, 9)
+    cheb, dense = chebyshev_and_dense(monkeypatch, H, np.array([0.6 + 0.8j]), times)
+    assert np.isfinite(cheb).all()
+    assert np.abs(cheb - dense).max() <= 1e-12
+    phase = (0.6 + 0.8j) * np.exp(-1j * vacuum_energy(p) * times)
+    assert np.abs(cheb[:, 0] - phase).max() <= 1e-12
+
+
+def test_chebyshev_branch_never_diagonalizes(monkeypatch):
+    p = ModelParams(L=10, alpha=1.4, delta=2.0)
+    H = sector_hamiltonian(p, 4)
+    monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", H.dim)
+    psi = propagate(H, sector_state_from_sites(p, (2, 3, 6, 7)), np.linspace(0, 4, 5))
+    assert H._eig is None
+    assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("min_dim", [1, 10**9])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_propagate_rejects_non_finite_times(monkeypatch, min_dim, bad):
+    # the dense path once returned NaN rows; the series would stop at K = 1
+    monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", min_dim)
+    p = ModelParams(L=8, alpha=1.4, delta=2.0)
+    H = sector_hamiltonian(p, 2)
+    with pytest.raises(ValueError, match="times must be finite"):
+        propagate(H, sector_state_from_sites(p, (4, 5)), [0.0, bad])
 
 
 # ---------------------------------------------------------------- krylov
