@@ -3,21 +3,15 @@
 Three propagators with one state convention:
 
 * ``propagate``: psi(t) = exp(-iHt) psi0 on a whole time grid, restricted
-  to the rows the caller reads: the result is (n_times, len(rows)), or
-  (n_times, dim) for every row. A sector below ``CHEBYSHEV_MIN_DIM`` runs
-  through its cached eigensystem, stored as the reflection-even and -odd
-  blocks (Q, eigenvalues, V) and never as a (dim, dim) eigenvector matrix:
-  per block the eigenbasis coefficients V^T Q^T psi0 are formed once and
-  one spectral step applies the phases of every time point and Q V. From
-  ``CHEBYSHEV_MIN_DIM`` on, a Chebyshev series of exp(-iHt) in sparse
-  products gives every time point at once, and no eigensystem is formed.
-  ``exact_evolve`` is its single-time case. Quench maps, beat and pair
-  spectroscopy and the entropy time series all read their states from
-  it; pair spectroscopy asks only for the rows its readout touches.
-* ``krylov_evolve``: the action of exp(-iHt) on one state at one time from
-  sparse matrix products (``scipy.sparse.linalg.expm_multiply``). Nothing
-  in the experiments calls it, and the ``EXACT_DIM_MAX`` guard of
-  ``propagate`` still points to it.
+  to the rows the caller reads, as (n_times, len(rows)) or (n_times, dim).
+  A sector below ``CHEBYSHEV_MIN_DIM`` runs through its cached
+  reflection-even and -odd blocks (Q, eigenvalues, V), never a (dim, dim)
+  eigenvector matrix; from it on, a Chebyshev series of exp(-iHt) in
+  sparse products gives every time point at once and no eigensystem is
+  formed. ``exact_evolve`` is its single-time case. Quench maps, beat and
+  pair spectroscopy and the entropy time series read their states from it.
+* ``krylov_evolve``: the same Chebyshev series at one time, at any dim, for
+  a sector or a raw real matrix; nothing in the experiments calls it.
 * ``floquet_evolve`` and ``floquet_sweep``: the pulsed realization. Each
   step applies a global rotation about +-x/+-y followed by evolution under
   the bare XX coupling Hamiltonian (plus an optional detuning term
@@ -30,22 +24,17 @@ Three propagators with one state convention:
   sequence) pair; ``floquet_evolve`` is its one-detuning, one-sequence case
   with snapshots, and both run one private step loop.
 
-The dense sector path and the pulse steps run one kernel, ``_spectral_step``,
-which uses that the Hamiltonians are real symmetric: readout @ (phase *
-(V^T z)) for a complex (d, m) block z is one real matrix product each way on
-the (d, 2m) float view, where readout is V or, for ``propagate``, Q V
-restricted to the rows a caller reads. ``propagate`` passes psi0's
-coefficients as one column and a (d, n_times) phase; a pulse step passes a
-block's rows with one column per sequence. The pulse Hamiltonian
-H_XX + (delta_err/2) sum_j sz_j conserves prod_j sz_j and the site
-reversal: its eigensystem is four z-parity x reflection blocks in the
-sector format. The pulse loop steps all runs in lockstep as one
-(2^L, n_det, n_seq) block. A global rotation applies three sites' 8x8
-Kronecker product at a time to every column at once, or to each sequence's
-columns where the sequences' rotations differ. A pulse step is one sparse
+The dense sector path and the pulse steps run one kernel, ``_spectral_step``:
+readout @ (phase * (V^T z)) for the real eigenvectors V of a block and a
+complex (d, m) block z, one real matrix product each way on the (d, 2m)
+float view. The pulse Hamiltonian H_XX + (delta_err/2) sum_j sz_j conserves
+prod_j sz_j and the site reversal, so its eigensystem is four z-parity x
+reflection blocks in the sector format. The pulse loop steps all runs in
+lockstep as one (2^L, n_det, n_seq) block: a global rotation applies three
+sites' 8x8 Kronecker product at a time, and a pulse step is one sparse
 product into the stacked block coordinates, one spectral step per block and
-detuning, and one sparse product back.
-Detunings run in chunks whose eigenvectors fit ``SWEEP_CHUNK_BYTES``.
+detuning, and one sparse product back. Detunings run in chunks whose
+eigenvectors fit ``SWEEP_CHUNK_BYTES``.
 
 Pulse sequences are data: a ``PulseSequence`` is a cycle of ``PulseStep``s,
 each a rotation about +x, -x, +y or -y by an angle in radians followed by a
@@ -75,7 +64,6 @@ from .model import (
     full_space_bits,
 )
 
-EXACT_DIM_MAX = 20_000
 # propagate runs the Chebyshev series from this sector dim on. Over the ladder of
 # one dispersion2 measurement on 2 cores (n=4 sector cold, one propagation per
 # momentum), dense vs Chebyshev read 0.15-0.19 vs 0.19-0.21 s at dim 1001
@@ -131,19 +119,7 @@ def propagate(H, psi0, times, rows=None):
     with sparse products only and never diagonalizes H. A scalar t gives
     one (len(rows),) state.
     """
-    if H.dim > EXACT_DIM_MAX:
-        raise ValueError(
-            f"dimension {H.dim} exceeds exact-diagonalization guard "
-            f"{EXACT_DIM_MAX}: its two dense reflection blocks would take about "
-            f"{4 * H.dim**2} bytes together and their eigenvectors as many "
-            f"again; use krylov_evolve"
-        )
-    vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
-    if vec.shape != (H.dim,):
-        raise ValueError(f"state length {vec.shape} does not match dim {H.dim}")
-    grid = np.reshape(times, -1)
-    if not np.all(np.isfinite(grid)):
-        raise ValueError(f"times must be finite, got {grid[~np.isfinite(grid)]}")
+    vec, grid = _state_and_grid(H.dim, psi0, times)
     n_out = H.dim if rows is None else len(rows)
     shape = np.shape(times) + (n_out,)
     if H.dim >= CHEBYSHEV_MIN_DIM:
@@ -154,6 +130,17 @@ def propagate(H, psi0, times, rows=None):
         readout = (q if rows is None else q[rows]) @ evecs
         out += _spectral_step(evecs, np.exp(-1j * np.outer(evals, grid)), z, readout)
     return out.T.reshape(shape)
+
+
+def _state_and_grid(dim, psi0, times):
+    """(psi0 as an array of length dim, times as a flat grid of finite values)."""
+    vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
+    if vec.shape != (dim,):
+        raise ValueError(f"state length {vec.shape} does not match dim {dim}")
+    grid = np.reshape(times, -1)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"times must be finite, got {grid[~np.isfinite(grid)]}")
+    return vec, grid
 
 
 def _chebyshev_series(mat, vec, grid, rows):
@@ -242,9 +229,22 @@ def _bessel_j(x, n):
 def exact_evolve(H, psi0, t):
     """psi(t) = exp(-iHt) psi0: the single-time case of ``propagate``."""
     out = propagate(H, psi0, t)
-    if isinstance(psi0, StateVector):
-        return StateVector(data=out, basis=psi0.basis)
-    return out
+    return StateVector(out, psi0.basis) if isinstance(psi0, StateVector) else out
+
+
+def krylov_evolve(H, psi0, t):
+    """psi(t) = exp(-iHt) psi0 by ``_chebyshev_series`` at any dim.
+
+    H is a ``SectorOperator`` or a real symmetric matrix, sparse or dense;
+    a complex matrix raises TypeError, since the series runs in real
+    sparse products.
+    """
+    mat = H.matrix if isinstance(H, SectorOperator) else sparse.csr_matrix(H)
+    if mat.dtype.kind == "c":
+        raise TypeError("the Chebyshev series needs a real matrix")
+    vec, grid = _state_and_grid(mat.shape[0], psi0, t)
+    out = _chebyshev_series(mat, vec, grid, None).reshape(np.shape(t) + vec.shape)
+    return StateVector(out, psi0.basis) if isinstance(psi0, StateVector) else out
 
 
 def _spectral_step(evecs, phase, z, readout=None):
@@ -261,24 +261,6 @@ def _spectral_step(evecs, phase, z, readout=None):
     big = len(evecs) >= SPECTRAL_ROW_FORM_DIM
     coef = ((zf.T @ evecs).T.copy() if big else evecs.T @ zf).view(complex) * phase
     return ((evecs if readout is None else readout) @ coef.view(float)).view(complex)
-
-
-def krylov_evolve(H, psi0, t):
-    """psi(t) = exp(-iHt) psi0 by the action of the sparse exponential.
-
-    ``scipy.sparse.linalg.expm_multiply`` (truncated Taylor series with
-    scaling, Al-Mohy & Higham 2011) applies the exponential with matrix
-    products only, for sectors too large to diagonalize. The import stays
-    here so that the experiments, which never call this, do not load it.
-    """
-    from scipy.sparse.linalg import expm_multiply
-
-    mat = H.matrix if isinstance(H, SectorOperator) else H
-    vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
-    out = expm_multiply(-1j * t * mat, vec.astype(complex))
-    if isinstance(psi0, StateVector):
-        return StateVector(data=out, basis=psi0.basis)
-    return out
 
 
 @dataclass(frozen=True)

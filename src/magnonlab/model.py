@@ -28,6 +28,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 from scipy import sparse
@@ -125,14 +126,28 @@ def _pack(occs, L):
     return np.array([sum(1 << int(i) for i in row) for row in occs], dtype=object)
 
 
+SECTOR_MAX_BYTES = 1 << 30  # predicted sector build peak, see enumerate_sector
+
+
 @lru_cache(maxsize=32)
 def enumerate_sector(L, n):
     """SectorBasis for n magnons on L sites, dim = binomial(L, n).
 
     Cached per (L, n): every caller shares one basis with read-only arrays.
+    Every sector path starts here, so the size guard runs before any allocation.
     """
     if not 0 <= n <= L:
         raise ValueError(f"magnon number n={n} out of range for L={L}")
+    # the tracemalloc peak of sector_hamiltonian: 61.1-62.1 bytes per nonzero at
+    # L=16..20, n=6, or 3.09-3.18 per entry of its (L(L-1)/2, dim) hop-table
+    # comparison at L=100..400, n <= 2; 204 MB at L=20, n=6, 910 MB at L=24, n=6
+    dim = comb(L, n)
+    peak = max(62 * dim * (n * (L - n) + 1), 16 * dim * L * (L - 1) // 10)
+    if peak > SECTOR_MAX_BYTES:
+        raise ValueError(
+            f"the {n}-magnon sector of L={L} has dim {dim}, and building its "
+            f"Hamiltonian peaks at about {peak} bytes; sectors are limited to "
+            f"{SECTOR_MAX_BYTES} bytes")
     occs = np.array(list(combinations(range(L), n)), dtype=np.int64)
     masks = _pack(occs, L)
     order = np.argsort(masks, kind="stable")
@@ -320,6 +335,8 @@ def sector_state_from_sites(params, sites_1based):
     sites = sorted(s - 1 for s in sites_1based)
     if any(s < 0 or s >= params.L for s in sites):
         raise ValueError(f"sites {sites_1based} outside chain of length {params.L}")
+    if len(set(sites)) < len(sites):
+        raise ValueError(f"sites {sites_1based} name a site twice; a site holds one magnon")
     n = len(sites)
     basis = enumerate_sector(params.L, n)
     vec = np.zeros(basis.dim, dtype=complex)

@@ -274,6 +274,8 @@ def test_criterion_12_conservation_suite():
     # full-space Krylov run on a 0..3 magnon mixture
     p = ModelParams(L=8, alpha=ALPHA, delta=2.0)
     H = kron_hamiltonian(p)
+    assert abs(H.imag).max() == 0  # the Pauli products give a real matrix
+    H = H.real
     ndiag = number_operator(8).diagonal()
     rng = np.random.default_rng(3)
     vec = np.zeros(2**8, dtype=complex)

@@ -382,16 +382,45 @@ def test_pulse_guard_rejects_before_allocating(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy_solver_module():
-    # TwoMagnonBlock.top_state, krylov_evolve and the polylog series of
-    # dispersion_one / group_velocity_one import these inside the function,
-    # which keeps them out of every experiment's start-up time and memory;
-    # a fresh interpreter sees what the import alone loads
+    # TwoMagnonBlock.top_state and the polylog series of dispersion_one /
+    # group_velocity_one import these inside the function, which keeps them
+    # out of every experiment's start-up time and memory (krylov_evolve runs
+    # the Chebyshev series and needs neither); a fresh interpreter sees what
+    # the import alone loads
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, magnonlab.cli; print(sorted(m for m in "
             "('scipy.linalg', 'scipy.sparse.linalg', 'mpmath') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_sector_guard_rejects_before_allocating(tmp_path, capsys):
+    # the n=2 sector of L=300 has dim 44,850; building it would peak in the
+    # (L(L-1)/2, dim) hop-table comparison at 3.2 bytes per entry
+    L, dim = 300, 44850
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = main(["quench", "--length", str(L), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert (f"dim {dim}, and building its Hamiltonian peaks at about "
+            f"{16 * dim * L * (L - 1) // 10} bytes") in capsys.readouterr().err
+    assert peak < 2**20  # the comparison alone would take 6.4 GB
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("experiment", ["quench", "sample", "entropy"])
+def test_cli_separation_zero_fails_without_files(tmp_path, capsys, experiment):
+    # both magnons on one site once died in a KeyError traceback
+    out = tmp_path / "o"
+    code = main([experiment, "--length", "8", "--separation", "0", "--out", str(out)])
+    assert code == 1
+    assert "error: sites (4, 4) name a site twice" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("args", [["dispersion1", "--alpha", "nan"],

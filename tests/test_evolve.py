@@ -18,7 +18,6 @@ from magnonlab.model import (
 )
 from magnonlab import evolve
 from magnonlab.evolve import (
-    EXACT_DIM_MAX,
     PULSE_MAX_L,
     PulseSequence,
     PulseStep,
@@ -119,14 +118,6 @@ def test_spectral_step_row_and_column_forms_match_complex_step(monkeypatch, row_
                          - readout @ evecs.T @ ref)) <= 1e-12
 
 
-def test_exact_evolve_dimension_guard():
-    class Stub:
-        dim = EXACT_DIM_MAX + 1
-
-    with pytest.raises(ValueError, match="krylov"):
-        exact_evolve(Stub(), np.zeros(3), 1.0)
-
-
 @pytest.mark.parametrize("L, n", [(10, 2), (8, 3)])
 def test_propagate_matches_exact_evolve_at_every_time(monkeypatch, L, n):
     p = ModelParams(L=L, alpha=1.4, delta=2.0, boundary="open")
@@ -144,19 +135,6 @@ def test_propagate_matches_exact_evolve_at_every_time(monkeypatch, L, n):
             ref = reference_spectral_step(evecs, np.exp(-1j * evals * t), v)
             assert np.max(np.abs(row - exact_evolve(H, v, t))) <= 1e-13
             assert np.max(np.abs(row - ref)) <= 1e-13
-
-
-def test_propagate_dimension_guard():
-    class Stub:
-        dim = EXACT_DIM_MAX + 1
-
-    with pytest.raises(ValueError, match=f"dimension {EXACT_DIM_MAX + 1} exceeds "
-                                         "exact-diagonalization guard .*krylov_evolve"):
-        propagate(Stub(), np.zeros(3), np.linspace(0.0, 1.0, 4))
-    dim = EXACT_DIM_MAX + 1
-    with pytest.raises(ValueError, match=f"about {4 * dim**2} bytes together and their "
-                                         f"eigenvectors as many again"):
-        propagate(Stub(), np.zeros(3), np.linspace(0.0, 1.0, 4))
 
 
 @pytest.mark.parametrize("boundary", ["open", "ring"])
@@ -260,12 +238,14 @@ def test_chebyshev_branch_never_diagonalizes(monkeypatch):
 @pytest.mark.parametrize("min_dim", [1, 10**9])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_propagate_rejects_non_finite_times(monkeypatch, min_dim, bad):
-    # the dense path once returned NaN rows; the series would stop at K = 1
+    # the dense path once returned NaN rows; the series would stop at K = 1.
+    # krylov_evolve runs the same input check
     monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", min_dim)
     p = ModelParams(L=8, alpha=1.4, delta=2.0)
     H = sector_hamiltonian(p, 2)
-    with pytest.raises(ValueError, match="times must be finite"):
-        propagate(H, sector_state_from_sites(p, (4, 5)), [0.0, bad])
+    for run in (propagate, krylov_evolve):
+        with pytest.raises(ValueError, match="times must be finite"):
+            run(H, sector_state_from_sites(p, (4, 5)), [0.0, bad])
 
 
 # ---------------------------------------------------------------- krylov
@@ -285,6 +265,15 @@ def test_krylov_zero_hamiltonian_is_identity():
     v = rng.normal(size=40) + 1j * rng.normal(size=40)
     out = krylov_evolve(np.zeros((40, 40)), v, 17.3)
     assert np.allclose(out, v, atol=1e-14)
+
+
+def test_krylov_rejects_a_complex_matrix():
+    # the series runs in real sparse products, like the spectral step
+    H = sparse.identity(4, format="csr") * (1.0 + 0.5j)
+    with pytest.raises(TypeError, match="real matrix"):
+        krylov_evolve(H, np.ones(4), 1.0)
+    with pytest.raises(TypeError, match="real matrix"):
+        krylov_evolve(H.toarray(), np.ones(4), 1.0)
 
 
 def test_krylov_large_single_magnon_conserves_energy_and_norm():

@@ -1,11 +1,13 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from magnonlab import model
 from magnonlab.model import (
     ModelParams,
     SectorOperator,
@@ -286,6 +288,37 @@ def test_vacuum_energy_matches_zero_sector():
     assert vacuum_energy(p) == pytest.approx(p.delta / 3 * J[np.triu_indices(12, 1)].sum())
 
 
+def guard_message(monkeypatch, L, n):
+    """What the sector guard of enumerate_sector says at (L, n) under a 0-byte limit."""
+    monkeypatch.setattr(model, "SECTOR_MAX_BYTES", 0)
+    enumerate_sector.cache_clear()
+    with pytest.raises(ValueError, match="peaks at about") as err:
+        enumerate_sector(L, n)
+    monkeypatch.undo()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("L, n", [(17, 5), (150, 1)])
+def test_sector_guard_states_the_build_peak(monkeypatch, L, n):
+    # the guard's figure, at a nonzero-bound and at a hop-table-bound size
+    predicted = int(guard_message(monkeypatch, L, n).split("about ")[1].split()[0])
+    enumerate_sector.cache_clear()  # the peak includes the enumeration
+    tracemalloc.start()
+    try:
+        sector_hamiltonian(ModelParams(L=L, alpha=1.4, delta=3.0), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * peak <= predicted <= 1.1 * peak
+
+
+def test_sector_guard_admits_six_magnons_at_24_sites(monkeypatch):
+    # n <= 6 up to L=24: the converged two-magnon ladder on every chain
+    # that the full-space preparation reaches; the build would peak at 910 MB
+    assert "peaks at about 909599768 bytes" in guard_message(monkeypatch, 24, 6)
+    assert enumerate_sector(24, 6).dim == 134596
+
+
 def test_full_space_guard():
     with pytest.raises(ValueError, match="full-space"):
         build_full_hamiltonian(ModelParams(L=25))
@@ -303,6 +336,8 @@ def test_state_vector_basics():
         psi.overlap(other)
     with pytest.raises(ValueError):
         sector_state_from_sites(p, [0, 3])
+    with pytest.raises(ValueError, match="name a site twice"):
+        sector_state_from_sites(p, [3, 3])
 
 
 def test_param_validation():

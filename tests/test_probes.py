@@ -322,6 +322,16 @@ def test_spectroscopy_two_matches_dense_eigh_oracle(monkeypatch):
         assert got.contrast == pytest.approx(want.contrast, rel=1e-12)
 
 
+def test_spectroscopy_two_converges_with_the_six_magnon_sector():
+    # n_max=6 adds the n=6 sector (dim 38,760), which runs the Chebyshev
+    # series; an independent expm_multiply ladder read contrast 3.724 at
+    # m=2 and neglected weight 0.0076 (0.0433 at the default n_max=4)
+    p = ModelParams(L=20, alpha=1.4, delta=3.0)
+    sig = spectroscopy_two(p, 2 * np.pi * 2 / 20, n_max=6)
+    assert sig.contrast == pytest.approx(3.724, abs=1e-3)
+    assert sig.neglected_weight == pytest.approx(0.0076, abs=1e-4)
+
+
 def test_spectroscopy_two_rejects_window_off_the_chain():
     p = ModelParams(L=12, alpha=1.4, delta=3.0)
     with pytest.raises(ValueError, match="leaves the chain"):
