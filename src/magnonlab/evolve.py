@@ -4,12 +4,15 @@ Three propagators with one state convention:
 
 * ``propagate``: psi(t) = exp(-iHt) psi0 on a whole time grid, restricted
   to the rows the caller reads, as (n_times, len(rows)) or (n_times, dim).
-  A sector below ``CHEBYSHEV_MIN_DIM`` runs through its cached
-  reflection-even and -odd blocks (Q, eigenvalues, V), never a (dim, dim)
-  eigenvector matrix; from it on, a Chebyshev series of exp(-iHt) in
-  sparse products gives every time point at once and no eigensystem is
-  formed. ``exact_evolve`` is its single-time case. Quench maps, beat and
-  pair spectroscopy and the entropy time series read their states from it.
+  A Chebyshev series of exp(-iHt) in sparse products gives every time
+  point at once and forms no eigensystem. It runs where ``takes_series``
+  holds: where its K x nnz products cost less than diagonalizing, so a
+  large sector over a short window takes it and a long window (K in the
+  thousands) or a small sector does not. Elsewhere a sector runs through
+  its cached reflection-even and -odd blocks (Q, eigenvalues, V), never a
+  (dim, dim) eigenvector matrix. ``exact_evolve`` is its single-time case.
+  Quench maps, beat and pair spectroscopy and the entropy time series read
+  their states from it.
 * ``krylov_evolve``: the same Chebyshev series at one time, at any dim, for
   a sector or a raw real matrix; nothing in the experiments calls it.
 * ``floquet_evolve`` and ``floquet_sweep``: the pulsed realization. Each
@@ -23,6 +26,12 @@ Three propagators with one state convention:
   3 tau. ``floquet_sweep`` returns the fidelities of every (detuning,
   sequence) pair; ``floquet_evolve`` is its one-detuning, one-sequence case
   with snapshots, and both run one private step loop.
+
+The series rescales the spectrum into [-1, 1], and its order K grows with
+the width of the interval used (Weisse et al., Rev. Mod. Phys. 78, 275
+(2006)). A sector caches a tight, rigorous interval from its hopping
+structure (``SectorOperator.spectral_interval``: K = 142 instead of 184
+for fig1d's n=4 sector); a raw matrix gets its Gershgorin discs.
 
 The dense sector path and the pulse steps run one kernel, ``_spectral_step``:
 readout @ (phase * (V^T z)) for the real eigenvectors V of a block and a
@@ -55,6 +64,8 @@ import numpy as np
 from scipy import sparse
 
 from .model import (
+    INTERVAL_POWER_STEPS,
+    SECTOR_MAX_BYTES,
     ModelParams,
     SectorOperator,
     StateVector,
@@ -62,15 +73,24 @@ from .model import (
     _reflection_isometry,
     build_full_hamiltonian,
     full_space_bits,
+    gershgorin_interval,
 )
 
-# propagate runs the Chebyshev series from this sector dim on. Over the ladder of
-# one dispersion2 measurement on 2 cores (n=4 sector cold, one propagation per
-# momentum), dense vs Chebyshev read 0.15-0.19 vs 0.19-0.21 s at dim 1001
-# (L=14), 0.24-0.33 vs 0.16-0.28 s at 1365 (L=15), 0.37-0.49 vs 0.25-0.42 s
-# at 1820 (L=16). The dense path caches its eigensystem and amortizes it over
-# more time grids, so the crossover rises with the calls per sector.
-CHEBYSHEV_MIN_DIM = 1200
+# propagate runs the Chebyshev series where its products of the nnz nonzeros,
+# K orders plus the interval's INTERVAL_POWER_STEPS + 1, number at most this
+# many times the sum of d^3 over the two reflection blocks (of about dim/2) that
+# the dense path diagonalizes (``takes_series``). The series is paid on every
+# call, the eigh once per sector: one call costs about 2 ns per order and
+# nonzero, one eigh 0.2 ns per d^3, a ratio of 0.1, and a pair-spectroscopy
+# scan runs four calls per sector. Dense vs series over 64 times at Delta=3 on
+# 2 cores, the series on one BLAS thread, with the cost ratio in brackets; four
+# calls: 0.024 vs 0.035 s at dim 495 (L=12 n=4, t=8, [0.076]), 0.33 vs 0.40 s
+# at 1770 (L=60 n=2, t=20, [0.031]), 0.057 vs 0.038 s at 780 (L=40 n=2, t=4,
+# [0.040]), 0.10 vs 0.06 s at 1001 (L=14 n=4, t=8, [0.025]), 0.15 vs 0.07 s at
+# 1365 (L=15 n=4, t=8, [0.015]); one call: 0.12 vs 2.65 s at 1225 (L=50 n=2,
+# t=2000, [3.5]). The crossover lies between 0.025 and 0.04; at its low end a
+# sector in between keeps the dense blocks.
+CHEBYSHEV_NNZ_PER_DIM3 = 0.025
 # the Chebyshev series stops where its Bessel tail falls below this, relative
 # to |psi0|
 CHEBYSHEV_TOL = 1e-14
@@ -112,24 +132,67 @@ def propagate(H, psi0, times, rows=None):
     """exp(-iHt) psi0 for every t in times, as a (n_times, len(rows)) array.
 
     rows selects the basis rows to return, all of them (dim) when None.
-    Below CHEBYSHEV_MIN_DIM, per reflection block (Q, E, V) of
-    ``H.eigensystem()`` the coefficients V^T Q^T psi0 are formed once, and
-    ``_spectral_step`` applies every phase and the readout Q[rows] V at
-    once. From CHEBYSHEV_MIN_DIM on, ``_chebyshev_series`` evolves psi0
-    with sparse products only and never diagonalizes H. A scalar t gives
-    one (len(rows),) state.
+    Where ``takes_series`` holds, ``_chebyshev_series`` evolves psi0 with
+    sparse products only and never diagonalizes H. Elsewhere, per
+    reflection block (Q, E, V) of ``H.eigensystem()`` the coefficients
+    V^T Q^T psi0 are formed once, and ``_spectral_step`` applies every
+    phase and the readout Q[rows] V at once. A scalar t gives one
+    (len(rows),) state.
     """
     vec, grid = _state_and_grid(H.dim, psi0, times)
     n_out = H.dim if rows is None else len(rows)
     shape = np.shape(times) + (n_out,)
-    if H.dim >= CHEBYSHEV_MIN_DIM:
-        return _chebyshev_series(H.matrix, vec, grid, rows).reshape(shape)
+    if takes_series(H, grid):
+        return _chebyshev_series(H.matrix, H.spectral_interval, vec, grid,
+                                 rows).reshape(shape)
     out = np.zeros((n_out, len(grid)), dtype=complex)
     for q, evals, evecs in H.eigensystem():
         z = np.asarray(q.T @ vec, dtype=complex).reshape(-1, 1)
         readout = (q if rows is None else q[rows]) @ evecs
         out += _spectral_step(evecs, np.exp(-1j * np.outer(evals, grid)), z, readout)
     return out.T.reshape(shape)
+
+
+def takes_series(H, times):
+    """True where ``propagate`` runs the Chebyshev series for H over times.
+
+    Not once H's eigensystem is cached, since the dense path then only
+    applies it. Always where that eigensystem, about 4 dim^2 bytes, would
+    exceed SECTOR_MAX_BYTES. Elsewhere where the series' products of the
+    nnz nonzeros, K orders plus the INTERVAL_POWER_STEPS + 1 of
+    ``H.spectral_interval``, number at most CHEBYSHEV_NNZ_PER_DIM3 times
+    the sum of d^3 over two reflection blocks of about dim/2. K is read
+    off that interval before any series product runs; a sector where even
+    K = 1 costs more forms neither.
+    """
+    if H._eig is not None:
+        return False
+    if 4 * H.dim**2 > SECTOR_MAX_BYTES:
+        return True
+    orders = CHEBYSHEV_NNZ_PER_DIM3 * H.dim**3 / 4 / H.matrix.nnz - INTERVAL_POWER_STEPS - 1
+    if orders < 1:
+        return False
+    return series_orders(H.spectral_interval[0] * np.max(np.abs(times), initial=0.0)) <= orders
+
+
+@lru_cache(maxsize=64)  # every momentum of a pair scan asks for the same x_max
+def series_orders(x_max):
+    """K, the orders of the Chebyshev series of exp(-iHt) at a max|t| = x_max:
+    the first order whose Bessel tail 2 sum_(k>=K) |J_k(x_max)| is at most
+    CHEBYSHEV_TOL, since |T_k(h) vec| <= |vec|."""
+    return _bessel_orders(np.array([x_max]))[1]
+
+
+def _bessel_orders(x):
+    """(table, K): J_k(x) for k < K at every x >= 0 as a (len(x), K) table,
+    with K = ``series_orders(max(x))``."""
+    x_max = x.max(initial=0.0)
+    # past k = x, J_k(x) falls faster than exponentially: the table ends
+    # where the terms lie far below the tolerance; its last row is x_max
+    bessel = _bessel_j(np.append(x, x_max), int(x_max + 20 * np.cbrt(x_max) + 60))
+    tail = 2 * np.cumsum(np.abs(bessel[-1, ::-1]))[::-1]
+    n_orders = max(1, int(np.argmax(tail <= CHEBYSHEV_TOL)))
+    return bessel[:-1, :n_orders], n_orders
 
 
 def _state_and_grid(dim, psi0, times):
@@ -143,35 +206,25 @@ def _state_and_grid(dim, psi0, times):
     return vec, grid
 
 
-def _chebyshev_series(mat, vec, grid, rows):
+def _chebyshev_series(mat, interval, vec, grid, rows):
     """exp(-i mat t) vec at every t of grid, as (n_times, len(rows)).
 
-    Gershgorin discs put the spectrum of the real symmetric mat in
-    [b - a, b + a], so h = (mat - b)/a has its spectrum in [-1, 1] and
-    exp(-i mat t) = e^(-ibt) sum_k (2 - delta_k0) (-i)^k J_k(at) T_k(h)
-    (Tal-Ezer & Kosloff 1984). |T_k(h) vec| <= |vec|, so the series stops
-    at the first order K whose Bessel tail at a max|t| is below
-    CHEBYSHEV_TOL. Only the kept rows of each order T_k(h) vec
-    (``_chebyshev_orders``) are stored, and one (n_times, k) @ (k, n_rows)
-    product per block of orders sums the series at every time, a block
-    holding CHEBYSHEV_BLOCK_BYTES. A zero-width spectrum (a = 0) is a pure
-    phase.
+    interval = (a, b) puts the spectrum of the real symmetric mat in
+    [b - a, b + a]: ``SectorOperator.spectral_interval``, or Gershgorin
+    for a raw matrix. Then h = (mat - b)/a has its spectrum in [-1, 1]
+    and exp(-i mat t) = e^(-ibt) sum_k (2 - delta_k0) (-i)^k J_k(at) T_k(h)
+    (Tal-Ezer & Kosloff 1984), summed to the K of ``series_orders``. Only
+    the kept rows of each order T_k(h) vec (``_chebyshev_orders``) are
+    stored, and one (n_times, k) @ (k, n_rows) product per block of orders
+    sums the series at every time, a block holding CHEBYSHEV_BLOCK_BYTES.
+    A zero-width spectrum (a = 0) is a pure phase.
     """
-    diag = mat.diagonal()
-    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
-    e_min, e_max = np.min(diag - radius), np.max(diag + radius)
-    a, b = (e_max - e_min) / 2, (e_max + e_min) / 2
-    x = a * np.abs(grid)
-    x_max = x.max(initial=0.0)
-    # past k = x, J_k(x) falls faster than exponentially: the table ends
-    # where the terms lie far below the tolerance; its last row is x_max
-    bessel = _bessel_j(np.append(x, x_max), int(x_max + 20 * np.cbrt(x_max) + 60))
-    tail = 2 * np.cumsum(np.abs(bessel[-1, ::-1]))[::-1]
-    n_orders = max(1, int(np.argmax(tail <= CHEBYSHEV_TOL)))
+    a, b = interval
+    bessel, n_orders = _bessel_orders(a * np.abs(grid))
     # (-i)^k J_k(at) = (-i sign t)^k J_k(a|t|), read off the quarter turns
     k = np.arange(n_orders)
     turns = np.outer(np.where(grid < 0, -1, 1), k) % 4
-    coef = bessel[:-1, :n_orders] * np.array([1, -1j, -1, 1j])[turns]
+    coef = bessel * np.array([1, -1j, -1, 1j])[turns]
     coef[:, 1:] *= 2
     coef *= np.exp(-1j * b * grid)[:, None]
     keep = slice(None) if rows is None else rows
@@ -189,19 +242,26 @@ def _chebyshev_orders(mat, a, b, vec, keep, n_orders):
     """T_k(h) vec for k < n_orders, h = (mat - b)/a, each restricted to keep.
 
     T_(k+1) = 2h T_k - T_(k-1) runs on the real and imaginary parts of vec
-    as 1-D real sparse products, T_(k+1) overwriting T_(k-1).
+    as 1-D real sparse products, 2h v = (2/a)(mat v) - (2b/a) v, so no
+    scaled copy of mat is built; T_(k+1) overwrites T_(k-1).
     """
     yield vec[keep]
     if n_orders == 1:
         return
-    two_h = (mat - b * sparse.identity(len(vec), format="csr")) * (2 / a)
+    scale, shift = 2 / a, 2 * b / a
+
+    def two_h(v):
+        out = mat @ v
+        out *= scale
+        out -= shift * v
+        return out
+
     prev = [vec.real.astype(float), vec.imag.astype(float)]
-    cur = [0.5 * (two_h @ p) for p in prev]
+    cur = [0.5 * two_h(p) for p in prev]
     for k in range(1, n_orders):
         yield cur[0][keep] + 1j * cur[1][keep]
         if k + 1 < n_orders:
-            prev, cur = cur, [np.subtract(two_h @ c, p, out=p)
-                              for c, p in zip(cur, prev)]
+            prev, cur = cur, [np.subtract(two_h(c), p, out=p) for c, p in zip(cur, prev)]
 
 
 def _bessel_j(x, n):
@@ -243,7 +303,8 @@ def krylov_evolve(H, psi0, t):
     if mat.dtype.kind == "c":
         raise TypeError("the Chebyshev series needs a real matrix")
     vec, grid = _state_and_grid(mat.shape[0], psi0, t)
-    out = _chebyshev_series(mat, vec, grid, None).reshape(np.shape(t) + vec.shape)
+    interval = H.spectral_interval if isinstance(H, SectorOperator) else gershgorin_interval(mat)
+    out = _chebyshev_series(mat, interval, vec, grid, None).reshape(np.shape(t) + vec.shape)
     return StateVector(out, psi0.basis) if isinstance(psi0, StateVector) else out
 
 

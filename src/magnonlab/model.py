@@ -156,6 +156,15 @@ def enumerate_sector(L, n):
     return SectorBasis(L=L, n=n, masks=masks, occupations=occs)
 
 
+# SectorOperator.spectral_interval: power steps toward the top eigenvector, and
+# the relative widening that covers roundoff in its bounds (unwidened, the
+# worst slack against eigvalsh over every sector at L <= 12, both boundaries,
+# Delta in {-2, 0, 0.7, 3} and alpha in {0.5, 1.4, 3} was -1.0e-15 of the
+# largest |eigenvalue|)
+INTERVAL_POWER_STEPS = 20
+INTERVAL_PAD = 1e-12
+
+
 def _reflection_isometry(mirror):
     """Sparse (Q_even, Q_odd): orthonormal columns spanning the two
     eigenspaces of the row permutation r -> mirror[r] (an involution).
@@ -178,12 +187,22 @@ def _reflection_isometry(mirror):
     return columns(rows[rows <= mirror], 1.0), columns(rows[rows < mirror], -1.0)
 
 
+def gershgorin_interval(mat):
+    """(a, b): the Gershgorin discs of a real symmetric sparse mat put its
+    spectrum in [b - a, b + a]."""
+    diag = mat.diagonal()
+    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = np.min(diag - radius), np.max(diag + radius)
+    return float(hi - lo) / 2, float(hi + lo) / 2
+
+
 class SectorOperator:
     """Hamiltonian restricted to one magnon-number sector.
 
     Wraps a real symmetric CSR matrix and caches its eigendecomposition
     for repeated exact propagation. The matrix must commute with the site
-    reversal of its basis, as every ``sector_hamiltonian`` does.
+    reversal of its basis, as every ``sector_hamiltonian`` does, and
+    ``spectral_interval`` bounds it as the ``sector_hamiltonian`` of params.
     """
 
     def __init__(self, basis, matrix, params):
@@ -199,6 +218,34 @@ class SectorOperator:
 
     def dense(self):
         return self.matrix.toarray()
+
+    @cached_property
+    def spectral_interval(self):
+        """(a, b) with the spectrum in [b - a, b + a], cached.
+
+        H = D + X for the zz diagonal D and the compression X, onto
+        hard-core states, of n free bosons hopping with t = (2/3) J_ij, the
+        (L, L) one-magnon hop table. So lambda_min(H) >= min D +
+        n lambda_min(t) (Weyl's inequality and Cauchy interlacing). Every
+        hop is >= 0 (J > 0), so for any positive x, lambda_max(H) <=
+        max_i (Hx)_i / x_i (Collatz-Wielandt); INTERVAL_POWER_STEPS power
+        steps on H - lo from x = 1 make that bound tight. Both are
+        intersected with Gershgorin and widened by a relative INTERVAL_PAD
+        for roundoff.
+        """
+        a, b = gershgorin_interval(self.matrix)
+        diag = self.matrix.diagonal()
+        t_min = np.linalg.eigvalsh(2.0 / 3.0 * coupling_matrix(self.params))[0]
+        lo = max(b - a, diag.min() + self.basis.n * t_min)
+        x = np.ones(self.dim)
+        for _ in range(INTERVAL_POWER_STEPS):
+            y = self.matrix @ x - lo * x
+            if not np.all(y > 0):  # H = lo: the vacuum sector has no hops
+                break
+            x = y / y.max()
+        hi = min(b + a, np.max((self.matrix @ x) / x))
+        pad = INTERVAL_PAD * max(abs(lo), abs(hi))
+        return float(hi - lo) / 2 + pad, float(hi + lo) / 2
 
     def eigensystem(self):
         """Cached reflection blocks ((Q, evals, V) even, (Q, evals, V) odd).

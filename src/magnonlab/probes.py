@@ -21,6 +21,9 @@ emulation lives in the sampling module):
   small sectors (n = 0, 2 at L=20) through their cached reflection
   blocks and the large ones (n = 4, dim 4845 at L=20) through a Chebyshev
   series of sparse products, so no dense eigensystem of n = 4 is formed.
+  While every diagonalized block is below ``ONE_THREAD_BELOW_DIM``, the
+  whole ladder (preparation, eigensystems, series and contraction) runs
+  on one BLAS thread, which otherwise spins between its short calls.
 * quench light cones: site and adjacent-pair projector maps from an
   initial two-magnon product state, plus the renormalized adjacent-pair
   participation (sum_j <P_j,j+1> - 2/L)/(1 - 2/L).
@@ -33,12 +36,13 @@ well. Sites and momenta use 1-based labels, k = pi n/(L+1) for the
 open-chain standing waves.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .evolve import propagate
+from .evolve import propagate, takes_series
 from .model import (
     ModelParams,
     StateVector,
@@ -50,6 +54,7 @@ from .model import (
     sector_state_from_sites,
     zz_energies,
 )
+from .spectral import ONE_THREAD_BELOW_DIM, _one_blas_thread
 
 SPECTRO_ONE_TMAX = 16.0  # default sampling windows, in units of 1/J
 SPECTRO_TWO_TMAX = 8.0
@@ -358,12 +363,15 @@ def prepare_two_magnon(params, k, t_prep_J=0.19):
 
 @lru_cache(maxsize=8)
 def _cached_sector(params, n):
-    """The shared ``sector_hamiltonian``, whose eigensystem stays cached on it.
+    """The shared ``sector_hamiltonian``, with its eigensystem or its
+    Chebyshev interval cached on it.
 
-    ``propagate`` diagonalizes only sectors below ``CHEBYSHEV_MIN_DIM``,
-    so a cached eigensystem (two reflection blocks of about dim/2, their
-    eigenvectors 8 bytes per entry) holds at most about 4 dim^2 bytes:
-    under 5.8 MB each, so under 46 MB for all 8 entries.
+    A cached eigensystem (two reflection blocks of about dim/2, their
+    eigenvectors 8 bytes per entry) holds about 4 dim^2 bytes.
+    ``propagate`` diagonalizes only where the series would cost more
+    (``takes_series``): at every preset's window a sector below dim 800
+    (2.4 MB at L=40, n=2), over a long window a larger one, such as dim
+    1225 (6 MB) over t = 2000, up to ``SECTOR_MAX_BYTES``.
     """
     return sector_hamiltonian(params, n)
 
@@ -406,6 +414,14 @@ def _pair_lowering_block(params, n, pair_col):
     return lo_vecs[mates].T @ _dense_eigensystem(params, n)[1][rows]
 
 
+def _diagonalized_block(sectors, times):
+    """The largest reflection block that ``propagate`` diagonalizes for any
+    of sectors over times, 0 if none: the even block, one row per orbit of
+    the site reversal, (dim + palindromes)/2."""
+    return max((np.count_nonzero(np.arange(H.dim) <= H.basis.mirror)
+                for H in sectors if not takes_series(H, times)), default=0)
+
+
 def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
                      n_samples=N_SAMPLES, sites=(8, 13), n_max=4):
     """Two-magnon excitation energy from the pair coherence <sm_j sm_{j+1}>.
@@ -423,35 +439,38 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
         raise ValueError(
             f"pair window {j_lo}..{j_hi} leaves the chain of length {params.L}"
         )
-    comps = _ising_sectors(params, t_prep_J, n_max)
-    neglected = 1.0 - sum(float(np.sum(np.abs(c) ** 2)) for c in comps)
+    _check_full_space(params.L)  # the preparation's guard, before any sector is built
     times = np.linspace(0.0, t_max_J, n_samples, endpoint=False)
     t_phys = times / params.J
-    phases = imprint_phases(k, params.L)
     sectors = [_cached_sector(params, n) for n in range(0, n_max + 1, 2)]
-    pairs = range(j_lo - 1, j_hi)  # 1-based left sites -> 0-based
-    # (rows, mates) of sm_p sm_{p+1} per pair, for each step down the ladder
-    lowering = [[_pair_lowering_indices(hi.basis, lo.basis, p) for p in pairs]
-                for lo, hi in zip(sectors, sectors[1:])]
-    # the rows each sector is read at: mates as the lower end of a step,
-    # rows as the upper end
-    is_read = [np.zeros(H.dim, dtype=bool) for H in sectors]
-    for i, step in enumerate(lowering):
-        for rows, mates in step:
-            is_read[i][mates] = is_read[i + 1][rows] = True
-    # (sorted read rows, (n_times, n_read) site-basis trajectory) per sector
-    ladder = []
-    for H, comp, mask in zip(sectors, comps, is_read):
-        read = np.flatnonzero(mask)
-        psi0 = _imprint(H.basis.bits, comp, phases)
-        ladder.append((read, propagate(H, psi0, t_phys, rows=read)))
+    block = _diagonalized_block(sectors, t_phys)
+    with _one_blas_thread() if block < ONE_THREAD_BELOW_DIM else nullcontext():
+        comps = _ising_sectors(params, t_prep_J, n_max)
+        neglected = 1.0 - sum(float(np.sum(np.abs(c) ** 2)) for c in comps)
+        phases = imprint_phases(k, params.L)
+        pairs = range(j_lo - 1, j_hi)  # 1-based left sites -> 0-based
+        # (rows, mates) of sm_p sm_{p+1} per pair, for each step down the ladder
+        lowering = [[_pair_lowering_indices(hi.basis, lo.basis, p) for p in pairs]
+                    for lo, hi in zip(sectors, sectors[1:])]
+        # the rows each sector is read at: mates as the lower end of a step,
+        # rows as the upper end
+        is_read = [np.zeros(H.dim, dtype=bool) for H in sectors]
+        for i, step in enumerate(lowering):
+            for rows, mates in step:
+                is_read[i][mates] = is_read[i + 1][rows] = True
+        # (sorted read rows, (n_times, n_read) site-basis trajectory) per sector
+        ladder = []
+        for H, comp, mask in zip(sectors, comps, is_read):
+            read = np.flatnonzero(mask)
+            psi0 = _imprint(H.basis.bits, comp, phases)
+            ladder.append((read, propagate(H, psi0, t_phys, rows=read)))
 
-    signal = np.zeros((len(pairs), n_samples), dtype=complex)
-    for (read_lo, psi_lo), (read_hi, psi_hi), step in zip(ladder, ladder[1:], lowering):
-        for col, (rows, mates) in enumerate(step):
-            signal[col] += np.einsum("ta,ta->t",
-                                     psi_lo[:, np.searchsorted(read_lo, mates)].conj(),
-                                     psi_hi[:, np.searchsorted(read_hi, rows)])
+        signal = np.zeros((len(pairs), n_samples), dtype=complex)
+        for (read_lo, psi_lo), (read_hi, psi_hi), step in zip(ladder, ladder[1:], lowering):
+            for col, (rows, mates) in enumerate(step):
+                signal[col] += np.einsum("ta,ta->t",
+                                         psi_lo[:, np.searchsorted(read_lo, mates)].conj(),
+                                         psi_hi[:, np.searchsorted(read_hi, rows)])
     freqs, mag, f_peak, contrast = spectral_peak(t_phys, signal, two_sided=True)
     return SpectroscopySignal(
         times=times, values=signal, freqs=freqs, magnitude=mag,

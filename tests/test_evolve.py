@@ -127,9 +127,10 @@ def test_propagate_matches_exact_evolve_at_every_time(monkeypatch, L, n):
     v /= np.linalg.norm(v)
     times = np.linspace(0.0, 7.9, 40)
     evals, evecs = np.linalg.eigh(H.dense())
-    for min_dim in (1, 10**9):  # the Chebyshev series, then the dense blocks
-        monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", min_dim)
+    for series in (True, False):  # the Chebyshev series, then the dense blocks
+        force_branch(monkeypatch, series)
         grid = propagate(H, v, times)
+        assert (H._eig is None) == series
         assert grid.shape == (len(times), H.dim)
         for t, row in zip(times, grid):
             ref = reference_spectral_step(evecs, np.exp(-1j * evals * t), v)
@@ -154,9 +155,10 @@ def test_propagate_rows_match_the_full_propagation(monkeypatch, L, n, boundary):
                   rng.permutation(H.dim)[: H.dim // 4],  # unsorted
                   np.arange(H.dim),
                   np.empty(0, dtype=np.intp))
-    for min_dim in (1, 10**9):  # the Chebyshev series, then the dense blocks
-        monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", min_dim)
+    for series in (True, False):  # the Chebyshev series, then the dense blocks
+        force_branch(monkeypatch, series)
         full = propagate(H, v, times)
+        assert (H._eig is None) == series
         # a real state goes through the same complex kernel
         assert np.array_equal(propagate(H, v.real, times),
                               propagate(H, v.real + 0j, times))
@@ -169,19 +171,19 @@ def test_propagate_rows_match_the_full_propagation(monkeypatch, L, n, boundary):
             assert np.abs(one - propagate(H, v, 3.1)[R]).max(initial=0.0) <= 1e-13
 
 
+def force_branch(monkeypatch, series):
+    """Open the cost gate of the Chebyshev series to any cost, or close it."""
+    monkeypatch.setattr(evolve, "CHEBYSHEV_NNZ_PER_DIM3", np.inf if series else 0.0)
+
+
 def chebyshev_and_dense(monkeypatch, H, v, times, rows=None):
     """propagate on the Chebyshev branch, then on the dense one."""
     out = []
-    for min_dim in (1, 10**9):
-        monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", min_dim)
+    for series in (True, False):
+        force_branch(monkeypatch, series)
         out.append(propagate(H, v, times, rows=rows))
+        assert (H._eig is None) == series
     return out
-
-
-def gershgorin_half_width(H):
-    diag = H.matrix.diagonal()
-    radius = np.abs(H.dense()).sum(axis=1) - np.abs(diag)
-    return (np.max(diag + radius) - np.min(diag - radius)) / 2
 
 
 @pytest.mark.parametrize("times, min_orders", [
@@ -195,12 +197,14 @@ def test_chebyshev_series_matches_the_dense_blocks(monkeypatch, times, min_order
     v = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
     v /= np.linalg.norm(v)
     # J_k(a max|t|) weighs at every order k up to a max|t|, so K exceeds it
-    assert gershgorin_half_width(H) * np.abs(times).max() > min_orders
+    # on the interval the series uses
+    assert evolve.series_orders(H.spectral_interval[0] * np.abs(times).max()) > min_orders
     rows = rng.permutation(H.dim)[:30]
     cheb, dense = chebyshev_and_dense(monkeypatch, H, v, times, rows)
     assert np.abs(cheb - dense).max() <= 1e-12
     # summed over blocks of 7 orders instead of one block
     monkeypatch.setattr(evolve, "CHEBYSHEV_BLOCK_BYTES", 16 * len(rows) * 7)
+    H = sector_hamiltonian(p, 3)  # no cached eigensystem, so the branch shows
     cheb, _ = chebyshev_and_dense(monkeypatch, H, v, times, rows)
     assert np.abs(cheb - dense).max() <= 1e-12
 
@@ -229,18 +233,64 @@ def test_chebyshev_series_of_a_zero_width_sector_is_a_phase(monkeypatch):
 def test_chebyshev_branch_never_diagonalizes(monkeypatch):
     p = ModelParams(L=10, alpha=1.4, delta=2.0)
     H = sector_hamiltonian(p, 4)
-    monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", H.dim)
+    monkeypatch.setattr(evolve, "CHEBYSHEV_NNZ_PER_DIM3", np.inf)
     psi = propagate(H, sector_state_from_sites(p, (2, 3, 6, 7)), np.linspace(0, 4, 5))
     assert H._eig is None
     assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("min_dim", [1, 10**9])
+@pytest.mark.parametrize("delta", [0.0, 3.0])
+@pytest.mark.parametrize("n", [0, 7])
+def test_chebyshev_series_of_a_one_state_sector_is_a_finite_phase(monkeypatch, n, delta):
+    # n = 0 and n = L hold one state and no hop: a zero or roundoff-wide
+    # interval, never 0/0
+    p = ModelParams(L=7, alpha=1.4, delta=delta)
+    H = sector_hamiltonian(p, n)
+    a, b = H.spectral_interval
+    assert np.isfinite([a, b]).all() and 0 <= a <= 1e-11 * max(1.0, abs(b))
+    times = np.linspace(-3.0, 5.0, 9)
+    cheb, _ = chebyshev_and_dense(monkeypatch, H, np.array([0.6 + 0.8j]), times)
+    assert np.isfinite(cheb).all()
+    phase = (0.6 + 0.8j) * np.exp(-1j * H.matrix[0, 0] * times)
+    assert np.abs(cheb[:, 0] - phase).max() <= 1e-12
+
+
+@pytest.mark.parametrize("L, max_orders", [(18, 145), (20, 150)])
+def test_four_magnon_series_runs_on_the_tight_interval(L, max_orders):
+    # the n=4 sector of two_magnon_spectroscopy (L=18) and fig1d (L=20) over
+    # t = 8: the Gershgorin interval took K = 180 and 186 orders
+    H = sector_hamiltonian(ModelParams(L=L, alpha=1.4, delta=3.0), 4)
+    times = np.linspace(0.0, 8.0, 65)
+    assert evolve.takes_series(H, times)
+    assert evolve.series_orders(H.spectral_interval[0] * 8.0) <= max_orders
+
+
+def test_long_window_takes_the_dense_blocks(monkeypatch):
+    # quench --length 50 --t-max 2000: at dim 1225, K ~ 10^4 orders cost
+    # more than one eigh of the two blocks
+    p = ModelParams(L=50, alpha=1.4, delta=3.5)
+    H = sector_hamiltonian(p, 2)
+    times = np.linspace(0.0, 2000.0, 40)
+    assert not evolve.takes_series(H, times)
+    assert evolve.takes_series(H, [0.0, 4.0])  # a short window keeps the series
+    # a sector whose eigensystem would not fit the budget never diagonalizes
+    monkeypatch.setattr(evolve, "SECTOR_MAX_BYTES", 4 * H.dim**2 - 1)
+    assert evolve.takes_series(H, times)
+    monkeypatch.undo()
+    psi = propagate(H, sector_state_from_sites(p, (25, 26)), times)
+    assert H._eig is not None
+    assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
+    assert not evolve.takes_series(H, [0.0, 4.0])  # the cached eigensystem is used
+
+
+@pytest.mark.parametrize("max_bytes", [1, 10**9])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_propagate_rejects_non_finite_times(monkeypatch, min_dim, bad):
+def test_propagate_rejects_non_finite_times(monkeypatch, max_bytes, bad):
     # the dense path once returned NaN rows; the series would stop at K = 1.
+    # A 1-byte budget leaves no room for an eigensystem, so propagate takes
+    # the series; 10^9 leaves this small sector to the dense blocks.
     # krylov_evolve runs the same input check
-    monkeypatch.setattr(evolve, "CHEBYSHEV_MIN_DIM", min_dim)
+    monkeypatch.setattr(evolve, "SECTOR_MAX_BYTES", max_bytes)
     p = ModelParams(L=8, alpha=1.4, delta=2.0)
     H = sector_hamiltonian(p, 2)
     for run in (propagate, krylov_evolve):

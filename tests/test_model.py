@@ -238,6 +238,24 @@ def test_eigensystem_is_split_by_reflection(L, n, boundary):
     assert np.count_nonzero(parity > 0) == orbits
 
 
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+@pytest.mark.parametrize("L", [2, 3, 6, 9, 12])
+def test_spectral_interval_contains_every_eigenvalue(L, boundary):
+    # lambda_min >= min D + n lambda_min(t) and the Collatz-Wielandt
+    # lambda_max, each within Gershgorin up to the roundoff widening
+    for delta in (-2.0, 0.0, 0.7, 3.0):
+        for alpha in (0.5, 1.4, 3.0):
+            p = ModelParams(L=L, alpha=alpha, delta=delta, boundary=boundary)
+            for n in range(L + 1):
+                H = sector_hamiltonian(p, n)
+                a, b = H.spectral_interval
+                evals = np.linalg.eigvalsh(H.dense())
+                assert b - a <= evals[0] and evals[-1] <= b + a
+                g_a, g_b = model.gershgorin_interval(H.matrix)
+                pad = 2 * model.INTERVAL_PAD * max(abs(b - a), abs(b + a))
+                assert g_b - g_a - pad <= b - a and b + a <= g_b + g_a + pad
+
+
 def test_eigensystem_rejects_a_matrix_that_breaks_the_reflection():
     basis = enumerate_sector(6, 1)
     op = SectorOperator(basis, sparse.diags(np.arange(6.0)).tocsr(), ModelParams(L=6))

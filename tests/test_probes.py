@@ -332,6 +332,51 @@ def test_spectroscopy_two_converges_with_the_six_magnon_sector():
     assert sig.neglected_weight == pytest.approx(0.0076, abs=1e-4)
 
 
+def test_spectroscopy_two_runs_its_ladder_on_one_blas_thread(monkeypatch):
+    # fake controls stand in for every loaded OpenBLAS; the preparation and
+    # each propagation record the count they run at
+    from magnonlab import spectral
+
+    count, history, seen = [4], [], []
+
+    def put(n):
+        count[0] = n
+        history.append(n)
+
+    def recording(f):
+        def wrapped(*args, **kwargs):
+            seen.append(count[0])
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spectral, "_openblas_thread_controls",
+                        lambda: [(lambda: count[0], put)])
+    monkeypatch.setattr(probes, "propagate", recording(probes.propagate))
+    monkeypatch.setattr(probes, "_ising_prep", recording(probes._ising_prep))
+    # L=8: every sector (dims 1, 28, 70) is diagonalized in blocks below
+    # ONE_THREAD_BELOW_DIM; t_prep_J is fresh, so the preparation runs here
+    spectroscopy_two(ModelParams(L=8, alpha=1.4, delta=3.0), np.pi / 2,
+                     t_prep_J=0.2345, sites=(3, 5))
+    assert history == [1, 4]
+    assert seen == [1] * 4  # the preparation and three propagations
+    # L=14 over t = 16: the n=4 sector (dim 1001) is diagonalized in blocks
+    # of about 500, so the ladder keeps every thread
+    history.clear()
+    spectroscopy_two(ModelParams(L=14, alpha=1.4, delta=3.0), np.pi / 2, t_max_J=16.0)
+    assert history == [] and count == [4]
+
+
+def test_diagonalized_block_counts_the_palindromes():
+    # L=40, n=2 (dim 780) has 20 palindromic configurations, so its even
+    # block is 400, not (dim + 1) // 2 = 390: too large for one BLAS thread
+    p = ModelParams(L=40, alpha=1.4, delta=3.0)
+    sectors = [probes._cached_sector(p, n) for n in (0, 2)]
+    times = np.linspace(0.0, 8.0, 64, endpoint=False)
+    assert probes._diagonalized_block(sectors, times) == 400
+    assert probes._diagonalized_block(sectors, times) >= probes.ONE_THREAD_BELOW_DIM
+    assert probes._diagonalized_block(sectors[:1], times) == 1
+
+
 def test_spectroscopy_two_rejects_window_off_the_chain():
     p = ModelParams(L=12, alpha=1.4, delta=3.0)
     with pytest.raises(ValueError, match="leaves the chain"):
