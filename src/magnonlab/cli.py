@@ -376,6 +376,8 @@ def run_phase_diagram(cfg, outdir, seed):
 
 
 def run_quench(cfg, outdir, seed):
+    if not 0 < cfg["front_level"] < 1:  # also rejects NaN
+        raise ConfigError(f"'front_level' must lie in (0, 1), got {cfg['front_level']}")
     params = _model(cfg)
     psi0 = center_pair_state(params, cfg["separation"])
     times = np.linspace(0.0, cfg["t_max"], _grid_count(cfg, "n_times"))
@@ -439,8 +441,8 @@ def run_floquet_bench(cfg, outdir, seed):
             f"'n_det' must be odd, so that the middle detuning is zero, and at "
             f"least 3 unless det_max = 0; got {n_det}"
         )
-    if cfg["det_max"] < 0:
-        raise ConfigError(f"'det_max' must be at least 0, got {cfg['det_max']}")
+    if not 0 <= cfg["det_max"] < np.inf:  # also rejects NaN
+        raise ConfigError(f"'det_max' must be at least 0 and finite, got {cfg['det_max']}")
     params = _model(cfg)
     check_pulse_length(params.L)
     psi0 = center_pair_state(params)

@@ -11,8 +11,9 @@ on the all-down background, and site j maps to bit (1 << j) with 0-based
 internal indexing (I/O uses 1-based site labels).
 
 ``SectorBasis`` alone maps a configuration to a row (``index_of``, one
-``searchsorted`` on its sorted masks). ``sector_hamiltonian`` builds every
-sector as CSR from its ``bits`` table with no loop over configurations.
+``searchsorted`` on its sorted masks). ``sector_hamiltonian`` writes each
+sector straight to CSR: a row's hops move one of its n magnons to one of its
+L-n empty sites, so every row holds n(L-n) + 1 entries with the diagonal.
 Only ``_reflection_blocks`` densifies (for ``SectorOperator.eigensystem``
 and the pulse blocks), and only the halves that the reversal j -> L-1-j
 leaves even and odd: the couplings depend on |i-j| (or its cyclic
@@ -113,17 +114,14 @@ class SectorBasis:
     @cached_property
     def mirror(self):
         """Row of each row's reversed configuration (site j -> L-1-j)."""
-        rows = self.index_of(_pack(self.L - 1 - self.occupations, self.L))
+        rows = self.index_of(_site_bits(self.L)[::-1][self.occupations].sum(axis=1))
         rows.flags.writeable = False
         return rows
 
 
-def _pack(occs, L):
-    """Bitmask of each row of site indices: int64 up to 62 sites, else Python ints."""
-    if L <= 62:
-        return (1 << occs).sum(axis=1)
-    # beyond 62 sites the masks outgrow int64
-    return np.array([sum(1 << int(i) for i in row) for row in occs], dtype=object)
+def _site_bits(L):
+    """(L,) mask bit of each site: int64 up to 62 sites, beyond them Python ints."""
+    return np.ones(1, dtype=np.int64 if L <= 62 else object) << np.arange(L)
 
 
 SECTOR_MAX_BYTES = 1 << 30  # predicted sector build peak, see enumerate_sector
@@ -138,18 +136,18 @@ def enumerate_sector(L, n):
     """
     if not 0 <= n <= L:
         raise ValueError(f"magnon number n={n} out of range for L={L}")
-    # the tracemalloc peak of sector_hamiltonian: 61.1-62.1 bytes per nonzero at
-    # L=16..20, n=6, or 3.09-3.18 per entry of its (L(L-1)/2, dim) hop-table
-    # comparison at L=100..400, n <= 2; 204 MB at L=20, n=6, 910 MB at L=24, n=6
+    # the tracemalloc peak of sector_hamiltonian per nonzero: 31.6-37.3 bytes
+    # with int64 masks (L=12..62), 33 at L=17, n=5; with object masks, whose
+    # ints grow with L, 66-77 at L=70..200, n=2 and 86-103 at L=150..400, n=1
     dim = comb(L, n)
-    peak = max(62 * dim * (n * (L - n) + 1), 16 * dim * L * (L - 1) // 10)
+    peak = (86 if _site_bits(L).dtype == object else 34) * dim * (n * (L - n) + 1)
     if peak > SECTOR_MAX_BYTES:
         raise ValueError(
             f"the {n}-magnon sector of L={L} has dim {dim}, and building its "
             f"Hamiltonian peaks at about {peak} bytes; sectors are limited to "
             f"{SECTOR_MAX_BYTES} bytes")
     occs = np.array(list(combinations(range(L), n)), dtype=np.int64)
-    masks = _pack(occs, L)
+    masks = _site_bits(L)[occs].sum(axis=1)
     order = np.argsort(masks, kind="stable")
     masks, occs = masks[order], occs[order]
     masks.flags.writeable = occs.flags.writeable = False
@@ -288,24 +286,25 @@ def zz_energies(bits, J):
 def sector_hamiltonian(params, n):
     """The n-magnon sector Hamiltonian, always as a CSR ``SectorOperator``.
 
-    Off-diagonal (2/3) J_ij moves one magnon between sites i and j (from
-    sx sx + sy sy = 2(s+ s- + s- s+)); the diagonal is (delta/3) times
-    ``zz_energies``. A row hops across the pair (i, j) exactly when one of
-    the two sites holds a magnon, so every hop, in both directions, is
-    read off the bits table at once.
+    Off-diagonal (2/3) J_ij moves a magnon from an occupied site i to an
+    empty site j (from sx sx + sy sy = 2(s+ s- + s- s+)); the diagonal is
+    (delta/3) times ``zz_energies``.
     """
     basis = enumerate_sector(params.L, n)
+    L, dim = params.L, basis.dim
     J = coupling_matrix(params)
-    i, j = np.triu_indices(params.L, 1)
-    by_site = basis.bits.T.copy()  # (L, dim): each pair compares two whole rows
-    pair, rows = np.nonzero(by_site[i] != by_site[j])
-    one = np.ones(1, dtype=basis.masks.dtype)  # object masks give Python ints
-    cols = basis.index_of(basis.masks[rows] ^ ((one << i) | (one << j))[pair])
-    diag = np.arange(basis.dim)
-    rows, cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
-    vals = np.concatenate([2.0 / 3.0 * J[i, j][pair],
-                           params.delta / 3.0 * zz_energies(basis.bits, J)])
-    H = sparse.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    occ = basis.occupations[:, :, None]
+    empty = np.nonzero(basis.bits == 0)[1].reshape(dim, 1, L - n)
+    # a hop clears an occupied bit, then sets an empty one: each cleared mask
+    # serves L-n hops, so object masks make about one int per hop
+    bit = _site_bits(L)
+    cols = basis.index_of(basis.masks[:, None, None] ^ bit[occ] ^ bit[empty])
+    data = np.column_stack([2.0 / 3.0 * J[occ, empty].reshape(dim, -1),
+                            params.delta / 3.0 * zz_energies(basis.bits, J)])
+    indices = np.column_stack([cols.reshape(dim, -1), np.arange(dim)])
+    indptr = np.arange(0, data.size + 1, data.shape[1])  # n(L-n) + 1 per row
+    H = sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
+    H.sort_indices()  # canonical CSR: each row's columns ascending
     return SectorOperator(basis, H, params)
 
 

@@ -519,7 +519,9 @@ def bs_participation(pair_profile, L):
 
 
 def center_pair_state(params, separation=1):
-    """Two flips centered in the chain, separation sites apart."""
+    """Two flips centered in the chain, separation sites apart (at least 1)."""
+    if separation < 0:  # 0 names one site twice, which the site check reports
+        raise ValueError(f"separation must be at least 1, got {separation}")
     left = params.L // 2
     return sector_state_from_sites(params, (left, left + separation))
 
@@ -560,8 +562,11 @@ def front_velocity(map_, level=0.5, edge_margin=2):
     maximum) where the signal crosses level * max is found by linear
     interpolation. Times with no crossing, a front within edge_margin
     sites of the boundary, or no progress beyond the initial front are
-    excluded; the survivors are fit by least squares.
+    excluded; the survivors are fit by least squares. Raises ValueError
+    unless 0 < level < 1.
     """
+    if not 0 < level < 1:  # also rejects NaN
+        raise ValueError(f"front level must lie in (0, 1), got {level}")
     times, vals = map_.times, map_.values
     labels = np.asarray(map_.labels, dtype=float)
     pos, used = [], []

@@ -175,12 +175,15 @@ def test_floquet_bench_flags_a_width_clipped_by_the_grid(det_max, clipped, tmp_p
 
 
 def test_floquet_bench_rejects_a_negative_det_max(tmp_path, capsys):
-    out = tmp_path / "o"
-    assert main(["floquet-bench", "--length", "4", "--n-steps", "16", "--t-eff", "0.8",
-                 "--delta", "3.5", "--det-max", "-0.8", "--n-det", "5",
-                 "--out", str(out)]) == 2
-    assert "config error: 'det_max' must be at least 0" in capsys.readouterr().err
-    assert files_under(out) == []
+    # a non-finite det_max once failed only after diagonalizing
+    for det_max in ("-0.8", "nan", "inf"):
+        out = tmp_path / det_max
+        assert main(["floquet-bench", "--length", "4", "--n-steps", "16", "--t-eff", "0.8",
+                     "--delta", "3.5", "--det-max", det_max, "--n-det", "5",
+                     "--out", str(out)]) == 2
+        assert ("config error: 'det_max' must be at least 0 and finite"
+                in capsys.readouterr().err)
+        assert files_under(out) == []
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -396,8 +399,8 @@ def test_cli_import_loads_no_scipy_solver_module():
 
 
 def test_cli_sector_guard_rejects_before_allocating(tmp_path, capsys):
-    # the n=2 sector of L=300 has dim 44,850; building it would peak in the
-    # (L(L-1)/2, dim) hop-table comparison at 3.2 bytes per entry
+    # the n=2 sector of L=300 has dim 44,850 and 597 entries per row; with
+    # object masks its build would peak at about 86 bytes per nonzero
     L, dim = 300, 44850
     out = tmp_path / "o"
     tracemalloc.start()
@@ -408,8 +411,8 @@ def test_cli_sector_guard_rejects_before_allocating(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 1
     assert (f"dim {dim}, and building its Hamiltonian peaks at about "
-            f"{16 * dim * L * (L - 1) // 10} bytes") in capsys.readouterr().err
-    assert peak < 2**20  # the comparison alone would take 6.4 GB
+            f"{86 * dim * 597} bytes") in capsys.readouterr().err
+    assert peak < 2**20  # the build would take 2.3 GB
     assert not any(out.iterdir())
 
 
@@ -421,6 +424,27 @@ def test_cli_separation_zero_fails_without_files(tmp_path, capsys, experiment):
     assert code == 1
     assert "error: sites (4, 4) name a site twice" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("experiment", ["quench", "sample", "entropy"])
+def test_cli_negative_separation_fails_without_files(tmp_path, capsys, experiment):
+    # it once ran silently with the second magnon left of the first
+    out = tmp_path / "o"
+    code = main([experiment, "--length", "12", "--separation", "-2", "--out", str(out)])
+    assert code == 1
+    assert "error: separation must be at least 1, got -2" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("level", ["1.5", "nan"])
+def test_cli_quench_rejects_a_front_level_outside_the_unit_interval(tmp_path, capsys,
+                                                                   level):
+    # the front fit once died in an IndexError traceback
+    out = tmp_path / "o"
+    assert main(["quench", "--length", "8", "--front-level", level,
+                 "--out", str(out)]) == 2
+    assert "config error: 'front_level' must lie in (0, 1)" in capsys.readouterr().err
+    assert files_under(out) == []
 
 
 @pytest.mark.parametrize("args", [["dispersion1", "--alpha", "nan"],

@@ -153,6 +153,8 @@ def test_sector_hamiltonian_equals_dict_oracle(L, boundary):
     for n in range(L + 1):
         op = sector_hamiltonian(p, n)
         assert op.matrix.format == "csr"
+        assert op.matrix.has_canonical_format
+        assert np.all(np.diff(op.matrix.indptr) == n * (L - n) + 1)
         assert np.array_equal(op.dense(), dict_sector_hamiltonian(p, n))
 
 
@@ -161,6 +163,8 @@ def test_sector_hamiltonian_equals_dict_oracle_object_masks(boundary):
     p = ModelParams(L=70, alpha=1.4, delta=1.3, boundary=boundary)
     op = sector_hamiltonian(p, 2)
     assert op.basis.masks.dtype == object
+    assert op.matrix.has_canonical_format
+    assert np.all(np.diff(op.matrix.indptr) == 2 * (70 - 2) + 1)
     assert np.array_equal(op.dense(), dict_sector_hamiltonian(p, 2))
 
 
@@ -318,7 +322,7 @@ def guard_message(monkeypatch, L, n):
 
 @pytest.mark.parametrize("L, n", [(17, 5), (150, 1)])
 def test_sector_guard_states_the_build_peak(monkeypatch, L, n):
-    # the guard's figure, at a nonzero-bound and at a hop-table-bound size
+    # the guard's figure, with int64 masks and with object masks
     predicted = int(guard_message(monkeypatch, L, n).split("about ")[1].split()[0])
     enumerate_sector.cache_clear()  # the peak includes the enumeration
     tracemalloc.start()
@@ -332,8 +336,8 @@ def test_sector_guard_states_the_build_peak(monkeypatch, L, n):
 
 def test_sector_guard_admits_six_magnons_at_24_sites(monkeypatch):
     # n <= 6 up to L=24: the converged two-magnon ladder on every chain
-    # that the full-space preparation reaches; the build would peak at 910 MB
-    assert "peaks at about 909599768 bytes" in guard_message(monkeypatch, 24, 6)
+    # that the full-space preparation reaches; the build would peak at 499 MB
+    assert "peaks at about 498812776 bytes" in guard_message(monkeypatch, 24, 6)
     assert enumerate_sector(24, 6).dim == 134596
 
 

@@ -569,6 +569,13 @@ def test_front_velocity_needs_enough_crossings():
         front_velocity(m)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, np.nan])
+def test_front_velocity_rejects_a_level_outside_the_unit_interval(level):
+    # above 1 no site reaches the threshold; this once died in an IndexError
+    with pytest.raises(ValueError, match="front level must lie in"):
+        front_velocity(synthetic_front_map(3.0), level=level)
+
+
 def test_front_bound_pair_slower_than_free_magnons():
     p1 = ModelParams(L=20, alpha=1.4, delta=1.0)
     pup, _ = quench_projectors(center_pair_state(p1), p1, np.linspace(0, 5.5, 56))
