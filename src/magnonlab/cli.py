@@ -61,6 +61,8 @@ from .sampling import (
     save_snapshots,
 )
 from .spectral import (
+    ONE_THREAD_BELOW_DIM,
+    _blas_threads,
     dispersion_one,
     dispersion_two,
     group_velocity_one,
@@ -223,6 +225,8 @@ def resolve_config(experiment, file_cfg, cli_cfg):
             vals[key] = seconds * coupling
         if spec.window and not 0 < vals[key] < np.inf:  # also rejects NaN
             raise ConfigError(f"'{key}' must be finite and positive, got {vals[key]!r}")
+        if not np.isfinite(vals[key]):
+            raise ConfigError(f"'{key}' must be finite, got {vals[key]!r}")
     return vals
 
 
@@ -238,6 +242,16 @@ def _grid_count(cfg, key, minimum=1):
     if cfg[key] < minimum:
         raise ConfigError(f"'{key}' must be at least {minimum}, got {cfg[key]}")
     return cfg[key]
+
+
+def _delta_grid(cfg, minimum=1):
+    """The anisotropy grid delta_min .. delta_max of n_delta points, rejected
+    unless both ends are finite and n_delta is at least ``minimum``."""
+    for key in ("delta_min", "delta_max"):
+        if not np.isfinite(cfg[key]):
+            raise ConfigError(f"'{key}' must be finite, got {cfg[key]!r}")
+    return np.linspace(cfg["delta_min"], cfg["delta_max"],
+                       _grid_count(cfg, "n_delta", minimum))
 
 
 # --------------------------------------------------------------- artifacts
@@ -363,7 +377,7 @@ def run_phase_diagram(cfg, outdir, seed):
     k_all = quantized_momenta(params.L)
     n_k = _grid_count(cfg, "n_k")
     idx = np.unique(np.round(np.linspace(0, len(k_all) - 1, n_k)).astype(int))
-    deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], _grid_count(cfg, "n_delta"))
+    deltas = _delta_grid(cfg)
     pd = phase_diagram(params, k_values=k_all[idx], deltas=deltas)
     kk, dd = np.meshgrid(pd.k, pd.delta, indexing="ij")
     path = write_csv(
@@ -413,9 +427,11 @@ def run_quench(cfg, outdir, seed):
 def run_participation(cfg, outdir, seed):
     params = ModelParams(L=cfg["length"], alpha=cfg["alpha"], J=1.0,
                          boundary=cfg["boundary"])
-    # the notes read the steepest slope between two grid points
-    n_delta = _grid_count(cfg, "n_delta", 2)
-    deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], n_delta)
+    # the notes read the steepest slope between two distinct grid points
+    deltas = _delta_grid(cfg, 2)
+    if not cfg["delta_max"] > cfg["delta_min"]:
+        raise ConfigError(f"'delta_max' must exceed 'delta_min', got "
+                          f"{cfg['delta_max']} <= {cfg['delta_min']}")
     compare = (cfg["compare_length"], cfg["compare_t"]) if cfg["compare_length"] else None
     curve = participation_crossover(params, deltas, tJ_eval=cfg["t_eval"],
                                     compare=compare)
@@ -443,6 +459,7 @@ def run_floquet_bench(cfg, outdir, seed):
         )
     if not 0 <= cfg["det_max"] < np.inf:  # also rejects NaN
         raise ConfigError(f"'det_max' must be at least 0 and finite, got {cfg['det_max']}")
+    n_steps = _grid_count(cfg, "n_steps")
     params = _model(cfg)
     check_pulse_length(params.L)
     psi0 = center_pair_state(params)
@@ -454,7 +471,7 @@ def run_floquet_bench(cfg, outdir, seed):
     ref[masks] = ref_sector.data
     detunings = np.linspace(-cfg["det_max"], cfg["det_max"], cfg["n_det"])
 
-    f_dd, f_plain = floquet_sweep(("dd", "plain"), params, full0, cfg["n_steps"],
+    f_dd, f_plain = floquet_sweep(("dd", "plain"), params, full0, n_steps,
                                   cfg["t_eff"], detunings, ref).T
     path = write_csv(Path(outdir) / "floquet_bench.csv", _meta(cfg),
                      ["detuning", "fidelity_dd", "fidelity_plain"],
@@ -575,14 +592,21 @@ FIGURES = tuple(PRESETS)
 
 
 def _execute(experiment, cfg, outdir, seed):
+    """Run one experiment into outdir on one BLAS thread, with its manifest.
+
+    Every stage below ``ONE_THREAD_BELOW_DIM`` keeps that one thread, and a
+    dense stage at or above it gets the starting count back
+    (``spectral._blas_threads``); the counts are restored afterwards.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     existing = set(outdir.iterdir())
     start = time.perf_counter()
     try:
-        files, notes = EXPERIMENTS[experiment](cfg, outdir, seed)
-        write_manifest(outdir, experiment, cfg, seed, files,
-                       notes, time.perf_counter() - start)
+        with _blas_threads(0):
+            files, notes = EXPERIMENTS[experiment](cfg, outdir, seed)
+            write_manifest(outdir, experiment, cfg, seed, files,
+                           notes, time.perf_counter() - start)
     except BaseException:
         # a failed run leaves no partial artifacts; earlier files stay, but
         # an earlier manifest only while every digest in it still holds
@@ -636,8 +660,10 @@ def _common_flags(p):
                    help="output directory (default runs/<experiment>)")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="ignored; every experiment runs serially, and the "
-                        "flag is kept for old scripts")
+                   help="ignored, kept for old scripts: every experiment runs "
+                        "serially on one BLAS thread, and only dense blocks of "
+                        f"dim {ONE_THREAD_BELOW_DIM} or more get the starting "
+                        "thread count back")
 
 
 def main(argv=None):

@@ -145,12 +145,21 @@ def propagate(H, psi0, times, rows=None):
     if takes_series(H, grid):
         return _chebyshev_series(H.matrix, H.spectral_interval, vec, grid,
                                  rows).reshape(shape)
+    from .spectral import _blas_threads
+
     out = np.zeros((n_out, len(grid)), dtype=complex)
-    for q, evals, evecs in H.eigensystem():
-        z = np.asarray(q.T @ vec, dtype=complex).reshape(-1, 1)
-        readout = (q if rows is None else q[rows]) @ evecs
-        out += _spectral_step(evecs, np.exp(-1j * np.outer(evals, grid)), z, readout)
+    with _blas_threads(_dense_block(H), give_back_only=True):
+        for q, evals, evecs in H.eigensystem():
+            z = np.asarray(q.T @ vec, dtype=complex).reshape(-1, 1)
+            readout = (q if rows is None else q[rows]) @ evecs
+            out += _spectral_step(evecs, np.exp(-1j * np.outer(evals, grid)), z, readout)
     return out.T.reshape(shape)
+
+
+def _dense_block(H):
+    """The larger of H's two reflection blocks, the even one: one row per
+    orbit of the site reversal, (dim + palindromes)/2."""
+    return np.count_nonzero(np.arange(H.dim) <= H.basis.mirror)
 
 
 def takes_series(H, times):
@@ -744,13 +753,17 @@ def floquet_sweep(seqs, params, psi0, n_steps, t_eff, detunings, reference,
     detunings = np.asarray(detunings, dtype=float)
     chunk = _sweep_chunk(params.L)[0]
     out = np.empty((len(detunings), len(seqs)))
-    for lo in range(0, len(detunings), chunk):
-        eigs = [_pulse_eigensystem(params.L, params.alpha, params.J, params.boundary,
-                                   float(det))
-                for det in detunings[lo:lo + chunk]]
-        psi = np.repeat(vec.astype(complex)[:, None], len(eigs) * len(seqs), axis=1)
-        psi, _ = _pulse_loop(seqs, params, eigs, psi.reshape(-1, len(eigs), len(seqs)),
-                             n_steps, t_eff, scales)
-        out[lo:lo + len(eigs)] = np.abs(ref.conj() @ psi.reshape(vec.size, -1)).reshape(
-            len(eigs), len(seqs)) ** 2
+    from .spectral import _blas_threads
+
+    with _blas_threads(max(_pulse_block_dims(params.L)), give_back_only=True):
+        for lo in range(0, len(detunings), chunk):
+            eigs = [_pulse_eigensystem(params.L, params.alpha, params.J, params.boundary,
+                                       float(det))
+                    for det in detunings[lo:lo + chunk]]
+            psi = np.repeat(vec.astype(complex)[:, None], len(eigs) * len(seqs), axis=1)
+            psi, _ = _pulse_loop(seqs, params, eigs,
+                                 psi.reshape(-1, len(eigs), len(seqs)),
+                                 n_steps, t_eff, scales)
+            out[lo:lo + len(eigs)] = np.abs(
+                ref.conj() @ psi.reshape(vec.size, -1)).reshape(len(eigs), len(seqs)) ** 2
     return out

@@ -21,9 +21,11 @@ emulation lives in the sampling module):
   small sectors (n = 0, 2 at L=20) through their cached reflection
   blocks and the large ones (n = 4, dim 4845 at L=20) through a Chebyshev
   series of sparse products, so no dense eigensystem of n = 4 is formed.
-  While every diagonalized block is below ``ONE_THREAD_BELOW_DIM``, the
-  whole ladder (preparation, eigensystems, series and contraction) runs
-  on one BLAS thread, which otherwise spins between its short calls.
+  The whole ladder (preparation, eigensystems, series and contraction)
+  runs under ``spectral._blas_threads`` for the largest diagonalized
+  block: on one BLAS thread, which otherwise spins between its short
+  calls, while that block is below ``ONE_THREAD_BELOW_DIM``, and with the
+  starting thread count from there on.
 * quench light cones: site and adjacent-pair projector maps from an
   initial two-magnon product state, plus the renormalized adjacent-pair
   participation (sum_j <P_j,j+1> - 2/L)/(1 - 2/L).
@@ -36,13 +38,12 @@ well. Sites and momenta use 1-based labels, k = pi n/(L+1) for the
 open-chain standing waves.
 """
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .evolve import propagate, takes_series
+from .evolve import _dense_block, propagate, takes_series
 from .model import (
     ModelParams,
     StateVector,
@@ -54,7 +55,7 @@ from .model import (
     sector_state_from_sites,
     zz_energies,
 )
-from .spectral import ONE_THREAD_BELOW_DIM, _one_blas_thread
+from .spectral import _blas_threads
 
 SPECTRO_ONE_TMAX = 16.0  # default sampling windows, in units of 1/J
 SPECTRO_TWO_TMAX = 8.0
@@ -416,10 +417,9 @@ def _pair_lowering_block(params, n, pair_col):
 
 def _diagonalized_block(sectors, times):
     """The largest reflection block that ``propagate`` diagonalizes for any
-    of sectors over times, 0 if none: the even block, one row per orbit of
-    the site reversal, (dim + palindromes)/2."""
-    return max((np.count_nonzero(np.arange(H.dim) <= H.basis.mirror)
-                for H in sectors if not takes_series(H, times)), default=0)
+    of sectors over times, 0 if none."""
+    return max((_dense_block(H) for H in sectors if not takes_series(H, times)),
+               default=0)
 
 
 def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
@@ -444,7 +444,7 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
     t_phys = times / params.J
     sectors = [_cached_sector(params, n) for n in range(0, n_max + 1, 2)]
     block = _diagonalized_block(sectors, t_phys)
-    with _one_blas_thread() if block < ONE_THREAD_BELOW_DIM else nullcontext():
+    with _blas_threads(block):
         comps = _ising_sectors(params, t_prep_J, n_max)
         neglected = 1.0 - sum(float(np.sum(np.abs(c) ** 2)) for c in comps)
         phases = imprint_phases(k, params.L)

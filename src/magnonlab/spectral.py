@@ -19,10 +19,18 @@ eigenstate of a block is the repulsively bound pair candidate; its inverse
 participation ratio L4 = sum_d |psi(d)|^4 over the unfolded relative
 coordinate d = 1 .. L-1 separates bound (L4 above 5/(L-1)) from extended
 states (L4 of order 1/(L-1)).
+
+The package's one BLAS-thread rule lives here, ``_blas_threads(dim)``: a
+dense stage whose largest block is below ``ONE_THREAD_BELOW_DIM`` runs on
+one OpenBLAS thread, and one at or above it gets back the count each
+OpenBLAS had before magnonlab changed it. Every CLI run enters it at one
+thread; the two-magnon loops here and the pair ladder of ``probes`` enter
+it in both directions, ``propagate``'s dense path and ``floquet_sweep``
+only at or above the threshold.
 """
 
 import ctypes
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -32,10 +40,12 @@ from .model import coupling_matrix, sector_hamiltonian, vacuum_energy
 
 BOUND_THRESHOLD_NUM = 5.0  # bound if L4 > 5/(L-1)
 
-# Blocks below this dimension solve their top eigenpair on one BLAS thread.
-# top_state with 2 OpenBLAS threads against 1, ring L = 300/600/1000/1400/2000
-# (dims 149/299/499/699/999): 0.97x, 1.03x, 1.17x, 1.38x, 1.91x; below the
-# threshold a second thread only spins between the calls.
+# _blas_threads runs dense stages whose blocks are below this dimension on one
+# BLAS thread and gives larger ones the starting count back. top_state with 2
+# OpenBLAS threads against 1, ring L = 300/600/1000/1400/2000 (dims
+# 149/299/499/699/999): 0.97x, 1.03x, 1.17x, 1.38x, 1.91x. numpy eigh, 1 thread
+# against 2 on 2 cores: 10.1 vs 9.8 ms at dim 256, 28 vs 25 ms at 400, 77 vs 57
+# ms at 612, 349 vs 232 ms at 1024. Below it a second thread mostly spins.
 ONE_THREAD_BELOW_DIM = 400
 
 _MAPS = "/proc/self/maps"
@@ -112,9 +122,24 @@ def group_velocity_one(k, params, tol=1e-12):
 
 
 def _openblas_thread_controls():
-    """(get, set) thread-count functions of every OpenBLAS mapped into this process."""
+    """(path, get, set) thread-count functions of every OpenBLAS mapped into
+    this process.
+
+    The maps read costs about 0.8 ms, so its result is kept until the next
+    import: an OpenBLAS is mapped by importing the extension that links it
+    (numpy's at start-up, scipy's with ``scipy.linalg``), and a reuse costs
+    about 1 us.
+    """
+    import sys
+
+    return _read_thread_controls(_MAPS, _OPENBLAS_THREAD_SYMBOLS, len(sys.modules))
+
+
+@lru_cache(maxsize=1)
+def _read_thread_controls(maps, symbols, n_modules):
+    """``_openblas_thread_controls`` from one read of the maps file."""
     try:
-        with open(_MAPS) as fh:
+        with open(maps) as fh:
             paths = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
     except OSError:
         return []
@@ -124,40 +149,54 @@ def _openblas_thread_controls():
             lib = ctypes.CDLL(path)  # already loaded: returns the same handle
         except OSError:
             continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        for get_name, set_name in symbols:
             get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
+                controls.append((path, get, put))
                 break
     return controls
 
 
-@contextmanager
-def _one_blas_thread():
-    """Every loaded OpenBLAS on one thread inside the block, restored on exit.
+# while a _blas_threads scope is open: library path -> the thread count that
+# OpenBLAS had before the outermost open scope changed it
+_starting_threads = None
 
-    The count is process-wide; no-op where no OpenBLAS or no symbol is found.
+
+@contextmanager
+def _blas_threads(dim, give_back_only=False):
+    """The BLAS thread rule for a dense stage whose largest block is ``dim``.
+
+    Below ``ONE_THREAD_BELOW_DIM`` every loaded OpenBLAS runs on one
+    thread, since a second one only spins between such small calls; at or
+    above it, each gets back the count it had before magnonlab changed it
+    (a no-op outside any scope). ``give_back_only`` stages set nothing
+    below the threshold. Counts are process-wide and restored on exit,
+    also on an error. Scopes wrap whole stages, never loop bodies: an
+    entry that sets counts costs about 10 us, and about 0.8 ms where it
+    reads /proc/self/maps (``_openblas_thread_controls``).
     """
+    global _starting_threads
+    small = dim < ONE_THREAD_BELOW_DIM
+    outermost = _starting_threads is None
+    if (small and give_back_only) or (not small and outermost):
+        yield
+        return
     controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    saved = [get() for _, get, _ in controls]
+    if outermost:
+        _starting_threads = {}
     try:
+        for (path, _, put), n in zip(controls, saved):
+            start = _starting_threads.setdefault(path, n)
+            put(1 if small else start)
         yield
     finally:
-        for (_, put), n in zip(controls, saved):
+        for (_, _, put), n in zip(controls, saved):
             put(n)
-
-
-def _small_block_threads(dim):
-    """One BLAS thread for top_state loops over blocks of dimension ``dim``, if small."""
-    # top_state's scipy.linalg maps scipy's OpenBLAS; load it before the
-    # count is set. Not at module level: start-up would pay for it.
-    import scipy.linalg  # noqa: F401
-
-    return _one_blas_thread() if dim < ONE_THREAD_BELOW_DIM else nullcontext()
+        if outermost:
+            _starting_threads = None
 
 
 def quantized_momenta(L, positive=True):
@@ -346,13 +385,15 @@ def dispersion_two(k_values, params, d_max=None):
     Returns excitation energies eps2(k) - eps0 together with the L4 norm
     of the relative wavefunction and a bound flag (L4 above 5/(L-1));
     an unset flag marks the state as merged with the pair continuum.
-    Rings with L // 2 below ``ONE_THREAD_BELOW_DIM`` solve on one BLAS thread.
+    The loop runs under ``_blas_threads`` for blocks of L // 2.
     """
     k_values = np.atleast_1d(np.asarray(k_values, dtype=float))
     e0 = vacuum_energy(params)
     thr = bound_threshold(params.L)
     energies, l4s, flags = [], [], []
-    with _small_block_threads(params.L // 2):
+    import scipy.linalg  # noqa: F401  top_state's OpenBLAS, mapped before the count is set
+
+    with _blas_threads(params.L // 2):
         for k in k_values:
             block = two_magnon_block(k, params, d_max=d_max)
             energy, top = block.top_state()
@@ -383,8 +424,8 @@ class PhaseDiagram:
 
     def onset_delta(self):
         """Smallest delta in the grid with any bound momentum, or None."""
-        cols = np.nonzero(self.bound.any(axis=0))[0]
-        return float(self.delta[cols[0]]) if len(cols) else None
+        bound = self.delta[self.bound.any(axis=0)]
+        return float(bound.min()) if len(bound) else None
 
 
 def phase_diagram(params, k_values=None, deltas=None, threads=None):
@@ -392,10 +433,9 @@ def phase_diagram(params, k_values=None, deltas=None, threads=None):
 
     The block kinetic part is built once per k and reused across delta
     (the zz diagonal is linear in delta); each grid point solves for the
-    top eigenpair only.  Rows run one after another, and blocks below
-    ``ONE_THREAD_BELOW_DIM`` (every L below 800) solve on one BLAS thread,
-    since a second one only spins between such small solves; ``threads``
-    is accepted for old callers and ignored.
+    top eigenpair only.  Rows run one after another under
+    ``_blas_threads`` for blocks of L // 2 (one BLAS thread for every L
+    below 800); ``threads`` is accepted for old callers and ignored.
     """
     if k_values is None:
         k_values = quantized_momenta(params.L)
@@ -405,7 +445,9 @@ def phase_diagram(params, k_values=None, deltas=None, threads=None):
     deltas = np.asarray(deltas, dtype=float)
 
     rows = []
-    with _small_block_threads(params.L // 2):
+    import scipy.linalg  # noqa: F401  top_state's OpenBLAS, mapped before the count is set
+
+    with _blas_threads(params.L // 2):
         for k in k_values:
             block = two_magnon_block(k, params)
             rows.append([l4_of_weights(unfold_relative_weights(block, block.top_state(dl)[1]))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from magnonlab import cli, spectral
 from magnonlab.cli import main, read_config_file, resolve_config
 from magnonlab.entropy import config_mutual_proxy_exact
 from magnonlab.evolve import PULSE_MAX_L, _pulse_eigensystem, exact_evolve
@@ -243,12 +244,120 @@ def test_time_window_must_be_finite_and_positive(args, key, tmp_path, capsys):
     (["entropy", "--length", "10", "--n-times", "0"], "n_times"),
     (["sample", "--length", "8", "--n-snapshots", "-5"], "n_snapshots"),
     (["sample", "--length", "8", "--n-snapshots", "1"], "n_snapshots"),
+    # once failed inside the pulse loop with exit 1
+    (["floquet-bench", "--length", "6", "--n-steps", "0"], "n_steps"),
 ])
 def test_grid_count_without_a_grid_is_a_config_error(args, key, tmp_path, capsys):
     out = tmp_path / "o"
     assert main(args + ["--out", str(out)]) == 2
     assert f"config error: '{key}' must be at least" in capsys.readouterr().err
     assert files_under(out) == []
+
+
+@pytest.mark.parametrize("args, key", [
+    # each once reached the numerics and failed there with exit 1
+    (["phase-diagram", "--length", "20", "--delta-max", "nan"], "delta_max"),
+    (["participation", "--length", "8", "--delta-max", "nan"], "delta_max"),
+    (["sample", "--length", "8", "--t", "nan"], "t"),
+    (["participation", "--length", "8", "--t-eval", "nan"], "t_eval"),
+])
+def test_non_finite_value_is_a_config_error(args, key, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(args + ["--out", str(out)]) == 2
+    assert f"config error: '{key}' must be finite" in capsys.readouterr().err
+    assert files_under(out) == []
+
+
+def test_sample_at_time_zero_is_allowed(tmp_path):
+    assert main(["sample", "--length", "8", "--t", "0", "--n-snapshots", "20",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_participation_needs_a_grid_of_distinct_deltas(tmp_path, capsys):
+    # equal ends once gave 0/0 slopes and a steepest_slope_delta read off NaN
+    out = tmp_path / "o"
+    assert main(["participation", "--length", "8", "--delta-min", "1",
+                 "--delta-max", "1", "--n-delta", "3", "--out", str(out)]) == 2
+    assert "config error: 'delta_max' must exceed 'delta_min'" in capsys.readouterr().err
+    assert files_under(out) == []
+
+
+def test_phase_diagram_onset_is_the_smallest_bound_delta(tmp_path):
+    # the onset once read the first bound column of the grid: 3.0 on the
+    # descending grid below, 2.0 on the same points ascending
+    onsets = []
+    for lo, hi in (("3", "1"), ("1", "3")):
+        out = tmp_path / lo
+        assert main(["phase-diagram", "--length", "20", "--delta-min", lo,
+                     "--delta-max", hi, "--n-delta", "3", "--out", str(out)]) == 0
+        onsets.append(manifest(out)["notes"]["onset_delta"])
+    assert onsets == [2.0, 2.0]
+
+
+def fake_blas(monkeypatch):
+    """One fake OpenBLAS at 4 threads in place of every loaded one:
+    (count, history of the counts set)."""
+    count, history = [4], []
+
+    def put(n):
+        count[0] = n
+        history.append(n)
+
+    monkeypatch.setattr(spectral, "_openblas_thread_controls",
+                        lambda: [("fake", lambda: count[0], put)])
+    return count, history
+
+
+def record_blas_stages(monkeypatch, count):
+    """{stage: [count at each call]} for every eigh and the floquet-bench stages."""
+    seen = {}
+
+    def recording(name, f):
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, []).append(count[0])
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
+    for name in ("center_pair_state", "exact_evolve", "floquet_sweep", "write_csv",
+                 "write_manifest"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    return seen
+
+
+FLOQUET_SMALL = ["floquet-bench", "--length", "6", "--n-steps", "16", "--n-det", "3"]
+
+
+def test_cli_runs_every_blas_stage_on_one_thread_and_restores_the_count(
+        monkeypatch, tmp_path):
+    count, history = fake_blas(monkeypatch)
+    seen = record_blas_stages(monkeypatch, count)
+    _pulse_eigensystem.cache_clear()  # so the sweep diagonalizes here
+    assert main(FLOQUET_SMALL + ["--out", str(tmp_path / "o")]) == 0
+    # L=6: sector blocks of 9 and 6, pulse blocks of 20, 12, 16 and 16
+    assert len(seen["eigh"]) == 2 + 3 * 4
+    assert set(seen) == {"eigh", "center_pair_state", "exact_evolve", "floquet_sweep",
+                         "write_csv", "write_manifest"}
+    assert all(counts == [1] * len(counts) for counts in seen.values())
+    assert history == [1, 4] and count == [4]
+    # a schema error and a failure in the numerics restore it too
+    for args, code in ((["--n-steps", "0"], 2), (["--length", "13"], 1)):
+        history.clear()
+        assert main(FLOQUET_SMALL + args + ["--out", str(tmp_path / "bad")]) == code
+        assert history == [1, 4] and count == [4]
+
+
+def test_cli_gives_the_threads_back_to_blocks_at_the_threshold(monkeypatch, tmp_path):
+    # the pulse blocks (up to 20) reach a threshold lowered to 10, the
+    # propagated sector's (9) does not
+    monkeypatch.setattr(spectral, "ONE_THREAD_BELOW_DIM", 10)
+    count, history = fake_blas(monkeypatch)
+    seen = record_blas_stages(monkeypatch, count)
+    _pulse_eigensystem.cache_clear()
+    assert main(FLOQUET_SMALL + ["--out", str(tmp_path / "o")]) == 0
+    assert seen["eigh"] == [1] * 2 + [4] * 3 * 4
+    assert seen["floquet_sweep"] == [1]  # entered at one thread, gives back inside
+    assert history == [1, 4, 1, 4] and count == [4]
 
 
 def test_entropy_columns_match_direct_evaluation(tmp_path):
@@ -396,6 +505,19 @@ def test_cli_import_loads_no_scipy_solver_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_blas_thread_scope_loads_no_scipy_linalg(tmp_path):
+    # the pulse and snapshot runs never touch scipy's OpenBLAS; loading it
+    # for the thread scope would add about 8 MiB to each
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, magnonlab.cli as cli; "
+            f"cli.main({FLOQUET_SMALL!r} + ['--out', sys.argv[1] + '/f']); "
+            "cli.main(['sample', '--length', '8', '--n-snapshots', '20', "
+            "'--out', sys.argv[1] + '/s']); print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_sector_guard_rejects_before_allocating(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from magnonlab import probes
+from magnonlab import probes, spectral
 from magnonlab.model import (
     FULL_SPACE_MAX_L,
     ModelParams,
@@ -37,7 +37,12 @@ from magnonlab.probes import (
     spectroscopy_two,
     standing_wave_momenta,
 )
-from magnonlab.spectral import dispersion_one, dispersion_two
+from magnonlab.spectral import (
+    dispersion_one,
+    dispersion_two,
+    phase_diagram,
+    quantized_momenta,
+)
 
 
 def ising_state_oracle(params, t_J, phases):
@@ -335,8 +340,6 @@ def test_spectroscopy_two_converges_with_the_six_magnon_sector():
 def test_spectroscopy_two_runs_its_ladder_on_one_blas_thread(monkeypatch):
     # fake controls stand in for every loaded OpenBLAS; the preparation and
     # each propagation record the count they run at
-    from magnonlab import spectral
-
     count, history, seen = [4], [], []
 
     def put(n):
@@ -350,7 +353,7 @@ def test_spectroscopy_two_runs_its_ladder_on_one_blas_thread(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(spectral, "_openblas_thread_controls",
-                        lambda: [(lambda: count[0], put)])
+                        lambda: [("fake", lambda: count[0], put)])
     monkeypatch.setattr(probes, "propagate", recording(probes.propagate))
     monkeypatch.setattr(probes, "_ising_prep", recording(probes._ising_prep))
     # L=8: every sector (dims 1, 28, 70) is diagonalized in blocks below
@@ -366,6 +369,34 @@ def test_spectroscopy_two_runs_its_ladder_on_one_blas_thread(monkeypatch):
     assert history == [] and count == [4]
 
 
+def test_thread_scopes_read_the_maps_once_per_call(monkeypatch):
+    # a scope entry costs about 10 us and a maps read about 0.8 ms: each
+    # at most once per call, not once per momentum, delta, sector or pair
+    reads, entries = [], []
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(path)
+        return open(path, *args, **kwargs)
+
+    def counting_controls(controls=spectral._openblas_thread_controls):
+        entries.append(1)
+        return controls()
+
+    monkeypatch.setattr(spectral, "open", counting_open, raising=False)
+    monkeypatch.setattr(spectral, "_openblas_thread_controls", counting_controls)
+    for run in (
+        lambda: phase_diagram(ModelParams(L=20, alpha=1.4, boundary="ring"),
+                              k_values=quantized_momenta(20)[:3], deltas=[0.0, 2.0, 4.0]),
+        lambda: spectroscopy_two(ModelParams(L=8, alpha=1.4, delta=3.0), np.pi / 2,
+                                 sites=(3, 5)),
+    ):
+        spectral._read_thread_controls.cache_clear()
+        reads.clear()
+        entries.clear()
+        run()
+        assert reads == [spectral._MAPS] and entries == [1]
+
+
 def test_diagonalized_block_counts_the_palindromes():
     # L=40, n=2 (dim 780) has 20 palindromic configurations, so its even
     # block is 400, not (dim + 1) // 2 = 390: too large for one BLAS thread
@@ -373,7 +404,7 @@ def test_diagonalized_block_counts_the_palindromes():
     sectors = [probes._cached_sector(p, n) for n in (0, 2)]
     times = np.linspace(0.0, 8.0, 64, endpoint=False)
     assert probes._diagonalized_block(sectors, times) == 400
-    assert probes._diagonalized_block(sectors, times) >= probes.ONE_THREAD_BELOW_DIM
+    assert probes._diagonalized_block(sectors, times) >= spectral.ONE_THREAD_BELOW_DIM
     assert probes._diagonalized_block(sectors[:1], times) == 1
 
 

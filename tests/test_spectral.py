@@ -321,11 +321,15 @@ def test_one_blas_thread_sets_and_restores_every_openblas(monkeypatch, tmp_path)
     if not before:
         pytest.skip("no OpenBLAS mapped into this process")
     assert len(spectral._openblas_thread_controls()) == len(before)
-    with spectral._one_blas_thread():
+    with spectral._blas_threads(0):
+        assert counts() == [1] * len(before)
+        # a block at the threshold gets the starting counts back inside
+        with spectral._blas_threads(spectral.ONE_THREAD_BELOW_DIM):
+            assert counts() == before
         assert counts() == [1] * len(before)
     assert counts() == before
     with pytest.raises(RuntimeError, match="inside"):
-        with spectral._one_blas_thread():
+        with spectral._blas_threads(0):
             assert counts() == [1] * len(before)
             raise RuntimeError("inside")
     assert counts() == before
@@ -335,7 +339,7 @@ def test_one_blas_thread_sets_and_restores_every_openblas(monkeypatch, tmp_path)
         with monkeypatch.context() as patch:
             patch.setattr(spectral, name, value)
             assert spectral._openblas_thread_controls() == []
-            with spectral._one_blas_thread():
+            with spectral._blas_threads(0):
                 assert counts() == before
 
 
