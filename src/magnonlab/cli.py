@@ -464,7 +464,7 @@ def run_floquet_bench(cfg, outdir, seed):
     check_pulse_length(params.L)
     psi0 = center_pair_state(params)
     ref_sector = exact_evolve(sector_hamiltonian(params, 2), psi0, cfg["t_eff"])
-    masks = np.asarray(enumerate_sector(params.L, 2).masks, dtype=np.int64)
+    masks = enumerate_sector(params.L, 2).masks
     full0 = np.zeros(2 ** params.L, dtype=complex)
     full0[masks] = psi0.data
     ref = np.zeros_like(full0)
@@ -599,6 +599,7 @@ def _execute(experiment, cfg, outdir, seed):
     (``spectral._blas_threads``); the counts are restored afterwards.
     """
     outdir = Path(outdir)
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
     outdir.mkdir(parents=True, exist_ok=True)
     existing = set(outdir.iterdir())
     start = time.perf_counter()
@@ -608,14 +609,16 @@ def _execute(experiment, cfg, outdir, seed):
             write_manifest(outdir, experiment, cfg, seed, files,
                            notes, time.perf_counter() - start)
     except BaseException:
-        # a failed run leaves no partial artifacts; earlier files stay, but
-        # an earlier manifest only while every digest in it still holds
+        # a failed run leaves no partial artifacts or new directories; earlier
+        # files stay, but an earlier manifest only while every digest holds
         for path in set(outdir.iterdir()) - existing:
             if path.is_file():
                 path.unlink()
         manifest = outdir / "manifest.json"
         if manifest.is_file() and not _manifest_holds(manifest):
             manifest.unlink()
+        while created and not any(created[0].iterdir()):
+            created.pop(0).rmdir()
         raise
     return notes
 

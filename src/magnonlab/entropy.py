@@ -29,6 +29,7 @@ measured data. Natural logarithms everywhere.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -90,12 +91,12 @@ def reduced_density(psi, region):
     sites = _check_region(region, L)
     basis = enumerate_sector(L, N)
 
-    # bit i of a region key is site sites[i]; the complement key is the
-    # mask with the region's bits cleared
+    # colex ranks, sum_i b_i C(i, b_0 + .. + b_i), of the region's bits in its
+    # listed order and of the complement's; both ascend with the mask
     local = basis.bits[:, [s - 1 for s in sites]]
-    a_keys = local @ (1 << np.arange(len(sites)))
+    a_ranks, c_ranks = ((b * basis.binomials[np.arange(b.shape[1]), b.cumsum(axis=1)]).sum(1)
+                        for b in (local, np.delete(basis.bits, [s - 1 for s in sites], axis=1)))
     n_local = local.sum(axis=1)
-    c_keys = basis.masks & ~sum(1 << (s - 1) for s in sites)
 
     probs = np.zeros(N + 1)
     blocks = [None] * (N + 1)
@@ -103,12 +104,9 @@ def reduced_density(psi, region):
         rows = np.flatnonzero(n_local == n)
         if not rows.size:
             continue
-        sub = enumerate_sector(len(sites), n)
-        # complement columns in ascending key order, which is the order in
-        # which the ascending sector masks first reach each key
-        c_values, c_col = np.unique(c_keys[rows], return_inverse=True)
-        M = np.zeros((sub.dim, len(c_values)), dtype=complex)
-        M[sub.index_of(a_keys[rows]), c_col] = psi.data[rows]
+        # the rows pair every region configuration with every complement one
+        M = np.zeros((comb(len(sites), n), comb(L - len(sites), N - n)), dtype=complex)
+        M[a_ranks[rows], c_ranks[rows]] = psi.data[rows]
         rho = M @ M.conj().T
         p = float(np.trace(rho).real)
         if p > 1e-15:

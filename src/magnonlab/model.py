@@ -10,8 +10,8 @@ computational basis is the z basis, bit 1 marks a flipped spin (magnon)
 on the all-down background, and site j maps to bit (1 << j) with 0-based
 internal indexing (I/O uses 1-based site labels).
 
-``SectorBasis`` alone maps a configuration to a row (``index_of``, one
-``searchsorted`` on its sorted masks). ``sector_hamiltonian`` writes each
+``SectorBasis`` alone maps a configuration to a row (``index_of``, the colex rank
+sum_k C(s_k, k+1) of its ascending sites). ``sector_hamiltonian`` writes each
 sector straight to CSR: a row's hops move one of its n magnons to one of its
 L-n empty sites, so every row holds n(L-n) + 1 entries with the diagonal.
 Only ``_reflection_blocks`` densifies (for ``SectorOperator.eigensystem``
@@ -28,7 +28,6 @@ The full 2^L space shares one occupation table, ``full_space_bits``.
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -79,49 +78,54 @@ def vacuum_energy(params):
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Basis of the n-magnon sector: lexicographic site tuples as bitmasks."""
+    """Basis of the n-magnon sector: ascending site rows in colex (bitmask) order."""
 
     L: int
     n: int
-    masks: np.ndarray = field(repr=False)
-    occupations: np.ndarray = field(repr=False)  # (dim, n) sorted site indices
+    occupations: np.ndarray = field(repr=False)  # (dim, n) ascending sites
+    binomials: np.ndarray = field(repr=False)  # (L+1, n+2) C(t, j), see enumerate_sector
 
     @property
     def dim(self):
-        return len(self.masks)
+        return len(self.occupations)
 
-    def index_of(self, masks):
-        """Rows of a mask or an array of masks; an int for a scalar.
+    def index_of(self, occupations):
+        """Rows of ascending site rows (..., n), their colex ranks; an int for one row.
 
-        Raises KeyError if any mask is not in the basis.
+        Raises KeyError if any row is not in the basis: each rank is read back.
         """
-        masks = np.asarray(masks)
-        rows = np.minimum(np.searchsorted(self.masks, masks), self.dim - 1)
-        missing = self.masks[rows] != masks
-        if np.any(missing):
-            mask = int(masks[missing][0])
-            raise KeyError(f"mask {mask:#x} not in {self.n}-magnon basis")
+        occ = np.asarray(occupations)
+        if occ.shape[-1:] != (self.n,):
+            raise KeyError(f"rows of shape {occ.shape} do not hold {self.n} sites")
+        ranks = self.binomials.take(occ * (self.n + 2) + np.arange(1, self.n + 1), mode="clip")
+        rows = np.minimum(ranks.sum(axis=-1), self.dim - 1)
+        missing = np.any(self.occupations[rows] != occ, axis=-1)
+        if missing.any():
+            raise KeyError(f"sites {occ[missing][0].tolist()} not in the {self.n}-magnon basis")
         return int(rows) if rows.ndim == 0 else rows
 
     @cached_property
     def bits(self):
-        """(dim, L) uint8 occupation table, 1 = magnon; row order of masks."""
+        """(dim, L) uint8 occupation table, 1 = magnon; row order of the basis."""
         bits = np.zeros((self.dim, self.L), dtype=np.uint8)
         bits[np.arange(self.dim)[:, None], self.occupations] = 1
         bits.flags.writeable = False  # one cached table serves every caller
         return bits
 
     @cached_property
+    def masks(self):
+        """(dim,) int64 full-space row (bit j = site j) of each row."""
+        _check_full_space(self.L)
+        masks = np.left_shift(1, self.occupations).sum(axis=1)
+        masks.flags.writeable = False
+        return masks
+
+    @cached_property
     def mirror(self):
         """Row of each row's reversed configuration (site j -> L-1-j)."""
-        rows = self.index_of(_site_bits(self.L)[::-1][self.occupations].sum(axis=1))
+        rows = self.index_of(self.L - 1 - self.occupations[:, ::-1])
         rows.flags.writeable = False
         return rows
-
-
-def _site_bits(L):
-    """(L,) mask bit of each site: int64 up to 62 sites, beyond them Python ints."""
-    return np.ones(1, dtype=np.int64 if L <= 62 else object) << np.arange(L)
 
 
 SECTOR_MAX_BYTES = 1 << 30  # predicted sector build peak, see enumerate_sector
@@ -136,22 +140,23 @@ def enumerate_sector(L, n):
     """
     if not 0 <= n <= L:
         raise ValueError(f"magnon number n={n} out of range for L={L}")
-    # the tracemalloc peak of sector_hamiltonian per nonzero: 31.6-37.3 bytes
-    # with int64 masks (L=12..62), 33 at L=17, n=5; with object masks, whose
-    # ints grow with L, 66-77 at L=70..200, n=2 and 86-103 at L=150..400, n=1
+    # the tracemalloc peak of sector_hamiltonian: data, columns and a gather per nonzero,
+    # row tables per row and site; within 7 % at (L, n) = (17, 5), (20, 6), (150, 1|2)
     dim = comb(L, n)
-    peak = (86 if _site_bits(L).dtype == object else 34) * dim * (n * (L - n) + 1)
+    peak = dim * (19 * (n * (L - n) + 1) + 23 * L)
     if peak > SECTOR_MAX_BYTES:
         raise ValueError(
             f"the {n}-magnon sector of L={L} has dim {dim}, and building its "
             f"Hamiltonian peaks at about {peak} bytes; sectors are limited to "
             f"{SECTOR_MAX_BYTES} bytes")
-    occs = np.array(list(combinations(range(L), n)), dtype=np.int64)
-    masks = _site_bits(L)[occs].sum(axis=1)
-    order = np.argsort(masks, kind="stable")
-    masks, occs = masks[order], occs[order]
-    masks.flags.writeable = occs.flags.writeable = False
-    return SectorBasis(L=L, n=n, masks=masks, occupations=occs)
+    # C(t, j) where t - j <= L - n, all that ranks and hops read, else 0: no overflow
+    binom = np.array([[comb(t, j) * (t - j <= L - n) for j in range(n + 2)] for t in range(L + 1)])
+    occs = np.zeros((1, 0), dtype=np.int64)
+    for k in range(n):  # (k+1)-site rows with top t: the first C(t, k) k-site rows, t
+        top = np.repeat(np.arange(k, L - n + k + 1), binom[k:L - n + k + 1, k])
+        occs = np.column_stack([occs[np.arange(len(top)) - binom[top, k + 1]], top])
+    occs.flags.writeable = binom.flags.writeable = False
+    return SectorBasis(L=L, n=n, occupations=occs, binomials=binom)
 
 
 # SectorOperator.spectral_interval: power steps toward the top eigenvector, and
@@ -288,20 +293,36 @@ def sector_hamiltonian(params, n):
 
     Off-diagonal (2/3) J_ij moves a magnon from an occupied site i to an
     empty site j (from sx sx + sy sy = 2(s+ s- + s- s+)); the diagonal is
-    (delta/3) times ``zz_energies``.
+    (delta/3) times ``zz_energies``. Moving magnon a to an empty site e shifts
+    only the magnons between: down (C(s_k, k+1) -> C(s_k, k)) if e lies above
+    s_a, up (to C(s_k, k+2)) if below; row-wise prefix sums give the new rank.
     """
     basis = enumerate_sector(params.L, n)
-    L, dim = params.L, basis.dim
+    L, dim, occ, binom = params.L, basis.dim, basis.occupations, basis.binomials
+    empty = np.flatnonzero(basis.bits == 0).reshape(dim, L - n) % L
+    mid = binom[occ, np.arange(1, n + 1)]
+    down, up = np.zeros((2, dim, n + 1), dtype=np.int64)
+    np.cumsum(mid - binom[occ, np.arange(n)], axis=1, out=down[:, 1:])
+    np.cumsum(binom[occ, np.arange(2, n + 2)] - mid, axis=1, out=up[:, 1:])
+    c = empty - np.arange(L - n)  # magnons below each empty site
+    above, below = binom[empty, c], binom[empty, c + 1]  # where e takes position c-1 or c
+    above -= np.take_along_axis(down, c, axis=1)
+    below -= np.take_along_axis(up, c, axis=1)
+    del c  # before the largest array, the columns
+    indices = np.empty((dim, n * (L - n) + 1), dtype=np.int64)  # hops (a, e), diagonal
+    indices[:, -1] = np.arange(dim)
+    left = indices[:, -1:] - mid  # the rank without magnon a
+    hops = indices[:, :-1].reshape(dim, n, L - n)
+    np.add((left + down[:, 1:])[:, :, None], above[:, None], out=hops)
+    np.add((left + up[:, :-1])[:, :, None], below[:, None], out=hops,
+           where=empty[:, None] < occ[:, :, None])
+    del mid, down, up, above, below, left  # before the data and its gather
     J = coupling_matrix(params)
-    occ = basis.occupations[:, :, None]
-    empty = np.nonzero(basis.bits == 0)[1].reshape(dim, 1, L - n)
-    # a hop clears an occupied bit, then sets an empty one: each cleared mask
-    # serves L-n hops, so object masks make about one int per hop
-    bit = _site_bits(L)
-    cols = basis.index_of(basis.masks[:, None, None] ^ bit[occ] ^ bit[empty])
-    data = np.column_stack([2.0 / 3.0 * J[occ, empty].reshape(dim, -1),
-                            params.delta / 3.0 * zz_energies(basis.bits, J)])
-    indices = np.column_stack([cols.reshape(dim, -1), np.arange(dim)])
+    diagonal = params.delta / 3.0 * zz_energies(basis.bits, J)
+    data = np.empty(indices.shape)
+    np.multiply(J[occ[:, :, None], empty[:, None]].reshape(dim, -1), 2.0 / 3.0,
+                out=data[:, :-1])
+    data[:, -1] = diagonal
     indptr = np.arange(0, data.size + 1, data.shape[1])  # n(L-n) + 1 per row
     H = sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
     H.sort_indices()  # canonical CSR: each row's columns ascending
@@ -386,5 +407,5 @@ def sector_state_from_sites(params, sites_1based):
     n = len(sites)
     basis = enumerate_sector(params.L, n)
     vec = np.zeros(basis.dim, dtype=complex)
-    vec[basis.index_of(sum(1 << s for s in sites))] = 1.0
+    vec[basis.index_of(sites)] = 1.0
     return StateVector(vec, ("sector", params.L, n))

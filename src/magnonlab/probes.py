@@ -223,7 +223,7 @@ def prepare_planewave_one(params, components, gamma=0.7):
         raise ValueError("rotation angle hit pi/2 on a site; reduce gamma")
     amps = 1j * np.sin(gamma * A) * (np.prod(cos_all) / cos_all)
     basis = enumerate_sector(L, 1)
-    # one-magnon masks sort by site, so amplitudes map over in site order
+    # one-magnon rows are in site order, so amplitudes map over in that order
     vec = amps[basis.occupations[:, 0]].astype(complex)
     weight = float(np.sum(np.abs(vec) ** 2))
     if weight == 0:
@@ -342,7 +342,7 @@ def _ising_sectors(params, t_prep_J, n_max):
     psi = _ising_prep(params, t_prep_J)
     comps = []
     for n in range(0, n_max + 1, 2):
-        comp = psi[np.asarray(enumerate_sector(params.L, n).masks, dtype=np.int64)]
+        comp = psi[enumerate_sector(params.L, n).masks]
         comp.flags.writeable = False
         comps.append(comp)
     return tuple(comps)
@@ -380,13 +380,14 @@ def _cached_sector(params, n):
 def _pair_lowering_indices(hi, lo, pair_col):
     """Index map for sm_j sm_{j+1} from sector basis hi (n) to lo (n-2).
 
-    pair_col is the 0-based left site. Returns (rows, mates): hi rows whose
-    masks hold both sites, and the lo rows with the two bits cleared (a
-    bijection onto its image).
+    pair_col is the 0-based left site. Returns (rows, mates): hi rows that
+    hold both sites, and the lo rows of their other sites (a bijection onto
+    its image).
     """
     rows = np.flatnonzero(hi.bits[:, pair_col] & hi.bits[:, pair_col + 1])
-    pair = (1 << pair_col) | (1 << (pair_col + 1))
-    return rows, lo.index_of(hi.masks[rows] ^ pair)
+    occ = hi.occupations[rows]
+    rest = occ[(occ != pair_col) & (occ != pair_col + 1)]
+    return rows, lo.index_of(rest.reshape(len(rows), lo.n))
 
 
 @lru_cache(maxsize=4)

@@ -399,6 +399,17 @@ def test_failed_run_removes_only_its_own_files(experiment, tmp_path):
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
+def test_failed_run_removes_the_directories_it_made(tmp_path, capsys):
+    # the grid check runs inside the runner, after the output directory exists
+    top = tmp_path / "X"
+    code = main(["phase-diagram", "--length", "20", "--delta-max", "nan",
+                 "--out", str(top / "run")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (top / "run").exists()
+    assert not top.exists()
+
+
 def test_failed_rerun_drops_the_manifest_it_invalidates(tmp_path):
     out = tmp_path / "o"
     assert main(["sample", "--length", "8", "--out", str(out)]) == 0
@@ -521,9 +532,9 @@ def test_cli_blas_thread_scope_loads_no_scipy_linalg(tmp_path):
 
 
 def test_cli_sector_guard_rejects_before_allocating(tmp_path, capsys):
-    # the n=2 sector of L=300 has dim 44,850 and 597 entries per row; with
-    # object masks its build would peak at about 86 bytes per nonzero
-    L, dim = 300, 44850
+    # the n=2 sector of L=400 has dim 79,800 and 797 entries per row; its
+    # build would peak at about 19 bytes per nonzero and 23 per row and site
+    L, dim = 400, 79800
     out = tmp_path / "o"
     tracemalloc.start()
     try:
@@ -533,9 +544,9 @@ def test_cli_sector_guard_rejects_before_allocating(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 1
     assert (f"dim {dim}, and building its Hamiltonian peaks at about "
-            f"{86 * dim * 597} bytes") in capsys.readouterr().err
-    assert peak < 2**20  # the build would take 2.3 GB
-    assert not any(out.iterdir())
+            f"{dim * (19 * 797 + 23 * L)} bytes") in capsys.readouterr().err
+    assert peak < 2**20  # the build would take 1.9 GB
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["quench", "sample", "entropy"])
@@ -545,7 +556,7 @@ def test_cli_separation_zero_fails_without_files(tmp_path, capsys, experiment):
     code = main([experiment, "--length", "8", "--separation", "0", "--out", str(out)])
     assert code == 1
     assert "error: sites (4, 4) name a site twice" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["quench", "sample", "entropy"])
@@ -555,7 +566,7 @@ def test_cli_negative_separation_fails_without_files(tmp_path, capsys, experimen
     code = main([experiment, "--length", "12", "--separation", "-2", "--out", str(out)])
     assert code == 1
     assert "error: separation must be at least 1, got -2" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("level", ["1.5", "nan"])

@@ -95,7 +95,7 @@ def dict_loop_reduced_density(psi, region):
     return probs, blocks
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("region", [(2, 5, 9), (8, 9, 10), (9, 5, 2)])
 def test_grouped_partial_trace_matches_dict_loop(region, n):
     psi = random_sector_state(10, n, seed=10 * n + len(region))
@@ -106,6 +106,21 @@ def test_grouped_partial_trace_matches_dict_loop(region, n):
         assert (got is None) == (want is None)
         if got is not None:
             assert np.abs(got - want).max() <= 1e-14
+
+
+def test_region_past_63_sites_matches_its_complement():
+    # region keys once wrapped in int64 past 63 sites (KeyError at L=80);
+    # no configuration puts both magnons in the region, whose 2-magnon
+    # block would be a dense 2415 x 2415 matrix
+    p = ModelParams(L=80, alpha=1.4)
+    psi = sum(sector_state_from_sites(p, sites).data * amp
+              for sites, amp in (((65, 75), 0.6), ((69, 72), 0.48j), ((72, 78), 0.64)))
+    psi = StateVector(psi, ("sector", 80, 2))
+    region = tuple(range(1, 71))
+    complement = tuple(range(71, 81))
+    s_region = subsystem_entropy(psi, region)
+    assert s_region > 0.5
+    assert abs(s_region - subsystem_entropy(psi, complement)) <= 1e-12
 
 
 def test_product_state_single_pure_block():

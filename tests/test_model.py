@@ -24,8 +24,8 @@ from oracles import kron_hamiltonian, number_operator
 def dict_sector_hamiltonian(params, n):
     """The sector build as first written, the oracle of the bits-table build.
 
-    A Python loop over masks through a row dict fills the upper triangle,
-    which is mirrored and given the (delta/6) s^T J s diagonal; dense.
+    A Python loop over Python-int masks through a row dict fills the upper
+    triangle, which is mirrored and given the (delta/6) s^T J s diagonal; dense.
     """
     basis = enumerate_sector(params.L, n)
     J = coupling_matrix(params)
@@ -34,15 +34,14 @@ def dict_sector_hamiltonian(params, n):
     if n:
         signs[np.repeat(np.arange(dim), n), basis.occupations.ravel()] = 1.0
     diag = params.delta / 6.0 * np.einsum("ai,ij,aj->a", signs, J, signs)
-    index = {int(m): i for i, m in enumerate(basis.masks)}
+    masks = [sum(1 << s for s in row) for row in basis.occupations.tolist()]
+    index = {m: i for i, m in enumerate(masks)}
     rows, cols, vals = [], [], []
     sites = range(params.L)
-    for a, m in enumerate(basis.masks):
-        m = int(m)
+    for a, m in enumerate(masks):
+        empty = [j for j in sites if not m >> j & 1]
         for i in (i for i in sites if m >> i & 1):
-            for j in sites:
-                if m >> j & 1:
-                    continue
+            for j in empty:
                 b = index[m ^ (1 << i) | (1 << j)]
                 if b > a:
                     rows.append(a)
@@ -79,33 +78,40 @@ def test_sector_dimensions_and_masks():
     with pytest.raises(ValueError):
         enumerate_sector(4, 5)
     # round trip
-    for i, m in enumerate(basis.masks):
-        assert basis.index_of(int(m)) == i
+    for i, row in enumerate(basis.occupations):
+        assert basis.index_of(row) == i
 
 
 @pytest.mark.parametrize("L", [6, 70])
-def test_index_of_takes_arrays_of_masks(L):
+def test_index_of_ranks_occupations(L):
     basis = enumerate_sector(L, 2)
+    assert not basis.occupations.flags.writeable
+    assert np.array_equal(basis.index_of(basis.occupations), np.arange(basis.dim))
     picks = np.array([basis.dim - 1, 0, 3, 3])
-    rows = basis.index_of(basis.masks[picks])
+    rows = basis.index_of(basis.occupations[picks])
     assert isinstance(rows, np.ndarray)
     assert np.array_equal(rows, picks)
-    scalar = basis.index_of(int(basis.masks[2]))
+    scalar = basis.index_of(basis.occupations[2])
     assert type(scalar) is int and scalar == 2
-    absent = basis.masks[picks].copy()
-    absent[1] = 0b111  # three magnons: in no 2-magnon basis
-    with pytest.raises(KeyError, match="0x7 not in 2-magnon basis"):
+    assert basis.index_of([L - 2, L - 1]) == basis.dim - 1
+    absent = basis.occupations[picks].copy()
+    absent[1] = [4, 4]  # a repeated site
+    with pytest.raises(KeyError, match=r"sites \[4, 4\] not in the 2-magnon basis"):
         basis.index_of(absent)
-    with pytest.raises(KeyError):  # past the last mask
-        basis.index_of([int(basis.masks[-1]) + 1])
+    with pytest.raises(KeyError):  # unsorted
+        basis.index_of([3, 1])
+    with pytest.raises(KeyError):  # off the chain
+        basis.index_of([1, L])
+    with pytest.raises(KeyError):  # three sites in a 2-magnon basis
+        basis.index_of([0, 1, 2])
     with pytest.raises(KeyError):
-        basis.index_of(0b111)
+        basis.index_of(np.zeros((4, 1), dtype=np.int64))
 
 
 def test_enumerate_sector_is_cached_and_read_only():
     basis = enumerate_sector(9, 3)
     assert enumerate_sector(9, 3) is basis
-    for arr in (basis.masks, basis.occupations, basis.bits):
+    for arr in (basis.masks, basis.occupations, basis.bits, basis.binomials):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 
@@ -118,7 +124,11 @@ def test_sector_bits_match_occupation_scatter(L, n):
         scatter[np.arange(basis.dim)[:, None], basis.occupations] = 1
     assert basis.bits.dtype == np.uint8
     assert np.array_equal(basis.bits, scatter)
-    # the same table read off the masks, object integers beyond 62 sites
+    if L > model.FULL_SPACE_MAX_L:  # masks are full-space rows
+        with pytest.raises(ValueError, match="full-space"):
+            basis.masks
+        return
+    # the same table read off the masks
     from_masks = [[int(m) >> j & 1 for j in range(L)] for m in basis.masks]
     assert np.array_equal(basis.bits, from_masks)
 
@@ -160,12 +170,14 @@ def test_sector_hamiltonian_equals_dict_oracle(L, boundary):
 
 @pytest.mark.parametrize("boundary", ["open", "ring"])
 def test_sector_hamiltonian_equals_dict_oracle_object_masks(boundary):
+    # past 63 sites, where masks no longer fit in int64; n=68 holds the
+    # longest runs of shifted magnons per hop
     p = ModelParams(L=70, alpha=1.4, delta=1.3, boundary=boundary)
-    op = sector_hamiltonian(p, 2)
-    assert op.basis.masks.dtype == object
-    assert op.matrix.has_canonical_format
-    assert np.all(np.diff(op.matrix.indptr) == 2 * (70 - 2) + 1)
-    assert np.array_equal(op.dense(), dict_sector_hamiltonian(p, 2))
+    for n in (2, 68):
+        op = sector_hamiltonian(p, n)
+        assert op.matrix.has_canonical_format
+        assert np.all(np.diff(op.matrix.indptr) == n * (70 - n) + 1)
+        assert np.array_equal(op.dense(), dict_sector_hamiltonian(p, n))
 
 
 def test_sector_matrix_is_real_symmetric():
@@ -197,11 +209,10 @@ def test_open_chain_reflection_symmetry_of_spectra():
     for n in (1, 2, 3):
         op = sector_hamiltonian(p, n)
         basis = op.basis
-        # permutation j -> L-1-j on bitmasks
+        # permutation j -> L-1-j on site rows
         perm = np.empty(basis.dim, dtype=int)
-        for i, m in enumerate(basis.masks):
-            refl = sum(1 << (p.L - 1 - j) for j in range(p.L) if int(m) >> j & 1)
-            perm[i] = basis.index_of(refl)
+        for i, row in enumerate(basis.occupations):
+            perm[i] = basis.index_of(sorted(p.L - 1 - row))
         H = op.dense()
         assert np.max(np.abs(H[np.ix_(perm, perm)] - H)) < 1e-12
 
@@ -209,8 +220,9 @@ def test_open_chain_reflection_symmetry_of_spectra():
 @pytest.mark.parametrize("L, n", [(9, 0), (9, 3), (8, 4), (70, 1), (70, 2)])
 def test_mirror_matches_reversed_masks(L, n):
     basis = enumerate_sector(L, n)
-    want = [basis.index_of(sum(1 << (L - 1 - int(j)) for j in row))
-            for row in basis.occupations]
+    index = {tuple(row): i for i, row in enumerate(basis.occupations.tolist())}
+    want = [index[tuple(sorted(L - 1 - j for j in row))]
+            for row in basis.occupations.tolist()]
     assert np.array_equal(basis.mirror, want)
     assert not basis.mirror.flags.writeable
 
@@ -320,9 +332,10 @@ def guard_message(monkeypatch, L, n):
     return str(err.value)
 
 
-@pytest.mark.parametrize("L, n", [(17, 5), (150, 1)])
+@pytest.mark.parametrize("L, n", [(17, 5), (150, 1), (20, 6), (150, 2)])
 def test_sector_guard_states_the_build_peak(monkeypatch, L, n):
-    # the guard's figure, with int64 masks and with object masks
+    # the guard's one formula, where nonzeros (n >= 5) or row tables (n <= 2)
+    # dominate the build
     predicted = int(guard_message(monkeypatch, L, n).split("about ")[1].split()[0])
     enumerate_sector.cache_clear()  # the peak includes the enumeration
     tracemalloc.start()
@@ -336,9 +349,15 @@ def test_sector_guard_states_the_build_peak(monkeypatch, L, n):
 
 def test_sector_guard_admits_six_magnons_at_24_sites(monkeypatch):
     # n <= 6 up to L=24: the converged two-magnon ladder on every chain
-    # that the full-space preparation reaches; the build would peak at 499 MB
-    assert "peaks at about 498812776 bytes" in guard_message(monkeypatch, 24, 6)
+    # that the full-space preparation reaches; the build would peak at 353 MB
+    assert "peaks at about 353045308 bytes" in guard_message(monkeypatch, 24, 6)
     assert enumerate_sector(24, 6).dim == 134596
+
+
+@pytest.mark.parametrize("L", range(73, 78))
+def test_sector_guard_admits_three_magnons_up_to_77_sites(monkeypatch, L):
+    peak = int(guard_message(monkeypatch, L, 3).split("about ")[1].split()[0])
+    assert peak <= model.SECTOR_MAX_BYTES
 
 
 def test_full_space_guard():
@@ -360,6 +379,14 @@ def test_state_vector_basics():
         sector_state_from_sites(p, [0, 3])
     with pytest.raises(ValueError, match="name a site twice"):
         sector_state_from_sites(p, [3, 3])
+
+
+def test_sector_state_takes_numpy_sites_past_63():
+    p = ModelParams(L=80)
+    psi = sector_state_from_sites(p, np.array([65, 69]))
+    assert psi.overlap(sector_state_from_sites(p, (65, 69))) == 1.0
+    row = enumerate_sector(80, 2).index_of([64, 68])
+    assert np.flatnonzero(psi.data).tolist() == [row]
 
 
 def test_param_validation():

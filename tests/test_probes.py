@@ -61,9 +61,11 @@ def ising_state_oracle(params, t_J, phases):
 
 def list_pair_lowering_indices(hi, lo, pair_col):
     """Row-list index map of sm_j sm_{j+1} from sector hi to lo (oracle)."""
-    pair = (1 << pair_col) | (1 << (pair_col + 1))
-    rows = [i for i, m in enumerate(hi.masks) if int(m) & pair == pair]
-    mates = [lo.index_of(int(hi.masks[i]) ^ pair) for i in rows]
+    pair = {pair_col, pair_col + 1}
+    index = {tuple(row): i for i, row in enumerate(lo.occupations.tolist())}
+    occs = hi.occupations.tolist()
+    rows = [i for i, row in enumerate(occs) if pair <= set(row)]
+    mates = [index[tuple(s for s in occs[i] if s not in pair)] for i in rows]
     return np.array(rows, dtype=np.int64), np.array(mates, dtype=np.int64)
 
 
@@ -416,7 +418,7 @@ def test_spectroscopy_two_rejects_window_off_the_chain():
 
 def test_pair_lowering_indices_match_list_oracle():
     cases = [(8, n, range(7)) for n in (2, 3, 4)]
-    cases += [(70, 2, range(69)), (70, 3, (0, 31, 61, 62, 68))]  # object masks
+    cases += [(70, 2, range(69)), (70, 3, (0, 31, 61, 62, 68))]  # past 63 sites
     for L, n, cols in cases:
         hi, lo = enumerate_sector(L, n), enumerate_sector(L, n - 2)
         for col in cols:
