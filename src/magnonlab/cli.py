@@ -167,7 +167,7 @@ def _with_time_twins(schema):
     out = dict(schema)
     for key, spec in schema.items():
         if spec.time:
-            out[key + "_s"] = KeySpec("float", 0.0, f"{key} in seconds (needs coupling)")
+            out[key + "_s"] = KeySpec("float", None, f"{key} in seconds (needs coupling)")
     return out
 
 
@@ -216,7 +216,7 @@ def resolve_config(experiment, file_cfg, cli_cfg):
         if not spec.time:
             continue
         seconds = vals.pop(key + "_s")
-        if seconds:
+        if seconds is not None:  # unset by default, so that 0 s converts too
             coupling = vals.get("coupling", 0.0)
             if coupling <= 0:
                 raise ConfigError(

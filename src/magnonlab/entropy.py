@@ -28,7 +28,7 @@ without the number-entropy parts, since only their sum is fixed by the
 measured data. Natural logarithms everywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -59,22 +59,25 @@ class SectorResolvedDensity:
 
     probs[n] is the weight of the n-magnon block and blocks[n] the
     normalized block (None where probs[n] = 0). Block rows follow
-    enumerate_sector(len(region), n) order.
+    enumerate_sector(len(region), n) order; spectra[n] holds the
+    eigenvalues of blocks[n], for the sign check and ``entropies``.
     """
 
     region: tuple
     probs: np.ndarray
     blocks: list
+    spectra: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if abs(self.probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"block weights sum to {self.probs.sum():.6g}")
-        for n, block in enumerate(self.blocks):
+        self.spectra = [None if b is None else np.linalg.eigvalsh(b) for b in self.blocks]
+        for n, (block, evals) in enumerate(zip(self.blocks, self.spectra)):
             if block is None:
                 continue
             if abs(np.trace(block).real - 1.0) > 1e-9:
                 raise ValueError(f"block n={n} is not normalized")
-            if np.linalg.eigvalsh(block).min() < -1e-12:
+            if evals.min() < -1e-12:
                 raise ValueError(f"block n={n} has negative eigenvalues")
 
 
@@ -115,8 +118,7 @@ def reduced_density(psi, region):
     return SectorResolvedDensity(region=sites, probs=probs, blocks=blocks)
 
 
-def _vn_entropy(block):
-    evals = np.linalg.eigvalsh(block)
+def _vn_entropy(evals):
     evals = evals[evals > 1e-15]
     return float(-np.sum(evals * np.log(evals)))
 
@@ -133,9 +135,9 @@ def entropies(srd):
     p = srd.probs[srd.probs > 1e-15]
     s_num = float(-np.sum(p * np.log(p)))
     s_conf = sum(
-        srd.probs[n] * _vn_entropy(b)
-        for n, b in enumerate(srd.blocks)
-        if b is not None
+        srd.probs[n] * _vn_entropy(evals)
+        for n, evals in enumerate(srd.spectra)
+        if evals is not None
     )
     return EntropyBreakdown(total=s_num + s_conf, number=s_num, config=s_conf)
 

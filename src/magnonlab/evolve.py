@@ -442,25 +442,19 @@ class PulseSequence:
                 f"sequence {self.name!r} violates the cycle invariant: the "
                 "composed rotations do not return the frame to identity"
             )
-        # wall time on x-, y- and z-type pulses must come out 1 : 1 : Delta
-        for delta in (1.0, 2.7):
-            wall = {"x": 0.0, "y": 0.0, "z": 0.0}
-            for s, ax in zip(self.steps, self.toggled_pulse_axes):
-                wall[ax] += s.weight(delta)
-            if wall["x"] <= 0:
-                raise ValueError("sequence never realizes an XX substep")
-            if (abs(wall["y"] - wall["x"]) > 1e-9 * wall["x"]
-                    or abs(wall["z"] - delta * wall["x"]) > 1e-9 * wall["x"]):
-                raise ValueError(
-                    f"sequence {self.name!r} wall times x:y:z = "
-                    f"{wall['x']:g}:{wall['y']:g}:{wall['z']:g} at Delta="
-                    f"{delta:g}; the target ratio is 1:1:{delta:g}"
-                )
-        # effective XXZ time advanced per cycle, in units of tau
-        self.cycle_effective = 3.0 * sum(
-            s.w_const for s, ax in zip(self.steps, self.toggled_pulse_axes)
-            if ax == "x"
-        )
+        # wall time on x-, y- and z-type pulses must come out 1 : 1 : Delta at
+        # every Delta: their (sum w_const, sum w_delta) are (c, 0), (c, 0), (0, c)
+        wall = np.zeros((3, 2))
+        for s, ax in zip(self.steps, self.toggled_pulse_axes):
+            wall["xyz".index(ax)] += (s.w_const, s.w_delta)
+        c = float(wall[0, 0])
+        if not c > 0:  # also rejects NaN
+            raise ValueError("sequence never realizes an XX substep")
+        if np.abs(wall - c * np.array([[1, 0], [1, 0], [0, 1]])).max() > 1e-9 * c:
+            raise ValueError(
+                f"sequence {self.name!r} wall times (const, per Delta) on x, y, z = "
+                f"{wall.tolist()}; the target ratio 1:1:Delta needs (c, 0), (c, 0), (0, c)")
+        self.cycle_effective = 3.0 * c  # effective XXZ time per cycle, in units of tau
 
     def detuning_cancels(self):
         """True if the toggled detuning sums to zero for every Delta."""

@@ -140,10 +140,15 @@ def enumerate_sector(L, n):
     """
     if not 0 <= n <= L:
         raise ValueError(f"magnon number n={n} out of range for L={L}")
-    # the tracemalloc peak of sector_hamiltonian: data, columns and a gather per nonzero,
-    # row tables per row and site; within 7 % at (L, n) = (17, 5), (20, 6), (150, 1|2)
-    dim = comb(L, n)
-    peak = dim * (19 * (n * (L - n) + 1) + 23 * L)
+    # the tracemalloc peak of sector_hamiltonian, the larger of two moments: the
+    # data gather (data, columns, gathered couplings: 8 bytes each per hop; 9 per
+    # row and site; the (L, L) couplings) and the hop ranks (columns and a 1-byte
+    # mask per hop; prefix tables of 49 bytes per row and magnon, 25 per row and
+    # empty site; numpy's 8192-element buffers for three int64 operands). Within
+    # 4 % from dim 1000 up: (L, n) = (17, 5), (20, 6|10), (150, 1|2), (40|70|100, L-2)
+    dim, hops = comb(L, n), n * (L - n)
+    peak = max(dim * (24 * hops + 9 * L + 24) + 8 * L * L,
+               dim * (9 * hops + 49 * n + 25 * (L - n) + 24) + 8192 * 24)
     if peak > SECTOR_MAX_BYTES:
         raise ValueError(
             f"the {n}-magnon sector of L={L} has dim {dim}, and building its "

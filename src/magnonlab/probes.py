@@ -22,10 +22,9 @@ emulation lives in the sampling module):
   blocks and the large ones (n = 4, dim 4845 at L=20) through a Chebyshev
   series of sparse products, so no dense eigensystem of n = 4 is formed.
   The whole ladder (preparation, eigensystems, series and contraction)
-  runs under ``spectral._blas_threads`` for the largest diagonalized
-  block: on one BLAS thread, which otherwise spins between its short
-  calls, while that block is below ``ONE_THREAD_BELOW_DIM``, and with the
-  starting thread count from there on.
+  runs on one BLAS thread, which otherwise spins between its short calls;
+  ``propagate`` gives the starting thread count back to a dense block of
+  ``ONE_THREAD_BELOW_DIM`` or more, and to nothing else.
 * quench light cones: site and adjacent-pair projector maps from an
   initial two-magnon product state, plus the renormalized adjacent-pair
   participation (sum_j <P_j,j+1> - 2/L)/(1 - 2/L).
@@ -43,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .evolve import _dense_block, propagate, takes_series
+from .evolve import propagate
 from .model import (
     ModelParams,
     StateVector,
@@ -370,7 +369,7 @@ def _cached_sector(params, n):
     A cached eigensystem (two reflection blocks of about dim/2, their
     eigenvectors 8 bytes per entry) holds about 4 dim^2 bytes.
     ``propagate`` diagonalizes only where the series would cost more
-    (``takes_series``): at every preset's window a sector below dim 800
+    (``evolve.takes_series``): at every preset's window a sector below dim 800
     (2.4 MB at L=40, n=2), over a long window a larger one, such as dim
     1225 (6 MB) over t = 2000, up to ``SECTOR_MAX_BYTES``.
     """
@@ -416,13 +415,6 @@ def _pair_lowering_block(params, n, pair_col):
     return lo_vecs[mates].T @ _dense_eigensystem(params, n)[1][rows]
 
 
-def _diagonalized_block(sectors, times):
-    """The largest reflection block that ``propagate`` diagonalizes for any
-    of sectors over times, 0 if none."""
-    return max((_dense_block(H) for H in sectors if not takes_series(H, times)),
-               default=0)
-
-
 def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
                      n_samples=N_SAMPLES, sites=(8, 13), n_max=4):
     """Two-magnon excitation energy from the pair coherence <sm_j sm_{j+1}>.
@@ -444,8 +436,7 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
     times = np.linspace(0.0, t_max_J, n_samples, endpoint=False)
     t_phys = times / params.J
     sectors = [_cached_sector(params, n) for n in range(0, n_max + 1, 2)]
-    block = _diagonalized_block(sectors, t_phys)
-    with _blas_threads(block):
+    with _blas_threads(0):
         comps = _ising_sectors(params, t_prep_J, n_max)
         neglected = 1.0 - sum(float(np.sum(np.abs(c) ** 2)) for c in comps)
         phases = imprint_phases(k, params.L)

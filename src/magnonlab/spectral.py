@@ -23,10 +23,10 @@ states (L4 of order 1/(L-1)).
 The package's one BLAS-thread rule lives here, ``_blas_threads(dim)``: a
 dense stage whose largest block is below ``ONE_THREAD_BELOW_DIM`` runs on
 one OpenBLAS thread, and one at or above it gets back the count each
-OpenBLAS had before magnonlab changed it. Every CLI run enters it at one
-thread; the two-magnon loops here and the pair ladder of ``probes`` enter
-it in both directions, ``propagate``'s dense path and ``floquet_sweep``
-only at or above the threshold.
+OpenBLAS had before magnonlab changed it. Every CLI run and the pair
+ladder of ``probes`` enter it at one thread, the top-pair loop here
+(``_top_pairs``) in both directions, ``propagate``'s dense path and
+``floquet_sweep`` only at or above the threshold.
 """
 
 import ctypes
@@ -242,8 +242,8 @@ class TwoMagnonBlock:
         whose result this is byte for byte, without its argument handling.
         """
         # imported on first use: at module level, scipy.linalg would cost
-        # every magnonlab process about 8 MiB and 0.09 s; the loops in
-        # dispersion_two and phase_diagram import it before setting threads
+        # every magnonlab process about 8 MiB and 0.09 s; _top_pairs
+        # imports it before setting threads
         from scipy.linalg.lapack import dsyevr
 
         n = self.dim
@@ -351,15 +351,6 @@ def unfold_relative_weights(block, vec):
     return w
 
 
-def l4_norm(psi):
-    """sum |psi_d|^4 for a normalized relative-coordinate wavefunction."""
-    psi = np.asarray(psi)
-    nrm = np.sum(np.abs(psi) ** 2)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"wavefunction not normalized: |psi|^2 = {nrm}")
-    return float(np.sum(np.abs(psi) ** 4))
-
-
 def l4_of_weights(w):
     """L4 from probability weights (sum w = 1)."""
     return float(np.sum(np.asarray(w) ** 2))
@@ -379,33 +370,38 @@ class DispersionCurve:
     label: str = ""
 
 
-def dispersion_two(k_values, params, d_max=None):
+def _top_pairs(params, k_values, deltas):
+    """Yield (energy, unfolded weights) of the top two-magnon state per (k, delta).
+
+    k-major: each block is built once per k (the zz diagonal is linear in
+    delta), and each point solves for the top eigenpair only, under
+    ``_blas_threads`` for blocks of L // 2 (one thread for every L below 800).
+    """
+    import scipy.linalg  # noqa: F401  top_state's OpenBLAS, mapped before the count is set
+
+    with _blas_threads(params.L // 2):
+        for k in k_values:
+            block = two_magnon_block(k, params)
+            for delta in deltas:
+                energy, top = block.top_state(delta)
+                yield energy, unfold_relative_weights(block, top)
+
+
+def dispersion_two(k_values, params):
     """Highest two-magnon eigenstate per ring momentum k.
 
     Returns excitation energies eps2(k) - eps0 together with the L4 norm
     of the relative wavefunction and a bound flag (L4 above 5/(L-1));
     an unset flag marks the state as merged with the pair continuum.
-    The loop runs under ``_blas_threads`` for blocks of L // 2.
     """
     k_values = np.atleast_1d(np.asarray(k_values, dtype=float))
-    e0 = vacuum_energy(params)
-    thr = bound_threshold(params.L)
-    energies, l4s, flags = [], [], []
-    import scipy.linalg  # noqa: F401  top_state's OpenBLAS, mapped before the count is set
-
-    with _blas_threads(params.L // 2):
-        for k in k_values:
-            block = two_magnon_block(k, params, d_max=d_max)
-            energy, top = block.top_state()
-            l4 = l4_of_weights(unfold_relative_weights(block, top))
-            energies.append(energy - e0)
-            l4s.append(l4)
-            flags.append(l4 > thr)
+    tops = list(_top_pairs(params, k_values, [params.delta]))
+    l4 = np.array([l4_of_weights(w) for _, w in tops])
     return DispersionCurve(
         k=k_values,
-        energy=np.array(energies),
-        l4=np.array(l4s),
-        bound=np.array(flags),
+        energy=np.array([e for e, _ in tops]) - vacuum_energy(params),
+        l4=l4,
+        bound=l4 > bound_threshold(params.L),
         params=params,
     )
 
@@ -431,11 +427,8 @@ class PhaseDiagram:
 def phase_diagram(params, k_values=None, deltas=None, threads=None):
     """L4 of the top two-magnon state over a (k, delta) grid on the ring.
 
-    The block kinetic part is built once per k and reused across delta
-    (the zz diagonal is linear in delta); each grid point solves for the
-    top eigenpair only.  Rows run one after another under
-    ``_blas_threads`` for blocks of L // 2 (one BLAS thread for every L
-    below 800); ``threads`` is accepted for old callers and ignored.
+    One ``_top_pairs`` loop over the grid; ``threads`` is accepted for old
+    callers and ignored.
     """
     if k_values is None:
         k_values = quantized_momenta(params.L)
@@ -443,19 +436,11 @@ def phase_diagram(params, k_values=None, deltas=None, threads=None):
         deltas = np.arange(0.0, 4.01, 0.25)
     k_values = np.asarray(k_values, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
-
-    rows = []
-    import scipy.linalg  # noqa: F401  top_state's OpenBLAS, mapped before the count is set
-
-    with _blas_threads(params.L // 2):
-        for k in k_values:
-            block = two_magnon_block(k, params)
-            rows.append([l4_of_weights(unfold_relative_weights(block, block.top_state(dl)[1]))
-                         for dl in deltas])
+    l4 = [l4_of_weights(w) for _, w in _top_pairs(params, k_values, deltas)]
     return PhaseDiagram(
         k=k_values,
         delta=deltas,
-        l4=np.array(rows),
+        l4=np.reshape(l4, (len(k_values), len(deltas))),
         threshold=bound_threshold(params.L),
         params=params,
     )
@@ -501,10 +486,9 @@ def wavefunction_tails(k, params, fit_range=None):
     amplitude 2 cos(k l / 2) kills all odd moves, so one distance parity
     carries the whole state and the other sits at numerical zero.
     """
-    block = two_magnon_block(k, params)
-    w = unfold_relative_weights(block, block.top_state()[1])
-    half = np.arange(1, block.L)[: block.L // 2]
-    prob = w[: block.L // 2] / w[0]
+    ((_, w),) = _top_pairs(params, [k], [params.delta])
+    half = np.arange(1, params.L // 2 + 1)
+    prob = w[: params.L // 2] / w[0]
 
     live = prob > 1e-18  # relative to the d = 1 weight
     d_live, p_live = half[live], prob[live]

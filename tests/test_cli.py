@@ -79,6 +79,17 @@ def test_seconds_convert_at_ingest(tmp_path):
     assert manifest(out)["config"]["t_max"] == pytest.approx(3.69)
 
 
+def test_zero_seconds_convert_to_time_zero(tmp_path):
+    # the seconds twins default to unset, so an explicit 0 s is not ignored
+    out = tmp_path / "o"
+    assert main(["sample", "--length", "8", "--coupling", "369", "--t-s", "0",
+                 "--out", str(out)]) == 0
+    assert manifest(out)["config"]["t"] == 0.0
+    cfg = resolve_config("participation", {"t_eval_s": "0"},
+                         {"coupling": "369", "compare_t_s": "0"})
+    assert cfg["t_eval"] == 0.0 and cfg["compare_t"] == 0.0
+
+
 def test_seconds_without_coupling_rejected(tmp_path, capsys):
     code = main(["quench", "--t-max-s", "0.01", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -228,6 +239,9 @@ def test_floquet_bench_needs_zero_detuning_at_the_middle(n_det, det_max, tmp_pat
     # checked after the seconds twin is converted
     (["quench", "--t-max-s", "-0.01", "--coupling", "369"], "t_max"),
     (["floquet-bench", "--t-eff-s", "nan", "--coupling", "369"], "t_eff"),
+    # 0 s is a value given, not the unset default
+    (["quench", "--t-max-s", "0", "--coupling", "369"], "t_max"),
+    (["floquet-bench", "--t-eff-s", "0", "--coupling", "369"], "t_eff"),
 ])
 def test_time_window_must_be_finite_and_positive(args, key, tmp_path, capsys):
     out = tmp_path / "o"
@@ -532,8 +546,9 @@ def test_cli_blas_thread_scope_loads_no_scipy_linalg(tmp_path):
 
 
 def test_cli_sector_guard_rejects_before_allocating(tmp_path, capsys):
-    # the n=2 sector of L=400 has dim 79,800 and 797 entries per row; its
-    # build would peak at about 19 bytes per nonzero and 23 per row and site
+    # the n=2 sector of L=400 has dim 79,800 and 796 hops per row; its build
+    # would peak in the data gather, at 24 bytes per hop, 9 per row and site,
+    # 24 per row and the (L, L) couplings
     L, dim = 400, 79800
     out = tmp_path / "o"
     tracemalloc.start()
@@ -544,8 +559,8 @@ def test_cli_sector_guard_rejects_before_allocating(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 1
     assert (f"dim {dim}, and building its Hamiltonian peaks at about "
-            f"{dim * (19 * 797 + 23 * L)} bytes") in capsys.readouterr().err
-    assert peak < 2**20  # the build would take 1.9 GB
+            f"{dim * (24 * 796 + 9 * L + 24) + 8 * L * L} bytes") in capsys.readouterr().err
+    assert peak < 2**20  # the build would take 1.8 GB
     assert not out.exists()
 
 

@@ -161,6 +161,22 @@ def test_number_config_split_is_exact(seed):
     assert e.total == pytest.approx(e.number + e.config, abs=1e-12)
 
 
+def test_subsystem_entropy_diagonalizes_each_block_once(monkeypatch):
+    # the sign check and the entropy read one eigvalsh per nonzero block
+    psi = evolved_state()
+    nonzero = sum(b is not None for b in reduced_density(psi, (4, 5, 6)).blocks)
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    subsystem_entropy(psi, (4, 5, 6))
+    assert nonzero == 3 and len(calls) == nonzero
+
+
 def test_density_validation_rejects_bad_blocks():
     good = np.eye(2) / 2
     with pytest.raises(ValueError, match="sum"):

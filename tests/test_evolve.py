@@ -32,6 +32,7 @@ from magnonlab.evolve import (
     krylov_evolve,
     propagate,
 )
+from magnonlab.spectral import ONE_THREAD_BELOW_DIM
 from oracles import kron_hamiltonian, number_operator
 
 
@@ -265,6 +266,16 @@ def test_four_magnon_series_runs_on_the_tight_interval(L, max_orders):
     assert evolve.series_orders(H.spectral_interval[0] * 8.0) <= max_orders
 
 
+def test_dense_block_counts_the_palindromes():
+    # L=40, n=2 (dim 780) has 20 palindromic configurations, so its even
+    # block is 400, not (dim + 1) // 2 = 390: large enough for the starting
+    # BLAS thread count; the vacuum's one configuration is its own mirror
+    p = ModelParams(L=40, alpha=1.4, delta=3.0)
+    assert evolve._dense_block(sector_hamiltonian(p, 2)) == 400
+    assert evolve._dense_block(sector_hamiltonian(p, 2)) >= ONE_THREAD_BELOW_DIM
+    assert evolve._dense_block(sector_hamiltonian(p, 0)) == 1
+
+
 def test_long_window_takes_the_dense_blocks(monkeypatch):
     # quench --length 50 --t-max 2000: at dim 1225, K ~ 10^4 orders cost
     # more than one eigh of the two blocks
@@ -386,6 +397,20 @@ def test_invalid_sequences_raise():
         PulseSequence([PulseStep("+x", np.deg2rad(180.0), 1.0, 0.0)] * 2)
     with pytest.raises(ValueError, match="empty"):
         PulseSequence([])
+
+
+def test_wall_time_ratio_holds_at_every_delta():
+    # x- and y-type pulses of (1.0, -0.1), z-type of (0.135, 0.315): every
+    # duration is positive for 0 <= Delta < 10 and the z : x wall-time ratio
+    # is Delta at Delta = 1 and 2.7 only (3.81 at 3.5, 0.27 at 0)
+    dd = PulseSequence.built_in("dd")
+    steps = [PulseStep(s.axis, s.angle, *((1.0, -0.1) if ax in "xy" else (0.135, 0.315)))
+             for s, ax in zip(dd.steps, dd.toggled_pulse_axes)]
+    with pytest.raises(ValueError, match="ratio"):
+        PulseSequence(steps, name="quadratic")
+    for seq in (dd, PulseSequence.built_in("plain")):
+        for valid in (seq, seq.symmetrized(), seq.symmetrized().symmetrized()):
+            assert valid.cycle_effective == 6.0
 
 
 def test_cycled_sequence_still_valid():

@@ -332,10 +332,12 @@ def guard_message(monkeypatch, L, n):
     return str(err.value)
 
 
-@pytest.mark.parametrize("L, n", [(17, 5), (150, 1), (20, 6), (150, 2)])
+@pytest.mark.parametrize("L, n", [(17, 5), (150, 1), (20, 6), (150, 2),
+                                  (40, 38), (70, 68), (100, 98), (20, 10)])
 def test_sector_guard_states_the_build_peak(monkeypatch, L, n):
-    # the guard's one formula, where nonzeros (n >= 5) or row tables (n <= 2)
-    # dominate the build
+    # the guard's one formula, where nonzeros (n >= 5), row tables (n <= 2)
+    # or the hop ranks' prefix tables (n = L - 2) dominate the build; (20, 10)
+    # peaks at 481 MB
     predicted = int(guard_message(monkeypatch, L, n).split("about ")[1].split()[0])
     enumerate_sector.cache_clear()  # the peak includes the enumeration
     tracemalloc.start()
@@ -349,8 +351,8 @@ def test_sector_guard_states_the_build_peak(monkeypatch, L, n):
 
 def test_sector_guard_admits_six_magnons_at_24_sites(monkeypatch):
     # n <= 6 up to L=24: the converged two-magnon ladder on every chain
-    # that the full-space preparation reaches; the build would peak at 353 MB
-    assert "peaks at about 353045308 bytes" in guard_message(monkeypatch, 24, 6)
+    # that the full-space preparation reaches; the build would peak at 381 MB
+    assert "peaks at about 381180480 bytes" in guard_message(monkeypatch, 24, 6)
     assert enumerate_sector(24, 6).dim == 134596
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from magnonlab import probes, spectral
+from magnonlab import evolve, probes, spectral
 from magnonlab.model import (
     FULL_SPACE_MAX_L,
     ModelParams,
@@ -365,10 +365,20 @@ def test_spectroscopy_two_runs_its_ladder_on_one_blas_thread(monkeypatch):
     assert history == [1, 4]
     assert seen == [1] * 4  # the preparation and three propagations
     # L=14 over t = 16: the n=4 sector (dim 1001) is diagonalized in blocks
-    # of about 500, so the ladder keeps every thread
+    # of 511 and 490, so propagate gives its dense stage the 4 threads back
+    # and the rest of the ladder stays on one
     history.clear()
+    steps, spectral_step = [], evolve._spectral_step
+
+    def step(evecs, *args):
+        steps.append((len(evecs), count[0]))
+        return spectral_step(evecs, *args)
+
+    monkeypatch.setattr(evolve, "_spectral_step", step)
     spectroscopy_two(ModelParams(L=14, alpha=1.4, delta=3.0), np.pi / 2, t_max_J=16.0)
-    assert history == [] and count == [4]
+    assert history == [1, 4, 1, 4] and count == [4]
+    assert [n for d, n in steps if d >= spectral.ONE_THREAD_BELOW_DIM] == [4, 4]
+    assert {n for d, n in steps if d < spectral.ONE_THREAD_BELOW_DIM} == {1}
 
 
 def test_thread_scopes_read_the_maps_once_per_call(monkeypatch):
@@ -397,17 +407,6 @@ def test_thread_scopes_read_the_maps_once_per_call(monkeypatch):
         entries.clear()
         run()
         assert reads == [spectral._MAPS] and entries == [1]
-
-
-def test_diagonalized_block_counts_the_palindromes():
-    # L=40, n=2 (dim 780) has 20 palindromic configurations, so its even
-    # block is 400, not (dim + 1) // 2 = 390: too large for one BLAS thread
-    p = ModelParams(L=40, alpha=1.4, delta=3.0)
-    sectors = [probes._cached_sector(p, n) for n in (0, 2)]
-    times = np.linspace(0.0, 8.0, 64, endpoint=False)
-    assert probes._diagonalized_block(sectors, times) == 400
-    assert probes._diagonalized_block(sectors, times) >= spectral.ONE_THREAD_BELOW_DIM
-    assert probes._diagonalized_block(sectors[:1], times) == 1
 
 
 def test_spectroscopy_two_rejects_window_off_the_chain():

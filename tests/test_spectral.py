@@ -14,7 +14,6 @@ from magnonlab.spectral import (
     dispersion_one,
     dispersion_two,
     group_velocity_one,
-    l4_norm,
     l4_of_weights,
     open_chain_top_l4,
     phase_diagram,
@@ -240,12 +239,13 @@ def test_block_requires_ring_and_quantized_k():
 
 
 def test_l4_norm_trivial_cases():
-    assert l4_norm(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
+    def l4(psi):
+        return l4_of_weights(np.abs(psi) ** 2)
+
+    assert l4(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
     L = 40
     uniform = np.ones(L - 1) / np.sqrt(L - 1)
-    assert l4_norm(uniform) == pytest.approx(1.0 / (L - 1))
-    with pytest.raises(ValueError, match="normalized"):
-        l4_norm(np.array([1.0, 1.0]))
+    assert l4(uniform) == pytest.approx(1.0 / (L - 1))
 
 
 def test_unfolded_weights_sum_to_one():
