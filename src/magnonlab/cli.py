@@ -1,11 +1,11 @@
 """Command-line driver: flat configs, experiment dispatch, CSV/JSON artifacts.
 
-Every subcommand resolves its settings in three layers, later wins:
-built-in defaults < config file (--config, flat ``key = value`` lines,
-``#`` comments) < explicit command-line flags. Unknown config keys are
-rejected before any computation. Times are dimensionless tJ; any time key
-also accepts a ``<key>_s`` twin in seconds, converted once at ingest using
-the ``coupling`` key (J in rad/s). Site labels are 1-based everywhere.
+Every run resolves its settings in three layers, later wins: built-in
+defaults < config file (--config, flat ``key = value`` lines) < explicit
+command-line flags (under ``reproduce``, a preset's values). Unknown keys
+are rejected before any computation. Times are dimensionless tJ; any time
+key also accepts a ``<key>_s`` twin in seconds, converted once at ingest
+using the ``coupling`` key (J in rad/s). Site labels are 1-based everywhere.
 
 Each run writes CSV files (with ``#``-prefixed metadata header lines) plus
 ``manifest.json`` carrying the resolved config, a sha256 per artifact, a
@@ -13,15 +13,22 @@ content hash over config+artifacts, and the wall time. Outputs are
 byte-identical for identical (config, seed, version); the wall time lives
 only outside the hashed payload. All randomness flows from the single
 --seed root through numbered sub-streams.
+
+A run publishes all of its files or none: once its artifacts and manifest
+are written to a staging directory, they move into the output directory,
+the earlier manifest removed first and the new one moved last. A failed or
+interrupted run leaves the output directory as it was.
 """
 
 import argparse
 import functools
 import hashlib
 import json
+import shutil
 import sys
+import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -188,8 +195,12 @@ def _convert(key, spec, raw, source):
 
 def read_config_file(path):
     """Flat ``key = value`` lines; ``#`` starts a comment; blank lines skipped."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {type(err).__name__}") from None
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -204,14 +215,12 @@ def resolve_config(experiment, file_cfg, cli_cfg):
     """defaults < config file < explicit CLI flags; seconds converted last."""
     schema = _with_time_twins(SCHEMAS[experiment])
     vals = {k: s.default for k, s in schema.items()}
-    for key, raw in file_cfg.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config key for {experiment}: '{key}'")
-        vals[key] = _convert(key, schema[key], raw, "config file")
-    for key, raw in cli_cfg.items():
-        if raw is None:
-            continue
-        vals[key] = _convert(key, schema[key], raw, "command line")
+    for source, layer in (("config file", file_cfg), ("command line", cli_cfg)):
+        for key, raw in layer.items():
+            if key not in schema:
+                raise ConfigError(f"unknown config key for {experiment}: '{key}'")
+            if raw is not None:
+                vals[key] = _convert(key, schema[key], raw, source)
     for key, spec in SCHEMAS[experiment].items():
         if not spec.time:
             continue
@@ -273,11 +282,6 @@ def write_csv(path, meta, names, columns):
         fh.write(",".join(names) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
-
-
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _jsonable(obj):
@@ -294,12 +298,14 @@ def _jsonable(obj):
     return obj
 
 
-def write_manifest(outdir, experiment, cfg, seed, files, notes, elapsed):
+def write_manifest(outdir, experiment, cfg, seed, notes, elapsed):
+    """outdir/manifest.json; every file already in outdir is an artifact."""
     payload = {
         "experiment": experiment,
         "config": _jsonable(cfg),
         "seed": seed,
-        "artifacts": {Path(f).name: _sha256(f) for f in files},
+        "artifacts": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                      for f in sorted(Path(outdir).iterdir())},
         "version": __version__,
     }
     payload["content_hash"] = hashlib.sha256(
@@ -307,9 +313,8 @@ def write_manifest(outdir, experiment, cfg, seed, files, notes, elapsed):
     ).hexdigest()
     payload["notes"] = _jsonable(notes)
     payload["wall_time_s"] = round(elapsed, 3)
-    path = Path(outdir) / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    (Path(outdir) / "manifest.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _meta(cfg, extra=()):
@@ -344,21 +349,23 @@ def run_dispersion1(cfg, outdir, seed):
         notes["max_beat_error_bins"] = float(
             np.max(np.abs(measured - analytic) / signals[0].resolution)
         )
-    path = write_csv(Path(outdir) / "dispersion1.csv", _meta(cfg), names, cols)
-    return [path], notes
+    write_csv(Path(outdir) / "dispersion1.csv", _meta(cfg), names, cols)
+    return notes
 
 
 def run_dispersion2(cfg, outdir, seed):
-    ring = ModelParams(L=cfg["length"], alpha=cfg["alpha"], delta=cfg["delta"],
-                       J=1.0, boundary="ring")
+    chain = _model(cfg)  # open chain carries the measurement
+    sites = cfg["sites"]
+    if cfg["measure"] and (len(sites) != 2 or not 1 <= sites[0] <= sites[1] < chain.L):
+        raise ConfigError(f"'sites' must be lo,hi with 1 <= lo <= hi < {chain.L}, "
+                          f"got {','.join(map(str, sites))}")
+    ring = replace(chain, boundary="ring")
     k = quantized_momenta(ring.L)
     curve = dispersion_two(k, ring)
     names = ["k", "energy", "l4", "bound"]
     cols = [curve.k, curve.energy, curve.l4, curve.bound.astype(int)]
-    files, notes = [], {"n_bound": int(curve.bound.sum())}
+    notes = {"n_bound": int(curve.bound.sum())}
     if cfg["measure"]:
-        chain = _model(cfg)  # open chain carries the measurement
-        sites = cfg["sites"]
         peaks, contrasts, neglected = [], [], []
         for q in k:
             sig = spectroscopy_two(chain, float(q), t_max_J=cfg["t_max"], sites=sites)
@@ -368,8 +375,8 @@ def run_dispersion2(cfg, outdir, seed):
         names += ["peak_measured", "contrast", "neglected_weight"]
         cols += [np.array(peaks), np.array(contrasts), np.array(neglected)]
         notes["resolution"] = 2 * np.pi / cfg["t_max"]
-    files.append(write_csv(Path(outdir) / "dispersion2.csv", _meta(cfg), names, cols))
-    return files, notes
+    write_csv(Path(outdir) / "dispersion2.csv", _meta(cfg), names, cols)
+    return notes
 
 
 def run_phase_diagram(cfg, outdir, seed):
@@ -380,13 +387,13 @@ def run_phase_diagram(cfg, outdir, seed):
     deltas = _delta_grid(cfg)
     pd = phase_diagram(params, k_values=k_all[idx], deltas=deltas)
     kk, dd = np.meshgrid(pd.k, pd.delta, indexing="ij")
-    path = write_csv(
+    write_csv(
         Path(outdir) / "phase_diagram.csv",
         _meta(cfg, [("threshold", _fmt(pd.threshold))]),
         ["k", "delta", "l4", "bound"],
         [kk.ravel(), dd.ravel(), pd.l4.ravel(), pd.bound.astype(int).ravel()],
     )
-    return [path], {"onset_delta": pd.onset_delta(), "threshold": pd.threshold}
+    return {"onset_delta": pd.onset_delta(), "threshold": pd.threshold}
 
 
 def run_quench(cfg, outdir, seed):
@@ -396,15 +403,14 @@ def run_quench(cfg, outdir, seed):
     psi0 = center_pair_state(params, cfg["separation"])
     times = np.linspace(0.0, cfg["t_max"], _grid_count(cfg, "n_times"))
     site, pair = quench_projectors(psi0, params, times)
-    files, notes = [], {}
+    notes = {}
     for map_ in (site, pair):
         names = ["time"] + [f"{map_.name}_{int(l)}" for l in map_.labels]
         cols = [map_.times] + [map_.values[:, j] for j in range(len(map_.labels))]
-        files.append(write_csv(Path(outdir) / f"quench_{map_.name}.csv",
-                               _meta(cfg), names, cols))
+        write_csv(Path(outdir) / f"quench_{map_.name}.csv", _meta(cfg), names, cols)
     part = bs_participation(pair.values, params.L)
-    files.append(write_csv(Path(outdir) / "participation.csv", _meta(cfg),
-                           ["time", "participation"], [times, part]))
+    write_csv(Path(outdir) / "participation.csv", _meta(cfg),
+              ["time", "participation"], [times, part])
     front_names, front_cols = ["map", "time", "position"], [[], [], []]
     for map_ in (site, pair):
         try:
@@ -419,14 +425,12 @@ def run_quench(cfg, outdir, seed):
         front_cols[0] += [map_.name] * len(fit.times)
         front_cols[1] += list(fit.times)
         front_cols[2] += list(fit.positions)
-    files.append(write_csv(Path(outdir) / "front.csv", _meta(cfg),
-                           front_names, front_cols))
-    return files, notes
+    write_csv(Path(outdir) / "front.csv", _meta(cfg), front_names, front_cols)
+    return notes
 
 
 def run_participation(cfg, outdir, seed):
-    params = ModelParams(L=cfg["length"], alpha=cfg["alpha"], J=1.0,
-                         boundary=cfg["boundary"])
+    params = _model(cfg)
     # the notes read the steepest slope between two distinct grid points
     deltas = _delta_grid(cfg, 2)
     if not cfg["delta_max"] > cfg["delta_min"]:
@@ -442,11 +446,10 @@ def run_participation(cfg, outdir, seed):
         names.append("participation_compare")
         cols.append(curve.compare_participation)
         meta_extra.append(("compare", curve.compare_label))
-    path = write_csv(Path(outdir) / "participation.csv",
-                     _meta(cfg, meta_extra), names, cols)
+    write_csv(Path(outdir) / "participation.csv", _meta(cfg, meta_extra), names, cols)
     slope = np.diff(curve.participation) / np.diff(curve.deltas)
     mid = 0.5 * (curve.deltas[1:] + curve.deltas[:-1])
-    return [path], {"steepest_slope_delta": float(mid[np.argmax(slope)])}
+    return {"steepest_slope_delta": float(mid[np.argmax(slope)])}
 
 
 def run_floquet_bench(cfg, outdir, seed):
@@ -473,15 +476,14 @@ def run_floquet_bench(cfg, outdir, seed):
 
     f_dd, f_plain = floquet_sweep(("dd", "plain"), params, full0, n_steps,
                                   cfg["t_eff"], detunings, ref).T
-    path = write_csv(Path(outdir) / "floquet_bench.csv", _meta(cfg),
-                     ["detuning", "fidelity_dd", "fidelity_plain"],
-                     [detunings, f_dd, f_plain])
+    write_csv(Path(outdir) / "floquet_bench.csv", _meta(cfg),
+              ["detuning", "fidelity_dd", "fidelity_plain"], [detunings, f_dd, f_plain])
     notes = {"fidelity_dd_zero": float(f_dd[len(detunings) // 2])}
     for name, f in (("dd", f_dd), ("plain", f_plain)):
         width, clipped = _level_width(detunings, f, 0.8)
         notes[f"width_{name}_at_0.8"] = width
         notes[f"width_{name}_at_0.8_clipped"] = clipped
-    return [path], notes
+    return notes
 
 
 def _level_width(x, y, level):
@@ -518,14 +520,15 @@ def run_entropy(cfg, outdir, seed):
         rows["s_a"].append(s_a)
         rows["s_b"].append(s_b)
         rows["s_ab"].append(s_ab)
-    path = write_csv(Path(outdir) / "entropy.csv", _meta(cfg),
-                     ["time"] + list(rows),
-                     [times] + [np.array(v) for v in rows.values()])
-    return [path], {}
+    write_csv(Path(outdir) / "entropy.csv", _meta(cfg), ["time"] + list(rows),
+              [times] + [np.array(v) for v in rows.values()])
+    return {}
 
 
 def run_sample(cfg, outdir, seed):
     n_snapshots = _grid_count(cfg, "n_snapshots", 2)  # the jackknife needs two
+    if cfg["postselect_n"] < -1:  # -1 is off
+        raise ConfigError(f"'postselect_n' must be at least -1, got {cfg['postselect_n']}")
     params = _model(cfg)
     psi0 = center_pair_state(params, cfg["separation"])
     psi = exact_evolve(sector_hamiltonian(params, 2), psi0, cfg["t"])
@@ -533,8 +536,7 @@ def run_sample(cfg, outdir, seed):
                              params=params, t_J=cfg["t"])
     if cfg["postselect_n"] >= 0:
         snaps = postselect(snaps, cfg["postselect_n"])
-    files = [Path(outdir) / "snapshots.txt"]
-    save_snapshots(files[0], snaps)
+    save_snapshots(Path(outdir) / "snapshots.txt", snaps)
     part, part_err = jackknife(estimate_participation, snaps)
     pup, pup_err = jackknife(estimate_pup, snaps)
     pupp, pupp_err = jackknife(estimate_pupp, snaps)
@@ -542,10 +544,9 @@ def run_sample(cfg, outdir, seed):
     label = [0] + list(range(1, params.L + 1)) + list(range(1, params.L))
     value = np.concatenate([[part], pup, pupp])
     error = np.concatenate([[part_err], pup_err, pupp_err])
-    files.append(write_csv(Path(outdir) / "estimates.csv", _meta(cfg),
-                           ["quantity", "site", "value", "error"],
-                           [quantity, label, value, error]))
-    return files, {"n_retained": snaps.n_retained, "retention": snaps.retention}
+    write_csv(Path(outdir) / "estimates.csv", _meta(cfg),
+              ["quantity", "site", "value", "error"], [quantity, label, value, error])
+    return {"n_retained": snaps.n_retained, "retention": snaps.retention}
 
 
 EXPERIMENTS = {
@@ -585,53 +586,36 @@ PRESETS = {
     "figS6": [("floquet-bench", {"length": 10, "delta": 3.5, "t_eff": 3.3,
                                  "n_steps": 128}, "")],
 }
-FIGURES = tuple(PRESETS)
 
 
 # -------------------------------------------------------------------- main
 
 
 def _execute(experiment, cfg, outdir, seed):
-    """Run one experiment into outdir on one BLAS thread, with its manifest.
+    """Run one experiment on one BLAS thread in a staging directory and move its
+    files into outdir once they and the manifest are written, or none of them.
 
     Every stage below ``ONE_THREAD_BELOW_DIM`` keeps that one thread, and a
     dense stage at or above it gets the starting count back
     (``spectral._blas_threads``); the counts are restored afterwards.
     """
-    outdir = Path(outdir)
-    created = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
-    outdir.mkdir(parents=True, exist_ok=True)
-    existing = set(outdir.iterdir())
     start = time.perf_counter()
-    try:
+    outdir = Path(outdir)
+    with tempfile.TemporaryDirectory(prefix="magnonlab-") as staging:
         with _blas_threads(0):
-            files, notes = EXPERIMENTS[experiment](cfg, outdir, seed)
-            write_manifest(outdir, experiment, cfg, seed, files,
-                           notes, time.perf_counter() - start)
-    except BaseException:
-        # a failed run leaves no partial artifacts or new directories; earlier
-        # files stay, but an earlier manifest only while every digest holds
-        for path in set(outdir.iterdir()) - existing:
-            if path.is_file():
-                path.unlink()
-        manifest = outdir / "manifest.json"
-        if manifest.is_file() and not _manifest_holds(manifest):
-            manifest.unlink()
-        while created and not any(created[0].iterdir()):
-            created.pop(0).rmdir()
-        raise
+            notes = EXPERIMENTS[experiment](cfg, Path(staging), seed)
+            write_manifest(staging, experiment, cfg, seed, notes,
+                           time.perf_counter() - start)
+        # old manifest out first, new one in last: a manifest matches its files
+        files = sorted(Path(staging).iterdir(), key=lambda p: p.name == "manifest.json")
+        taken = [f.name for f in files if (outdir / f.name).is_dir()]
+        if taken:  # shutil.move would put the file inside such a directory
+            raise ConfigError(f"--out {outdir} holds directories named {taken}")
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "manifest.json").unlink(missing_ok=True)
+        for path in files:
+            shutil.move(path, outdir / path.name)
     return notes
-
-
-def _manifest_holds(path):
-    """True if every artifact the manifest names still has its recorded sha256."""
-    try:
-        artifacts = json.loads(path.read_text())["artifacts"].items()
-    except (ValueError, KeyError, TypeError, AttributeError):
-        return False
-    folder = path.parent
-    return all((folder / name).is_file() and _sha256(folder / name) == digest
-               for name, digest in artifacts)
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
@@ -649,16 +633,16 @@ def build_parser():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            default=None, metavar=spec.kind.upper(),
                            help=f"{spec.help} (default {spec.default})")
+        p.add_argument("--config", default=None, metavar="FILE",
+                       help="flat key = value config file")
         _common_flags(p)
     rep = sub.add_parser("reproduce", help="one-shot figure-data presets")
-    rep.add_argument("figure", choices=FIGURES)
+    rep.add_argument("figure", choices=PRESETS)
     _common_flags(rep)
     return parser
 
 
 def _common_flags(p):
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="flat key = value config file")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="output directory (default runs/<experiment>)")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
@@ -674,21 +658,17 @@ def main(argv=None):
     try:
         if args.experiment == "reproduce":
             base = Path(args.out or f"runs/reproduce/{args.figure}")
-            for experiment, overrides, subdir in PRESETS[args.figure]:
-                cfg = resolve_config(experiment, {}, {})
-                cfg.update(overrides)
-                notes = _execute(experiment, cfg, base / subdir if subdir else base,
-                                 args.seed)
-                print(f"{args.figure}/{subdir or experiment}: done "
-                      f"{json.dumps(_jsonable(notes))}")
-            return 0
-        file_cfg = read_config_file(args.config) if args.config else {}
-        skip = {"experiment", "config", "out", "seed", "threads"}
-        cli_cfg = {k: v for k, v in vars(args).items() if k not in skip}
-        cfg = resolve_config(args.experiment, file_cfg, cli_cfg)
-        outdir = args.out or f"runs/{args.experiment}"
-        notes = _execute(args.experiment, cfg, outdir, args.seed)
-        print(f"{args.experiment}: wrote {outdir} {json.dumps(_jsonable(notes))}")
+            runs = [(experiment, {}, overrides, base / subdir)
+                    for experiment, overrides, subdir in PRESETS[args.figure]]
+        else:
+            flags = {k: getattr(args, k) for k in _with_time_twins(SCHEMAS[args.experiment])}
+            file_cfg = read_config_file(args.config) if args.config else {}
+            runs = [(args.experiment, file_cfg, flags,
+                     Path(args.out or f"runs/{args.experiment}"))]
+        for experiment, file_cfg, flags, outdir in runs:
+            cfg = resolve_config(experiment, file_cfg, flags)
+            notes = _execute(experiment, cfg, outdir, args.seed)
+            print(f"{experiment}: wrote {outdir} {json.dumps(_jsonable(notes))}")
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -282,6 +282,48 @@ def test_non_finite_value_is_a_config_error(args, key, tmp_path, capsys):
     assert files_under(out) == []
 
 
+@pytest.mark.parametrize("sites", ["8", "3,5,7", "5,3", "0,3", "3,10"])
+def test_dispersion2_sites_must_be_a_window_in_the_chain(sites, tmp_path, capsys):
+    # one or three values once died on a Python unpacking error with exit 1
+    out = tmp_path / "o"
+    assert main(["dispersion2", "--length", "10", "--measure", "1", "--sites", sites,
+                 "--out", str(out)]) == 2
+    assert ("config error: 'sites' must be lo,hi with 1 <= lo <= hi < 10"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_postselect_below_minus_one_is_a_config_error(tmp_path, capsys):
+    # it once ran with post-selection silently off
+    out = tmp_path / "o"
+    assert main(["sample", "--length", "8", "--postselect-n", "-5", "--out", str(out)]) == 2
+    assert "config error: 'postselect_n' must be at least -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
+    # each once died in a FileNotFoundError or IsADirectoryError traceback, or
+    # exited 1 on a decoding error that did not name the file
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe length = 8\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, binary):
+        out = tmp_path / "o"
+        assert main(["quench", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: cannot read config file {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_reproduce_rejects_a_config_file(tmp_path, capsys):
+    # it once ran every preset and ignored the file
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "fig1c", "--config", str(tmp_path / "run.cfg"),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_at_time_zero_is_allowed(tmp_path):
     assert main(["sample", "--length", "8", "--t", "0", "--n-snapshots", "20",
                  "--out", str(tmp_path / "o")]) == 0
@@ -424,14 +466,78 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, capsys):
     assert not top.exists()
 
 
-def test_failed_rerun_drops_the_manifest_it_invalidates(tmp_path):
+def tree_bytes(path):
+    return {f.relative_to(path): f.read_bytes() for f in files_under(path)}
+
+
+def test_failed_rerun_leaves_the_earlier_run_intact(tmp_path):
     out = tmp_path / "o"
     assert main(["sample", "--length", "8", "--out", str(out)]) == 0
-    first = (out / "snapshots.txt").read_bytes()
+    before = tree_bytes(out)
+    assert sorted(map(str, before)) == ["estimates.csv", "manifest.json", "snapshots.txt"]
+    # the failed run wrote its snapshots.txt before participation failed
     assert main(["sample", "--length", "2", "--out", str(out)]) == 1
-    # the failed run rewrote snapshots.txt before participation failed
-    assert (out / "snapshots.txt").read_bytes() != first
-    assert not (out / "manifest.json").exists()
+    assert tree_bytes(out) == before
+
+
+def test_rerun_in_place_matches_a_fresh_run(tmp_path):
+    args = ["sample", "--length", "8", "--n-snapshots", "150", "--seed", "3"]
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    assert main(args + ["--out", str(fresh)]) == 0
+    assert main(["sample", "--length", "9", "--out", str(rerun)]) == 0
+    for _ in range(2):  # over a different run, then over itself
+        assert main(args + ["--out", str(rerun)]) == 0
+        for name in ("snapshots.txt", "estimates.csv"):
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes()
+        assert manifest(rerun)["content_hash"] == manifest(fresh)["content_hash"]
+        assert manifest(rerun)["artifacts"] == manifest(fresh)["artifacts"]
+
+
+def test_publish_replaces_the_manifest_first_and_last(monkeypatch, tmp_path):
+    # no manifest is on disk while the artifacts move, and the new one moves last
+    out = tmp_path / "o"
+    assert main(["quench", "--length", "6", "--n-times", "3", "--out", str(out)]) == 0
+    moves, move = [], cli.shutil.move
+
+    def recording(src, dst):
+        moves.append((Path(dst).name, (out / "manifest.json").exists()))
+        return move(src, dst)
+
+    monkeypatch.setattr(cli.shutil, "move", recording)
+    assert main(["quench", "--length", "7", "--n-times", "3", "--out", str(out)]) == 0
+    assert moves[-1] == ("manifest.json", False)
+    assert sorted(moves[:-1]) == [(name, False) for name in sorted(manifest(out)["artifacts"])]
+
+
+def test_run_refuses_an_out_with_a_directory_named_like_an_artifact(tmp_path, capsys):
+    # the file would be moved into that directory and the run reported done
+    out = tmp_path / "o"
+    (out / "estimates.csv").mkdir(parents=True)
+    assert main(["sample", "--length", "8", "--n-snapshots", "20", "--out", str(out)]) == 2
+    assert "holds directories named ['estimates.csv']" in capsys.readouterr().err
+    assert [p.name for p in out.rglob("*")] == ["estimates.csv"]
+
+
+def test_interrupted_run_leaves_out_unchanged_and_no_staging(monkeypatch, tmp_path):
+    staging_root = tmp_path / "tmp"
+    staging_root.mkdir()
+    monkeypatch.setattr(cli.tempfile, "tempdir", str(staging_root))
+    out = tmp_path / "o"
+    assert main(["sample", "--length", "8", "--n-snapshots", "20", "--out", str(out)]) == 0
+    before = tree_bytes(out)
+
+    def interrupted(cfg, outdir, seed):
+        (outdir / "estimates.csv").write_text("partial\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "sample", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sample", "--length", "8", "--out", str(out)])
+    with pytest.raises(KeyboardInterrupt):
+        main(["sample", "--length", "8", "--out", str(tmp_path / "new" / "o")])
+    assert tree_bytes(out) == before
+    assert not (tmp_path / "new").exists()
+    assert list(staging_root.iterdir()) == []
 
 
 def test_failed_run_keeps_a_manifest_that_still_holds(tmp_path):
