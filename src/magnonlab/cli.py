@@ -618,6 +618,14 @@ def _execute(experiment, cfg, outdir, seed):
     return notes
 
 
+def _check_out(outdir):
+    """ConfigError if outdir, or a directory it would lie in, exists as something
+    other than a directory: publishing could not make outdir there."""
+    for path in (outdir, *outdir.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {outdir}: {path} exists and is not a directory")
+
+
 @functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -665,6 +673,8 @@ def main(argv=None):
             file_cfg = read_config_file(args.config) if args.config else {}
             runs = [(args.experiment, file_cfg, flags,
                      Path(args.out or f"runs/{args.experiment}"))]
+        for *_, outdir in runs:
+            _check_out(outdir)
         for experiment, file_cfg, flags, outdir in runs:
             cfg = resolve_config(experiment, file_cfg, flags)
             notes = _execute(experiment, cfg, outdir, args.seed)

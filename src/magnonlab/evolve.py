@@ -225,7 +225,8 @@ def _chebyshev_series(mat, interval, vec, grid, rows):
     (Tal-Ezer & Kosloff 1984), summed to the K of ``series_orders``. Only
     the kept rows of each order T_k(h) vec (``_chebyshev_orders``) are
     stored, and one (n_times, k) @ (k, n_rows) product per block of orders
-    sums the series at every time, a block holding CHEBYSHEV_BLOCK_BYTES.
+    sums the series at every time; the blocks take turns in one array of
+    at most CHEBYSHEV_BLOCK_BYTES.
     A zero-width spectrum (a = 0) is a pure phase.
     """
     a, b = interval
@@ -239,11 +240,14 @@ def _chebyshev_series(mat, interval, vec, grid, rows):
     keep = slice(None) if rows is None else rows
     n_rows = len(vec) if rows is None else len(rows)
     orders = _chebyshev_orders(mat, a, b, vec, keep, n_orders)
-    block = max(1, CHEBYSHEV_BLOCK_BYTES // (16 * max(1, n_rows)))
+    block = min(n_orders, max(1, CHEBYSHEV_BLOCK_BYTES // (16 * max(1, n_rows))))
+    moments = np.empty((block, n_rows), dtype=complex)
     out = np.zeros((len(grid), n_rows), dtype=complex)
     for lo in range(0, n_orders, block):
-        moments = np.array(list(islice(orders, block)), dtype=complex)
-        out += coef[:, lo:lo + len(moments)] @ moments
+        count = min(block, n_orders - lo)
+        for k, order in enumerate(islice(orders, count)):
+            moments[k] = order
+        out += coef[:, lo:lo + count] @ moments[:count]
     return out
 
 

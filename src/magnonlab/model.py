@@ -338,17 +338,17 @@ FULL_SPACE_MAX_L = 24  # 2^24 amplitudes; beyond this use sector methods
 
 
 def _check_full_space(L):
-    # 40 bytes per amplitude is the tracemalloc peak of probes._ising_prep:
-    # the complex state (16), the transform's in-place copy (16) and one
-    # half-length butterfly sum (8); forming the x-basis phases from the
-    # energies peaks at the same 40
+    # (8 << L) + (1 << 20) bytes is the tracemalloc peak of probes._ising_sectors,
+    # within 7 % from L=16 to 22: the real 2^L table that probes._ising_prep
+    # transforms in place (8 bytes per amplitude) and about 1 MiB besides (a
+    # block of 2^14 energies and their complex phases, numpy's casting buffer,
+    # the half-chain tables and the sector rows kept)
     if L > FULL_SPACE_MAX_L:
         raise ValueError(
             f"full-space operators hold a (2^{L}, {L}) uint8 occupation table "
-            f"of {L << L} bytes at L={L}, and the Ising preparation a complex "
-            f"2^{L} state plus the working copies of its Walsh-Hadamard "
-            f"transform, about {40 << L} bytes; they are limited to "
-            f"L <= {FULL_SPACE_MAX_L}"
+            f"of {L << L} bytes at L={L}, and the Ising preparation a real 2^{L} "
+            f"table that its Walsh-Hadamard transform works on in place, about "
+            f"{(8 << L) + (1 << 20)} bytes; they are limited to L <= {FULL_SPACE_MAX_L}"
         )
 
 

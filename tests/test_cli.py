@@ -456,7 +456,8 @@ def test_failed_run_removes_only_its_own_files(experiment, tmp_path):
 
 
 def test_failed_run_removes_the_directories_it_made(tmp_path, capsys):
-    # the grid check runs inside the runner, after the output directory exists
+    # the grid check runs inside the runner, which writes to a staging
+    # directory, so a failed run creates no directory under --out
     top = tmp_path / "X"
     code = main(["phase-diagram", "--length", "20", "--delta-max", "nan",
                  "--out", str(top / "run")])
@@ -516,6 +517,25 @@ def test_run_refuses_an_out_with_a_directory_named_like_an_artifact(tmp_path, ca
     assert main(["sample", "--length", "8", "--n-snapshots", "20", "--out", str(out)]) == 2
     assert "holds directories named ['estimates.csv']" in capsys.readouterr().err
     assert [p.name for p in out.rglob("*")] == ["estimates.csv"]
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["sample", "--length", "8", "--n-snapshots", "20"], "."),
+    (["sample", "--length", "8", "--n-snapshots", "20"], "o/p"),
+    (["reproduce", "fig4"], "."),
+])
+def test_out_on_an_existing_file_is_a_config_error_before_any_run(
+        monkeypatch, tmp_path, capsys, argv, out):
+    # the run used to compute everything and then die in mkdir with a
+    # FileExistsError traceback
+    blocker = tmp_path / "f"
+    blocker.write_text("keep\n")
+    runs = []
+    monkeypatch.setattr(cli, "_execute", lambda *args: runs.append(args))
+    assert main([*argv, "--out", str(blocker / out)]) == 2
+    assert f"{blocker} exists and is not a directory" in capsys.readouterr().err
+    assert runs == []
+    assert blocker.read_text() == "keep\n"
 
 
 def test_interrupted_run_leaves_out_unchanged_and_no_staging(monkeypatch, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from magnonlab import evolve, probes, spectral
+from magnonlab import evolve, model, probes, spectral
 from magnonlab.model import (
     FULL_SPACE_MAX_L,
     ModelParams,
@@ -433,7 +433,7 @@ def test_ising_preparation_guard_rejects_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"{L << L} bytes at L={L}, .* Ising "
-                                             f"preparation .* about {40 << L} bytes"):
+                                             f"preparation .* about {(8 << L) + (1 << 20)} bytes"):
             ising_phase_state(p, 0.19, imprint_phases(1.0, L))
         with pytest.raises(ValueError, match=f"limited to L <= {FULL_SPACE_MAX_L}"):
             spectroscopy_two(p, 1.0)
@@ -441,15 +441,38 @@ def test_ising_preparation_guard_rejects_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # the uint8 table alone would be 800 MiB, the Ising
-    # state and its transform copies 1.75 GiB
+    # preparation's real table 256 MiB
+
+
+@pytest.mark.parametrize("L", [16, 18, 20])
+def test_ising_preparation_guard_states_the_preparation_peak(monkeypatch, L):
+    # the guard's figure: the real 2^L table, 8 bytes per amplitude, plus a
+    # working set of about 1 MiB; it read 40 bytes per amplitude when the
+    # complex state and its transform copies were held
+    monkeypatch.setattr(model, "FULL_SPACE_MAX_L", L - 1)
+    with pytest.raises(ValueError, match="Ising preparation") as err:
+        model._check_full_space(L)
+    monkeypatch.undo()
+    predicted = int(str(err.value).split("about ")[1].split()[0])
+    enumerate_sector.cache_clear()  # the peak includes the enumeration
+    _ising_sectors.cache_clear()
+    tracemalloc.start()
+    try:
+        _ising_sectors(ModelParams(L=L, alpha=1.4, delta=3.0), 0.19, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * peak <= predicted <= 1.1 * peak
 
 
 def test_walsh_hadamard_works_in_place_on_one_copy():
     rng = np.random.default_rng(3)
-    vec = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]])
     h4 = np.kron(np.kron(hadamard, hadamard), np.kron(hadamard, hadamard))
-    assert np.abs(probes._walsh_hadamard(vec[:16]) - h4 @ vec[:16]).max() < 1e-12
+    head = rng.normal(size=16)
+    assert np.abs(probes._walsh_hadamard(head.copy()) - h4 @ head).max() < 1e-12
+    # four runs of butterflies, then spans wider than a run
+    vec = rng.normal(size=4 * probes._BUTTERFLY_RUN)
     before = vec.copy()
     tracemalloc.start()
     try:
@@ -457,11 +480,30 @@ def test_walsh_hadamard_works_in_place_on_one_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(vec, before)
-    assert np.allclose(probes._walsh_hadamard(out), vec.size * vec)  # H H = 2^L
-    # the copy (16 bytes per amplitude), one half-length sum (8) and the
-    # ufunc buffers read 30; two live generations of butterflies read 44
-    assert peak <= 32 * vec.size
+    assert out is vec
+    assert np.allclose(probes._walsh_hadamard(vec.copy()), vec.size * before)  # H H = 2^L
+    # row m of the transform is (-1)^popcount(m & j): the unit vector at m
+    # transforms to that row, across runs and the spans between them
+    m = 3 * probes._BUTTERFLY_RUN + 12345
+    unit = np.zeros(vec.size)
+    unit[m] = 1.0
+    signs = 1.0 - 2.0 * (np.bitwise_count(m & np.arange(vec.size)) % 2)
+    assert np.array_equal(probes._walsh_hadamard(unit), signs)
+    # the buffer of half a run and numpy's iteration buffers (np.getbufsize()
+    # entries for each of three operands), not a copy of vec
+    assert peak <= 8 * (probes._BUTTERFLY_RUN // 2 + 3 * np.getbufsize()) + 16384
+
+
+@pytest.mark.parametrize("n_max", [3, 0, -2])
+def test_spectroscopy_two_rejects_an_odd_or_too_small_n_max(monkeypatch, n_max):
+    # before the check, 3 ran as 2, 0 returned frequency 0 without a
+    # contrast and -2 reported a neglected weight of 1
+    built = []
+    monkeypatch.setattr(probes, "_cached_sector", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=f"n_max must be an even .* got {n_max}"):
+        spectroscopy_two(ModelParams(L=8, alpha=1.4, delta=3.0), np.pi / 2,
+                         sites=(3, 5), n_max=n_max)
+    assert built == []
 
 
 # ------------------------------------------------------------ quench maps
