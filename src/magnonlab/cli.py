@@ -170,6 +170,14 @@ SCHEMAS = {
     },
 }
 
+# experiments that need more than the two sites of the shortest chain, with why
+MIN_LENGTH = {
+    "dispersion2": (3, "at L = 2 the ring momentum pi has no pair state"),
+    "phase-diagram": (3, "at L = 2 the ring momentum pi has no pair state"),
+    "sample": (3, "at L = 2 every pair is adjacent, so the participation is undefined"),
+}
+
+
 def _with_time_twins(schema):
     out = dict(schema)
     for key, spec in schema.items():
@@ -236,6 +244,9 @@ def resolve_config(experiment, file_cfg, cli_cfg):
             raise ConfigError(f"'{key}' must be finite and positive, got {vals[key]!r}")
         if not np.isfinite(vals[key]):
             raise ConfigError(f"'{key}' must be finite, got {vals[key]!r}")
+    shortest, why = MIN_LENGTH.get(experiment, (0, ""))
+    if vals["length"] < shortest:
+        raise ConfigError(f"{experiment} needs L >= {shortest}, got L={vals['length']}: {why}")
     return vals
 
 
@@ -368,7 +379,8 @@ def run_dispersion2(cfg, outdir, seed):
     if cfg["measure"]:
         peaks, contrasts, neglected = [], [], []
         for q in k:
-            sig = spectroscopy_two(chain, float(q), t_max_J=cfg["t_max"], sites=sites)
+            sig = spectroscopy_two(chain, float(q), t_max_J=cfg["t_max"], sites=sites,
+                                   scan=k)
             peaks.append(sig.frequency)
             contrasts.append(sig.contrast if sig.contrast is not None else np.inf)
             neglected.append(sig.neglected_weight)

@@ -3,7 +3,8 @@
 Three propagators with one state convention:
 
 * ``propagate``: psi(t) = exp(-iHt) psi0 on a whole time grid, restricted
-  to the rows the caller reads, as (n_times, len(rows)) or (n_times, dim).
+  to the rows the caller reads, as (n_times, len(rows)) or (n_times, dim);
+  a (dim, m) block of states evolves in the same pass, one column each.
   A Chebyshev series of exp(-iHt) in sparse products gives every time
   point at once and forms no eigensystem. It runs where ``takes_series``
   holds: where its K x nnz products cost less than diagonalizing, so a
@@ -82,7 +83,8 @@ from .model import (
 # the dense path diagonalizes (``takes_series``). The series is paid on every
 # call, the eigh once per sector: one call costs about 2 ns per order and
 # nonzero, one eigh 0.2 ns per d^3, a ratio of 0.1, and a pair-spectroscopy
-# scan runs four calls per sector. Dense vs series over 64 times at Delta=3 on
+# scan ran four calls per sector (its one block call per sector costs about as
+# much: at dim 3060 an order of nine states took 4.7 times one). Dense vs series over 64 times at Delta=3 on
 # 2 cores, the series on one BLAS thread, with the cost ratio in brackets; four
 # calls: 0.024 vs 0.035 s at dim 495 (L=12 n=4, t=8, [0.076]), 0.33 vs 0.40 s
 # at 1770 (L=60 n=2, t=20, [0.031]), 0.057 vs 0.038 s at 780 (L=40 n=2, t=4,
@@ -95,8 +97,13 @@ CHEBYSHEV_NNZ_PER_DIM3 = 0.025
 # to |psi0|
 CHEBYSHEV_TOL = 1e-14
 # the series is summed over blocks of orders whose kept rows fit in this many
-# bytes, so a long time window (K in the thousands) does not hold every order
-CHEBYSHEV_BLOCK_BYTES = 8 << 20
+# bytes, and each block's product is added in column chunks of at most as many
+# bytes, so neither a long time window (K in the thousands) nor a block of
+# states holds every order. Fresh dispersion2 --length 18 --measure 1 runs
+# (nine momenta, 639 rows read of the n=4 sector) peaked at 81.4 / 70.4 / 68.5
+# MiB RSS with 8 / 2 / 1 MiB, against 69.9 MiB for one momentum at a time;
+# 2 MiB would sum fig1d's L=20 ladder in 0.32 s instead of 0.36 s.
+CHEBYSHEV_BLOCK_BYTES = 1 << 20
 # The pulse eigensystem is four dense blocks of about 2^(L-2). Cold starts took
 # 0.06 s at 59 MiB peak RSS at L=10, 0.2 s at 74 MiB at L=11 and 0.9 s at
 # 129 MiB at L=12 on 2 cores, 50 MiB of it imports; eigh nears 8x per site.
@@ -132,28 +139,31 @@ def propagate(H, psi0, times, rows=None):
     """exp(-iHt) psi0 for every t in times, as a (n_times, len(rows)) array.
 
     rows selects the basis rows to return, all of them (dim) when None.
-    Where ``takes_series`` holds, ``_chebyshev_series`` evolves psi0 with
-    sparse products only and never diagonalizes H. Elsewhere, per
-    reflection block (Q, E, V) of ``H.eigensystem()`` the coefficients
-    V^T Q^T psi0 are formed once, and ``_spectral_step`` applies every
-    phase and the readout Q[rows] V at once. A scalar t gives one
-    (len(rows),) state.
+    psi0 may also be a complex (dim, m) block of m states, evolved together
+    into a (n_times, len(rows), m) array. Where ``takes_series`` holds,
+    ``_chebyshev_series`` evolves psi0 with sparse products only and never
+    diagonalizes H. Elsewhere, per reflection block (Q, E, V) of
+    ``H.eigensystem()`` the coefficients V^T Q^T psi0 are formed once, and
+    ``_spectral_step`` applies every phase and the readout Q[rows] V at
+    once. A scalar t gives one (len(rows),) state, or (len(rows), m).
     """
     vec, grid = _state_and_grid(H.dim, psi0, times)
     n_out = H.dim if rows is None else len(rows)
-    shape = np.shape(times) + (n_out,)
+    shape = np.shape(times) + (n_out,) + vec.shape[1:]
     if takes_series(H, grid):
         return _chebyshev_series(H.matrix, H.spectral_interval, vec, grid,
                                  rows).reshape(shape)
     from .spectral import _blas_threads
 
-    out = np.zeros((n_out, len(grid)), dtype=complex)
+    m = 1 if vec.ndim == 1 else vec.shape[1]
+    out = np.zeros((n_out, len(grid), m), dtype=complex)
     with _blas_threads(_dense_block(H), give_back_only=True):
         for q, evals, evecs in H.eigensystem():
-            z = np.asarray(q.T @ vec, dtype=complex).reshape(-1, 1)
+            z = np.asarray(q.T @ vec, dtype=complex).reshape(len(evals), m)
             readout = (q if rows is None else q[rows]) @ evecs
-            out += _spectral_step(evecs, np.exp(-1j * np.outer(evals, grid)), z, readout)
-    return out.T.reshape(shape)
+            out += _spectral_step(evecs, np.exp(-1j * np.outer(evals, grid))[:, :, None],
+                                  z, readout)
+    return out.transpose(1, 0, 2).reshape(shape)
 
 
 def _dense_block(H):
@@ -205,10 +215,10 @@ def _bessel_orders(x):
 
 
 def _state_and_grid(dim, psi0, times):
-    """(psi0 as an array of length dim, times as a flat grid of finite values)."""
+    """(psi0 as a (dim,) or (dim, m) array, times as a flat grid of finite values)."""
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
-    if vec.shape != (dim,):
-        raise ValueError(f"state length {vec.shape} does not match dim {dim}")
+    if vec.ndim not in (1, 2) or len(vec) != dim:
+        raise ValueError(f"state shape {vec.shape} is not (dim,) or (dim, m) for dim {dim}")
     grid = np.reshape(times, -1)
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"times must be finite, got {grid[~np.isfinite(grid)]}")
@@ -216,7 +226,8 @@ def _state_and_grid(dim, psi0, times):
 
 
 def _chebyshev_series(mat, interval, vec, grid, rows):
-    """exp(-i mat t) vec at every t of grid, as (n_times, len(rows)).
+    """exp(-i mat t) vec at every t of grid, as (n_times, len(rows)), or as
+    (n_times, len(rows), m) for a (dim, m) block vec.
 
     interval = (a, b) puts the spectrum of the real symmetric mat in
     [b - a, b + a]: ``SectorOperator.spectral_interval``, or Gershgorin
@@ -224,9 +235,10 @@ def _chebyshev_series(mat, interval, vec, grid, rows):
     and exp(-i mat t) = e^(-ibt) sum_k (2 - delta_k0) (-i)^k J_k(at) T_k(h)
     (Tal-Ezer & Kosloff 1984), summed to the K of ``series_orders``. Only
     the kept rows of each order T_k(h) vec (``_chebyshev_orders``) are
-    stored, and one (n_times, k) @ (k, n_rows) product per block of orders
+    stored, and one (n_times, k) @ (k, columns) product per block of orders
     sums the series at every time; the blocks take turns in one array of
-    at most CHEBYSHEV_BLOCK_BYTES.
+    at most CHEBYSHEV_BLOCK_BYTES, and each product is added in column
+    chunks whose temporary also fits that budget.
     A zero-width spectrum (a = 0) is a pure phase.
     """
     a, b = interval
@@ -239,24 +251,30 @@ def _chebyshev_series(mat, interval, vec, grid, rows):
     coef *= np.exp(-1j * b * grid)[:, None]
     keep = slice(None) if rows is None else rows
     n_rows = len(vec) if rows is None else len(rows)
+    columns = n_rows * (1 if vec.ndim == 1 else vec.shape[1])
     orders = _chebyshev_orders(mat, a, b, vec, keep, n_orders)
-    block = min(n_orders, max(1, CHEBYSHEV_BLOCK_BYTES // (16 * max(1, n_rows))))
-    moments = np.empty((block, n_rows), dtype=complex)
-    out = np.zeros((len(grid), n_rows), dtype=complex)
+    block = min(n_orders, max(1, CHEBYSHEV_BLOCK_BYTES // (16 * max(1, columns))))
+    chunk = max(1, CHEBYSHEV_BLOCK_BYTES // (16 * len(grid)))
+    moments = np.empty((block, columns), dtype=complex)
+    out = np.zeros((len(grid), columns), dtype=complex)
     for lo in range(0, n_orders, block):
         count = min(block, n_orders - lo)
         for k, order in enumerate(islice(orders, count)):
-            moments[k] = order
-        out += coef[:, lo:lo + count] @ moments[:count]
-    return out
+            moments[k] = order.reshape(-1)
+        for c in range(0, columns, chunk):
+            out[:, c:c + chunk] += coef[:, lo:lo + count] @ moments[:count, c:c + chunk]
+    return out.reshape((len(grid), n_rows) + vec.shape[1:])
 
 
 def _chebyshev_orders(mat, a, b, vec, keep, n_orders):
     """T_k(h) vec for k < n_orders, h = (mat - b)/a, each restricted to keep.
 
-    T_(k+1) = 2h T_k - T_(k-1) runs on the real and imaginary parts of vec
-    as 1-D real sparse products, 2h v = (2/a)(mat v) - (2b/a) v, so no
-    scaled copy of mat is built; T_(k+1) overwrites T_(k-1).
+    T_(k+1) = 2h T_k - T_(k-1) runs on real arrays, 2h v = (2/a)(mat v)
+    - (2b/a) v, so no scaled copy of mat is built; T_(k+1) overwrites
+    T_(k-1). One state, also a (dim, 1) block, runs as two 1-D products,
+    its real and imaginary parts. A (dim, m) block runs as one product on
+    its (dim, 2m) float view: 0.89 ms for m = 9 at dim 3060, against
+    18 x 0.094 ms for its columns one by one.
     """
     yield vec[keep]
     if n_orders == 1:
@@ -269,10 +287,20 @@ def _chebyshev_orders(mat, a, b, vec, keep, n_orders):
         out -= shift * v
         return out
 
-    prev = [vec.real.astype(float), vec.imag.astype(float)]
+    if vec.ndim == 1 or vec.shape[1] == 1:
+        one = vec.reshape(len(vec))
+        prev = [one.real.astype(float), one.imag.astype(float)]
+
+        def state(parts):
+            return parts[0][keep] + 1j * parts[1][keep]
+    else:
+        prev = [np.array(vec, dtype=complex, order="C").view(float)]
+
+        def state(parts):
+            return parts[0][keep].view(complex)
     cur = [0.5 * two_h(p) for p in prev]
     for k in range(1, n_orders):
-        yield cur[0][keep] + 1j * cur[1][keep]
+        yield state(cur)
         if k + 1 < n_orders:
             prev, cur = cur, [np.subtract(two_h(c), p, out=p) for c, p in zip(cur, prev)]
 
@@ -325,16 +353,24 @@ def _spectral_step(evecs, phase, z, readout=None):
     """readout @ (phase * (evecs.T @ z)) for real orthogonal evecs.
 
     z is a complex (d, m) block whose last axis is contiguous, and phase
-    broadcasts against (d, m); readout, a real (n_out, d) matrix, defaults
-    to evecs. Each product is one real GEMM on the (., 2m) float view, so
-    no matrix is conjugated or upcast to complex.
+    broadcasts against (d, m), or is (d, n, 1) for n phases of every column,
+    which gives a (n_out, n, m) result; readout, a real (n_out, d) matrix,
+    defaults to evecs. Each product is one real GEMM on the (., 2m) or
+    (., 2nm) float view, so no matrix is conjugated or upcast to complex.
     """
     if evecs.dtype.kind == "c":
         raise TypeError("the spectral step needs real eigenvectors")
     zf = z.view(float)
     big = len(evecs) >= SPECTRAL_ROW_FORM_DIM
-    coef = ((zf.T @ evecs).T.copy() if big else evecs.T @ zf).view(complex) * phase
-    return ((evecs if readout is None else readout) @ coef.view(float)).view(complex)
+    coef = ((zf.T @ evecs).T.copy() if big else evecs.T @ zf).view(complex)
+    # the 2-D form runs thousands of times in a pulse sweep: nothing added there
+    if phase.ndim == 3:
+        columns = (phase.shape[1], z.shape[1])
+        coef = (coef[:, None] * phase).reshape(len(coef), columns[0] * columns[1])
+    else:
+        coef = coef * phase
+    out = ((evecs if readout is None else readout) @ coef.view(float)).view(complex)
+    return out if phase.ndim == 2 else out.reshape(len(out), *columns)
 
 
 @dataclass(frozen=True)

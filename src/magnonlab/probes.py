@@ -16,13 +16,18 @@ emulation lives in the sampling module):
   product, and rotated back with a fast Walsh-Hadamard transform, once
   per chain, in place on one real 2^L table: first the real parts, then
   the imaginary parts, each read only at the sector rows. Each momentum
-  imprints its phases on the cached sector components, every sector is
-  evolved by ``evolve.propagate`` on only the rows the pair readout in
-  the window touches, and the pair coherence is gathered from those
-  site-basis trajectories. ``propagate`` runs the small sectors (n = 0, 2
-  at L=20) through their cached reflection blocks and the large ones
-  (n = 4, dim 4845 at L=20) through a Chebyshev series of sparse
-  products, so no dense eigensystem of n = 4 is formed.
+  imprints its phases on the cached sector components, one column per
+  momentum, and every sector's (dim, m) block is evolved by
+  ``evolve.propagate`` in one pass, on only the rows the pair readout in
+  the window touches; the pair coherence is gathered from those
+  site-basis trajectories. A single call runs a one-column ladder. A call
+  that names its momentum grid (``scan``) runs the whole grid on its
+  first call, so the sparse products of each order serve all m momenta
+  at once, and keeps only the grid's pair signals for its other momenta.
+  ``propagate`` runs the small sectors (n = 0, 2 at L=20) through their
+  cached reflection blocks and the large ones (n = 4, dim 4845 at L=20)
+  through a Chebyshev series of sparse products, so no dense eigensystem
+  of n = 4 is formed.
   The whole ladder (preparation, eigensystems, series and contraction)
   runs on one BLAS thread, which otherwise spins between its short calls;
   ``propagate`` gives the starting thread count back to a dense block of
@@ -368,13 +373,15 @@ def ising_phase_state(params, t_prep_J, phases):
 
 
 def imprint_phases(k, L):
-    """phi_j = k j / 2 (1-based j), so phi_j + phi_{j+1} = k j + k/2."""
-    return k * np.arange(1, L + 1) / 2.0
+    """phi_j = k j / 2 (1-based j), so phi_j + phi_{j+1} = k j + k/2; an
+    array of momenta gives one column of phases each, (L, len(k))."""
+    return np.multiply.outer(np.arange(1, L + 1), k) / 2.0
 
 
 def _imprint(bits, comp, phases):
-    """comp times exp(-i sum_j (phi_j/2) sz_j), row by row of the (dim, L) bits."""
-    return comp * np.exp(-1j * (bits @ phases - phases.sum() / 2.0))
+    """comp times exp(-i sum_j (phi_j/2) sz_j), row by row of the (dim, L) bits;
+    (L, m) phases and a (dim, 1) comp give one column per momentum."""
+    return comp * np.exp(-1j * (bits @ phases - phases.sum(axis=0) / 2.0))
 
 
 @lru_cache(maxsize=4)
@@ -461,7 +468,7 @@ def _pair_lowering_block(params, n, pair_col):
 
 
 def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
-                     n_samples=N_SAMPLES, sites=(8, 13), n_max=4):
+                     n_samples=N_SAMPLES, sites=(8, 13), n_max=4, scan=None):
     """Two-magnon excitation energy from the pair coherence <sm_j sm_{j+1}>.
 
     The unprojected prepared state is split into magnon sectors up to
@@ -471,6 +478,11 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
     averaged over pairs j in sites[0]..sites[1] and Fourier-transformed;
     the signed peak estimates eps2(k) - eps0 and the contrast the
     bound-state amplitude.
+
+    scan, when given, is the momentum grid that k belongs to. The first
+    call of a scan evolves all of its momenta in one pass per sector and
+    keeps only their pair signals (``_scan_signals``), so the other
+    momenta of the scan read theirs from that pass.
     """
     if n_max < 2 or n_max % 2:
         raise ValueError(f"n_max must be an even magnon number of at least 2, got {n_max}")
@@ -480,14 +492,39 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
             f"pair window {j_lo}..{j_hi} leaves the chain of length {params.L}"
         )
     _check_full_space(params.L)  # the preparation's guard, before any sector is built
+    setup = (t_prep_J, t_max_J, n_samples, (j_lo, j_hi), n_max)
+    if scan is None:
+        signal, neglected = _pair_signals(params, (float(k),), *setup)
+        signal = signal[0]
+    else:
+        momenta = tuple(float(q) for q in np.ravel(scan))
+        if float(k) not in momenta:
+            raise ValueError(f"k={k} is not a momentum of the scan")
+        signals, neglected = _scan_signals(params, momenta, *setup)
+        signal = signals[momenta.index(float(k))].copy()
     times = np.linspace(0.0, t_max_J, n_samples, endpoint=False)
-    t_phys = times / params.J
+    freqs, mag, f_peak, contrast = spectral_peak(times / params.J, signal, two_sided=True)
+    return SpectroscopySignal(
+        times=times, values=signal, freqs=freqs, magnitude=mag,
+        frequency=f_peak, resolution=2 * np.pi * params.J / t_max_J,
+        contrast=contrast, neglected_weight=neglected,
+    )
+
+
+def _pair_signals(params, momenta, t_prep_J, t_max_J, n_samples, sites, n_max):
+    """(signals, neglected weight) of ``spectroscopy_two``: the pair coherence
+    of every momentum as a (len(momenta), n_pairs, n_samples) array.
+
+    Each sector's imprinted states form one (dim, len(momenta)) block, which
+    ``propagate`` evolves in one pass on the rows the readout reads.
+    """
+    t_phys = np.linspace(0.0, t_max_J, n_samples, endpoint=False) / params.J
     sectors = [_cached_sector(params, n) for n in range(0, n_max + 1, 2)]
     with _blas_threads(0):
         comps = _ising_sectors(params, t_prep_J, n_max)
         neglected = 1.0 - sum(float(np.sum(np.abs(c) ** 2)) for c in comps)
-        phases = imprint_phases(k, params.L)
-        pairs = range(j_lo - 1, j_hi)  # 1-based left sites -> 0-based
+        phases = imprint_phases(np.array(momenta), params.L)
+        pairs = range(sites[0] - 1, sites[1])  # 1-based left sites -> 0-based
         # (rows, mates) of sm_p sm_{p+1} per pair, for each step down the ladder
         lowering = [[_pair_lowering_indices(hi.basis, lo.basis, p) for p in pairs]
                     for lo, hi in zip(sectors, sectors[1:])]
@@ -497,25 +534,29 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
         for i, step in enumerate(lowering):
             for rows, mates in step:
                 is_read[i][mates] = is_read[i + 1][rows] = True
-        # (sorted read rows, (n_times, n_read) site-basis trajectory) per sector
+        # (sorted read rows, (n_times, n_read, n_momenta) trajectory) per sector
         ladder = []
         for H, comp, mask in zip(sectors, comps, is_read):
             read = np.flatnonzero(mask)
-            psi0 = _imprint(H.basis.bits, comp, phases)
+            psi0 = _imprint(H.basis.bits, comp[:, None], phases)
             ladder.append((read, propagate(H, psi0, t_phys, rows=read)))
 
-        signal = np.zeros((len(pairs), n_samples), dtype=complex)
+        signal = np.zeros((len(momenta), len(pairs), n_samples), dtype=complex)
         for (read_lo, psi_lo), (read_hi, psi_hi), step in zip(ladder, ladder[1:], lowering):
             for col, (rows, mates) in enumerate(step):
-                signal[col] += np.einsum("ta,ta->t",
-                                         psi_lo[:, np.searchsorted(read_lo, mates)].conj(),
-                                         psi_hi[:, np.searchsorted(read_hi, rows)])
-    freqs, mag, f_peak, contrast = spectral_peak(t_phys, signal, two_sided=True)
-    return SpectroscopySignal(
-        times=times, values=signal, freqs=freqs, magnitude=mag,
-        frequency=f_peak, resolution=2 * np.pi * params.J / t_max_J,
-        contrast=contrast, neglected_weight=neglected,
-    )
+                signal[:, col] += np.einsum("tam,tam->mt",
+                                            psi_lo[:, np.searchsorted(read_lo, mates)].conj(),
+                                            psi_hi[:, np.searchsorted(read_hi, rows)])
+    return signal, neglected
+
+
+@lru_cache(maxsize=1)
+def _scan_signals(params, momenta, *setup):
+    """``_pair_signals`` of the one scan last asked for, read-only: at L=18
+    nine momenta keep 9 x 6 x 64 complex values (55 KB), no trajectory."""
+    signals, neglected = _pair_signals(params, momenta, *setup)
+    signals.flags.writeable = False
+    return signals, neglected
 
 
 # ------------------------------------------------------------- quenches

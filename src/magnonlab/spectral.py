@@ -47,6 +47,15 @@ BOUND_THRESHOLD_NUM = 5.0  # bound if L4 > 5/(L-1)
 # against 2 on 2 cores: 10.1 vs 9.8 ms at dim 256, 28 vs 25 ms at 400, 77 vs 57
 # ms at 612, 349 vs 232 ms at 1024. Below it a second thread mostly spins.
 ONE_THREAD_BELOW_DIM = 400
+# _top_pairs solves a stage of n two-magnon blocks of dim d with numpy's eigh
+# of every pair where n d^3 is at most this, else with dsyevr of the top pair,
+# which needs scipy.linalg. On one thread of a shared 2-core Xeon, eigh cost
+# 13.5 vs 9.2 us at d = 9, 186 vs 56 us at d = 50 and 1.32 vs 0.47 ms at
+# d = 150, about 0.25-0.3 ns more per d^3 from d = 100; importing
+# scipy.linalg cost 26-36 ms and 7 MiB peak RSS. The crossover lies near
+# n d^3 = 1e8: dispersion_two up to L of about 200 (n = L/2 solves of dim
+# L/2) takes eigh, the figS5 grid (680 solves of dim 150) takes dsyevr.
+TOP_PAIR_EIGH_DIM3 = 1e8
 
 _MAPS = "/proc/self/maps"
 # (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
@@ -233,22 +242,27 @@ class TwoMagnonBlock:
     def eigensystem(self, delta=None):
         return np.linalg.eigh(self.hamiltonian(delta))
 
-    def top_state(self, delta=None):
-        """Highest eigenpair (energy, vector), without solving for the rest.
+    def top_state(self, delta=None, subset=True):
+        """Highest eigenpair (energy, vector).
 
-        One LAPACK ``dsyevr`` call (range 'I', il = iu = dim, lower
-        triangle) with the workspace of ``dsyevr_lwork``: the routine and
-        workspace of ``scipy.linalg.eigh(h, subset_by_index=[dim-1, dim-1])``,
-        whose result this is byte for byte, without its argument handling.
+        subset: one LAPACK ``dsyevr`` call (range 'I', il = iu = dim, lower
+        triangle) with the workspace of ``dsyevr_lwork``, which solves for
+        the top pair only: the routine and workspace of
+        ``scipy.linalg.eigh(h, subset_by_index=[dim-1, dim-1])``, whose
+        result this is byte for byte, without its argument handling.
+        Otherwise the last pair of ``eigensystem``, numpy's eigh of them all.
         """
-        # imported on first use: at module level, scipy.linalg would cost
-        # every magnonlab process about 8 MiB and 0.09 s; _top_pairs
-        # imports it before setting threads
-        from scipy.linalg.lapack import dsyevr
-
         n = self.dim
         if n == 0:  # at L = 2 the odd-m block has no pair state
             raise ValueError(f"the two-magnon block at k={self.k} is empty")
+        if not subset:
+            vals, vecs = self.eigensystem(delta)
+            return vals[-1], vecs[:, -1]
+        # imported on first use: at module level, scipy.linalg would cost
+        # every magnonlab process about 7 MiB and 0.03 s; _top_pairs
+        # imports it before setting threads
+        from scipy.linalg.lapack import dsyevr
+
         h = self.hamiltonian(delta)
         # h is exactly symmetric, so its transpose is the F-ordered matrix
         # itself, which f2py hands to LAPACK without a copy
@@ -374,16 +388,22 @@ def _top_pairs(params, k_values, deltas):
     """Yield (energy, unfolded weights) of the top two-magnon state per (k, delta).
 
     k-major: each block is built once per k (the zz diagonal is linear in
-    delta), and each point solves for the top eigenpair only, under
-    ``_blas_threads`` for blocks of L // 2 (one thread for every L below 800).
+    delta), under ``_blas_threads`` for blocks of L // 2 (one thread for
+    every L below 800). A stage of n solves of dim d takes numpy's eigh of
+    every eigenpair where n d^3 is at most TOP_PAIR_EIGH_DIM3, and
+    ``top_state``'s dsyevr of the top pair only above it, so a small stage
+    does not import scipy.linalg.
     """
-    import scipy.linalg  # noqa: F401  top_state's OpenBLAS, mapped before the count is set
+    dim = params.L // 2
+    subset = len(k_values) * len(deltas) * dim**3 > TOP_PAIR_EIGH_DIM3
+    if subset:
+        import scipy.linalg  # noqa: F401  top_state's OpenBLAS, mapped before the count is set
 
-    with _blas_threads(params.L // 2):
+    with _blas_threads(dim):
         for k in k_values:
             block = two_magnon_block(k, params)
             for delta in deltas:
-                energy, top = block.top_state(delta)
+                energy, top = block.top_state(delta, subset)
                 yield energy, unfold_relative_weights(block, top)
 
 

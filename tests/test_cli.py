@@ -441,8 +441,34 @@ def test_entropy_overlapping_regions_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("experiment", ["sample", "quench"])
 def test_participation_at_two_sites_is_an_error(experiment, tmp_path, capsys):
     code = main([experiment, "--length", "2", "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "error: participation needs L >= 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if experiment == "sample":  # rejected before it draws
+        assert code == 2 and "sample needs L >= 3" in err and "participation" in err
+    else:  # quench fails in its runner
+        assert code == 1 and "error: participation needs L >= 3" in err
+
+
+@pytest.mark.parametrize("experiment", ["dispersion2", "phase-diagram", "sample"])
+def test_too_short_chain_is_a_config_error_before_the_run(experiment, monkeypatch,
+                                                          tmp_path, capsys):
+    # unchecked, dispersion2 and phase-diagram die in the ring curve (the
+    # block at k = pi is empty) and sample after drawing and staging its
+    # snapshots, all with exit 1
+    def runner_must_not_start(*args):
+        raise AssertionError("the runner started")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, runner_must_not_start)
+    code = main([experiment, "--length", "2", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "needs L >= 3, got L=2" in err
+    assert not (tmp_path / "o").exists()
+
+
+# a sample run that fails in its runner after staging snapshots.txt: every
+# snapshot of a two-magnon state holds two magnons, so post-selecting five
+# retains none and the estimates refuse the empty set
+SAMPLE_FAILING_LATE = ["sample", "--length", "8", "--postselect-n", "5"]
 
 
 @pytest.mark.parametrize("experiment", ["sample", "quench"])
@@ -450,7 +476,8 @@ def test_failed_run_removes_only_its_own_files(experiment, tmp_path):
     out = tmp_path / "o"
     out.mkdir()
     (out / "notes.txt").write_text("kept\n")
-    assert main([experiment, "--length", "2", "--out", str(out)]) == 1
+    argv = SAMPLE_FAILING_LATE if experiment == "sample" else [experiment, "--length", "2"]
+    assert main(argv + ["--out", str(out)]) == 1
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "kept\n"
 
@@ -476,8 +503,8 @@ def test_failed_rerun_leaves_the_earlier_run_intact(tmp_path):
     assert main(["sample", "--length", "8", "--out", str(out)]) == 0
     before = tree_bytes(out)
     assert sorted(map(str, before)) == ["estimates.csv", "manifest.json", "snapshots.txt"]
-    # the failed run wrote its snapshots.txt before participation failed
-    assert main(["sample", "--length", "2", "--out", str(out)]) == 1
+    # the failed run wrote its snapshots.txt before its estimates failed
+    assert main(SAMPLE_FAILING_LATE + ["--out", str(out)]) == 1
     assert tree_bytes(out) == before
 
 
@@ -656,6 +683,20 @@ def test_cli_import_loads_no_scipy_solver_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_pair_spectroscopy_run_loads_no_scipy_linalg(tmp_path):
+    # the benchmark's dispersion2 call: its ring curve (9 solves of dim 9)
+    # takes numpy's eigh, so the run never imports scipy.linalg (about 7 MiB
+    # and 30 ms)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, magnonlab.cli as cli; code = cli.main(['dispersion2', "
+            "'--length', '18', '--delta', '3', '--measure', '1', '--out', sys.argv[1]]); "
+            "print(code, 'scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cli_blas_thread_scope_loads_no_scipy_linalg(tmp_path):

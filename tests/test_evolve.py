@@ -309,6 +309,66 @@ def test_propagate_rejects_non_finite_times(monkeypatch, max_bytes, bad):
             run(H, sector_state_from_sites(p, (4, 5)), [0.0, bad])
 
 
+@pytest.mark.parametrize("L, series", [(18, True), (12, False)])
+def test_a_block_of_states_equals_one_call_per_column(L, series):
+    # the n=4 sector over fig1d's window: dim 3060 takes the series, dim 495
+    # the dense blocks
+    p = ModelParams(L=L, alpha=1.4, delta=3.0)
+    H = sector_hamiltonian(p, 4)
+    times = np.linspace(0.0, 8.0, 16, endpoint=False)
+    assert evolve.takes_series(H, times) == series
+    rng = np.random.default_rng(L)
+    block = rng.normal(size=(H.dim, 3)) + 1j * rng.normal(size=(H.dim, 3))
+    subset = np.sort(rng.permutation(H.dim)[: H.dim // 5])
+    for rows in (None, subset):
+        got = propagate(H, block, times, rows=rows)
+        n_rows = H.dim if rows is None else len(rows)
+        assert got.shape == (len(times), n_rows, 3)
+        for j in range(3):
+            one = propagate(H, block[:, j], times, rows=rows)
+            assert np.abs(got[..., j] - one).max() <= 1e-13 * np.abs(one).max()
+        # a one-column block is the one-state call, product for product
+        assert np.array_equal(propagate(H, block[:, :1], times, rows=rows)[..., 0],
+                              propagate(H, block[:, 0], times, rows=rows))
+        at = propagate(H, block, 3.1, rows=rows)  # scalar t
+        assert at.shape == (n_rows, 3)
+        assert np.array_equal(at, propagate(H, block, [3.1], rows=rows)[0])
+    assert (H._eig is None) == series
+
+
+class CountingMatrix:
+    """A sparse matrix that records the shape of every vector it multiplies."""
+
+    def __init__(self, mat):
+        self.mat, self.shapes = mat, []
+
+    def __matmul__(self, v):
+        self.shapes.append(v.shape)
+        return self.mat @ v
+
+
+def test_a_block_runs_one_sparse_product_per_order():
+    p = ModelParams(L=12, alpha=1.4, delta=3.0)
+    H = sector_hamiltonian(p, 4)
+    times = np.linspace(0.0, 8.0, 64, endpoint=False)
+    n_orders = evolve.series_orders(H.spectral_interval[0] * times.max())
+    rng = np.random.default_rng(2)
+    block = rng.normal(size=(H.dim, 3)) + 1j * rng.normal(size=(H.dim, 3))
+    for vec, shapes in ((block, [(H.dim, 6)]), (block[:, :1], [(H.dim,)] * 2),
+                        (block[:, 0], [(H.dim,)] * 2)):
+        mat = CountingMatrix(H.matrix)
+        evolve._chebyshev_series(mat, H.spectral_interval, vec, times, None)
+        assert mat.shapes == shapes * (n_orders - 1)
+
+
+@pytest.mark.parametrize("shape", [(494, 2), (496,), (495, 2, 1)])
+def test_propagate_rejects_a_state_of_the_wrong_shape(shape):
+    H = sector_hamiltonian(ModelParams(L=12, alpha=1.4, delta=3.0), 4)  # dim 495
+    for run in (propagate, krylov_evolve):
+        with pytest.raises(ValueError, match=r"is not \(dim,\) or \(dim, m\) for dim 495"):
+            run(H, np.ones(shape, dtype=complex), [0.0, 1.0])
+
+
 # ---------------------------------------------------------------- krylov
 
 

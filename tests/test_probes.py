@@ -70,11 +70,14 @@ def list_pair_lowering_indices(hi, lo, pair_col):
 
 
 def dense_eigh_propagate(H, psi0, times, rows=None):
-    """Oracle for ``propagate``: one dense eigh of the whole sector matrix."""
+    """Oracle for ``propagate``: one dense eigh of the whole sector matrix.
+    A (dim, m) block psi0 gives a (n_times, n_rows, m) trajectory."""
     evals, evecs = np.linalg.eigh(H.dense())
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
     phase = np.exp(-1j * np.multiply.outer(evals, times))
-    full = (evecs @ (phase * (evecs.T @ vec)[:, None])).T
+    coef = evecs.T @ vec.reshape(H.dim, -1)
+    full = np.einsum("jd,dt,dm->tjm", evecs, phase, coef, optimize=True)
+    full = full.reshape(full.shape[:2] + vec.shape[1:])
     return full if rows is None else full[:, rows]
 
 
@@ -327,6 +330,52 @@ def test_spectroscopy_two_matches_dense_eigh_oracle(monkeypatch):
         assert np.abs(got.values - want.values).max() <= 1e-12
         assert got.frequency == pytest.approx(want.frequency, rel=1e-12)
         assert got.contrast == pytest.approx(want.contrast, rel=1e-12)
+
+
+def test_spectroscopy_two_scan_equals_the_single_momentum_calls():
+    p = ModelParams(L=12, alpha=1.4, delta=3.0)
+    scan = quantized_momenta(12)
+    probes._scan_signals.cache_clear()
+    for q in scan:
+        got = spectroscopy_two(p, float(q), sites=(4, 9), scan=scan)
+        want = spectroscopy_two(p, float(q), sites=(4, 9))
+        assert np.abs(got.values - want.values).max() <= 1e-12
+        assert got.frequency == pytest.approx(want.frequency, rel=1e-12)
+        assert got.contrast == pytest.approx(want.contrast, rel=1e-12)
+        assert got.neglected_weight == pytest.approx(want.neglected_weight, rel=1e-12)
+    # one pass served the whole scan, and it keeps only the pair signals
+    info = probes._scan_signals.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(scan) - 1, 1)
+    signals, _ = probes._scan_signals(p, tuple(scan), 0.19, SPECTRO_TWO_TMAX, N_SAMPLES,
+                                      (4, 9), 4)
+    assert signals.shape == (len(scan), 6, N_SAMPLES) and not signals.flags.writeable
+
+
+def test_spectroscopy_two_rejects_a_momentum_outside_its_scan():
+    p = ModelParams(L=12, alpha=1.4, delta=3.0)
+    scan = quantized_momenta(12)
+    with pytest.raises(ValueError, match="not a momentum of the scan"):
+        spectroscopy_two(p, 0.5 * float(scan[0]), sites=(4, 9), scan=scan)
+
+
+def test_spectroscopy_two_scan_ladder_memory():
+    # the L=18 scan of two_magnon_spectroscopy: nine momenta's trajectories on
+    # the 639 rows read of the n=4 sector (5.9 MB) plus a recurrence on a
+    # (3060, 18) float block and moments and product chunks of
+    # CHEBYSHEV_BLOCK_BYTES each; traced at 11.4 MB with a 1 MiB budget, 13.4
+    # MB with 2 MiB and 23.4 MB with 8 MiB. The per-momentum ladder read 3.4 MB
+    p = ModelParams(L=18, alpha=1.4, delta=3.0)
+    scan = quantized_momenta(18)
+    spectroscopy_two(p, float(scan[0]))  # sectors, interval and preparation cached
+    probes._scan_signals.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in scan:
+            spectroscopy_two(p, float(q), scan=scan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.5e6
 
 
 def test_spectroscopy_two_converges_with_the_six_magnon_sector():

@@ -186,6 +186,62 @@ def test_top_state_of_empty_block_is_an_error():
     assert block.dim == 0
     with pytest.raises(ValueError, match="empty"):
         block.top_state()
+    # numpy's eigh of a 0 x 0 block returns empty arrays, not an error
+    with pytest.raises(ValueError, match="empty"):
+        block.top_state(subset=False)
+    with pytest.raises(ValueError, match="empty"):
+        dispersion_two([np.pi], ModelParams(L=2, boundary="ring"))
+
+
+def counting_solvers(monkeypatch):
+    """Count the eigh and the dsyevr solves of TwoMagnonBlock."""
+    import scipy.linalg.lapack as lapack
+
+    calls = {"eigh": 0, "dsyevr": 0}
+    eigensystem, dsyevr = spectral.TwoMagnonBlock.eigensystem, lapack.dsyevr
+
+    def counting_eigensystem(self, delta=None):
+        calls["eigh"] += 1
+        return eigensystem(self, delta)
+
+    def counting_dsyevr(*args, **kwargs):
+        calls["dsyevr"] += 1
+        return dsyevr(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.TwoMagnonBlock, "eigensystem", counting_eigensystem)
+    monkeypatch.setattr(lapack, "dsyevr", counting_dsyevr)
+    return calls
+
+
+def test_a_small_stage_takes_the_last_pair_of_numpy_eigh(monkeypatch):
+    # two_magnon_spectroscopy's ring curve: 9 solves of dim 9
+    p = ModelParams(L=18, alpha=1.4, delta=3.0, boundary="ring")
+    k = quantized_momenta(18)
+    assert len(k) * 9**3 <= spectral.TOP_PAIR_EIGH_DIM3
+    calls = counting_solvers(monkeypatch)
+    curve = dispersion_two(k, p)
+    assert calls == {"eigh": 9, "dsyevr": 0}
+    tops = [two_magnon_block(q, p).eigensystem() for q in k]
+    assert np.array_equal(curve.energy, [v[-1] - vacuum_energy(p) for v, _ in tops])
+    blocks = [two_magnon_block(q, p) for q in k]
+    assert np.array_equal(curve.l4, [l4_of_weights(unfold_relative_weights(b, vecs[:, -1]))
+                                     for b, (_, vecs) in zip(blocks, tops)])
+
+
+def test_a_large_stage_keeps_the_dsyevr_pairs(monkeypatch):
+    # figS5's 40 momenta of L=300 (dims 149 and 150) at three deltas
+    p = ModelParams(L=300, alpha=1.4, boundary="ring")
+    k = quantized_momenta(300)[np.round(np.linspace(0, 149, 40)).astype(int)]
+    deltas = np.array([0.0, 2.0, 4.0])
+    assert len(k) * len(deltas) * 150**3 > spectral.TOP_PAIR_EIGH_DIM3
+    calls = counting_solvers(monkeypatch)
+    pd = phase_diagram(p, k_values=k, deltas=deltas)
+    assert calls == {"eigh": 0, "dsyevr": len(k) * len(deltas)}
+    blocks = [two_magnon_block(q, p) for q in k]
+    with spectral._blas_threads(150):  # the thread count phase_diagram solves at
+        want = [[l4_of_weights(unfold_relative_weights(b, b.top_state(dl)[1]))
+                 for dl in deltas] for b in blocks]
+    assert np.array_equal(pd.l4, want)
 
 
 def test_top_state_raises_on_lapack_failure(monkeypatch):
