@@ -174,6 +174,8 @@ SCHEMAS = {
 MIN_LENGTH = {
     "dispersion2": (3, "at L = 2 the ring momentum pi has no pair state"),
     "phase-diagram": (3, "at L = 2 the ring momentum pi has no pair state"),
+    "participation": (3, "at L = 2 every pair is adjacent, so the participation is undefined"),
+    "quench": (3, "at L = 2 every pair is adjacent, so the participation is undefined"),
     "sample": (3, "at L = 2 every pair is adjacent, so the participation is undefined"),
 }
 

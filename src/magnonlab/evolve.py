@@ -1,6 +1,6 @@
 """Time evolution engines for the long-range XXZ chain.
 
-Three propagators with one state convention:
+Two propagators with one state convention, and the pulsed realization:
 
 * ``propagate``: psi(t) = exp(-iHt) psi0 on a whole time grid, restricted
   to the rows the caller reads, as (n_times, len(rows)) or (n_times, dim);
@@ -25,8 +25,8 @@ Three propagators with one state convention:
   average equal to the target (1/3)(XX + YY + Delta ZZ) Hamiltonian, with
   one (tau, tau, Delta tau) substep group advancing effective time by
   3 tau. ``floquet_sweep`` returns the fidelities of every (detuning,
-  sequence) pair; ``floquet_evolve`` is its one-detuning, one-sequence case
-  with snapshots, and both run one private step loop.
+  sequence) pair; ``floquet_evolve`` returns the final state of one
+  detuning and one sequence, and both run one private step loop.
 
 The series rescales the spectrum into [-1, 1], and its order K grows with
 the width of the interval used (Weisse et al., Rev. Mod. Phys. 78, 275
@@ -53,8 +53,8 @@ built-ins are tuples of steps in ``BUILT_IN``: ``dd``, whose toggled
 detuning axes cancel within each weight class (first-order dynamical
 decoupling for every Delta), and ``plain``, with the same pulse pattern
 but uncancelled detuning. Both end their 8-step cycle with the frame back
-at identity; at intermediate step counts the inverse accumulated frame
-R_f,n is applied before readout.
+at identity; after the last step, at a whole cycle or not, the inverse
+accumulated frame R_f,n is applied once.
 """
 
 from dataclasses import dataclass
@@ -387,8 +387,8 @@ class PulseStep:
     def weight(self, delta):
         return self.w_const + self.w_delta * delta
 
-    def rotation(self, scale=1.0):
-        ang = self.angle * scale
+    def rotation(self):
+        ang = self.angle
         if self.axis[0] == "-":
             ang = -ang
         a = PAULI[self.axis[-1]]
@@ -451,9 +451,6 @@ class PulseSequence:
     def cycle_len(self):
         return len(self.steps)
 
-    def weights(self, delta):
-        return np.array([s.weight(delta) for s in self.steps])
-
     def _analyze(self):
         frames = [np.eye(2, dtype=complex)]
         for s in self.steps:
@@ -504,51 +501,6 @@ class PulseSequence:
                 vec = sums.setdefault(part, np.zeros(3))
                 vec["xyz".index(ax)] += sign * w
         return all(np.allclose(v, 0.0, atol=1e-12) for v in sums.values())
-
-    def symmetrized(self):
-        """Mirror each cycle at half weight: second-order splitting.
-
-        Steps become (g_1, w_1/2) .. (g_8, w_8/2), an identity rotation with
-        the repeated half of the last pulse, the inverse rotations in
-        reverse order carrying the remaining half weights, and a closing
-        zero-weight rotation that restores the cycle-identity invariant.
-        """
-        flip = {"+": "-", "-": "+"}
-
-        def inverse_axis(s):
-            return flip[s.axis[0]] + s.axis[1]
-
-        steps = [
-            PulseStep(s.axis, s.angle, s.w_const / 2, s.w_delta / 2)
-            for s in self.steps
-        ]
-        last = self.steps[-1]
-        steps.append(PulseStep("+x", 0.0, last.w_const / 2, last.w_delta / 2))
-        for j in range(len(self.steps) - 1, 0, -1):
-            g, prev = self.steps[j], self.steps[j - 1]
-            steps.append(
-                PulseStep(inverse_axis(g), g.angle, prev.w_const / 2, prev.w_delta / 2)
-            )
-        first = self.steps[0]
-        steps.append(PulseStep(inverse_axis(first), first.angle, 0.0, 0.0))
-        return PulseSequence(steps, name=self.name + "+mirror")
-
-
-@dataclass
-class EvolutionReport:
-    """Outcome of a pulsed run: effective times of the recorded snapshots
-    (final rotation applied), the final state, and bookkeeping, including
-    the steps of an unfinished last cycle (``partial_steps``)."""
-
-    times: np.ndarray
-    states: list
-    state: StateVector
-    n_steps: int
-    tau: float
-    detuning: float
-    sequence: str
-    fidelity: float | None = None
-    partial_steps: int = 0
 
 
 @lru_cache(maxsize=2)
@@ -615,10 +567,10 @@ def check_pulse_length(L):
         )
 
 
-def _site_groups(site_rotations):
-    """Kronecker products of the rotations of three sites each, the lowest last."""
-    return [reduce(np.kron, site_rotations[q:q + 3][::-1])
-            for q in range(0, len(site_rotations), 3)]
+def _site_groups(u, L):
+    """Kronecker products of the 2x2 rotation u on three sites each (fewer in
+    the last group when 3 does not divide L)."""
+    return [reduce(np.kron, [u] * min(3, L - q)) for q in range(0, L, 3)]
 
 
 def _apply_global_rotation(groups, psi):
@@ -667,19 +619,15 @@ def _pulse_step(eigs, phases, q, q_t, psi):
     return (q @ z.reshape(shape[0], -1)).reshape(shape)
 
 
-def _pulse_inputs(params, psi0, n_steps, rotation_scale):
-    """Validated (full-space state, per-site rotation scales) of a pulsed run."""
+def _pulse_inputs(params, psi0, n_steps):
+    """The validated full-space state of a pulsed run."""
     check_pulse_length(params.L)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     vec = psi0.data if isinstance(psi0, StateVector) else np.asarray(psi0)
     if vec.shape != (2**params.L,):
         raise ValueError("psi0 must be a full-space state")
-    scales = np.ones(params.L) if rotation_scale is None else np.asarray(
-        rotation_scale, dtype=float)
-    if scales.shape != (params.L,):
-        raise ValueError("rotation_scale must provide one factor per site")
-    return vec, scales
+    return vec
 
 
 def _tau(seq, n_steps, t_eff):
@@ -687,15 +635,14 @@ def _tau(seq, n_steps, t_eff):
     return t_eff * seq.cycle_len / (seq.cycle_effective * n_steps)
 
 
-def _pulse_loop(seqs, params, eigs, psi, n_steps, t_eff, scales, record_every=None):
+def _pulse_loop(seqs, params, eigs, psi, n_steps, t_eff):
     """Step the (2^L, n_det, n_seq) block psi through n_steps pulses.
 
     Column (i, s) runs seqs[s] with its own tau under the pulse
     eigensystem eigs[i]. Each rotation is one batched product over the
     block, or one per sequence where the sequences' rotations differ; the
     phases of each distinct tuple of per-column weights are formed once.
-    Returns the final block and (n, block) snapshots every record_every
-    steps, both with the corrective rotations R_f,n applied.
+    Returns the final block, each sequence's corrective rotation R_f,n applied.
     """
     _, q, q_t = _pulse_blocks(params.L)
     taus = [_tau(seq, n_steps, t_eff) for seq in seqs]
@@ -703,17 +650,8 @@ def _pulse_loop(seqs, params, eigs, psi, n_steps, t_eff, scales, record_every=No
     for seq in seqs:
         for s in seq.steps:
             if (s.axis, s.angle) not in groups:
-                groups[s.axis, s.angle] = _site_groups(
-                    [s.rotation(scale=f) for f in scales])
-
-    def frames(n):
-        rfs = [seq.final_rotations[n % seq.cycle_len] for seq in seqs]
-        for rf in rfs:
-            if rf.tobytes() not in groups:
-                groups[rf.tobytes()] = _site_groups([rf] * params.L)
-        return [rf.tobytes() for rf in rfs]
-
-    phases, snapshots = {}, []
+                groups[s.axis, s.angle] = _site_groups(s.rotation(), params.L)
+    phases = {}
     for n in range(1, n_steps + 1):
         steps = [seq.steps[(n - 1) % seq.cycle_len] for seq in seqs]
         psi = _rotate_columns(groups, [(s.axis, s.angle) for s in steps], psi)
@@ -723,64 +661,45 @@ def _pulse_loop(seqs, params, eigs, psi, n_steps, t_eff, scales, record_every=No
                 phases[w] = [[np.exp(-1j * np.multiply.outer(e, w)) for _, e, _ in blocks]
                              for blocks in eigs]
             psi = _pulse_step(eigs, phases[w], q, q_t, psi)
-        if record_every and n % record_every == 0 and n < n_steps:
-            snapshots.append((n, _rotate_columns(groups, frames(n), psi)))
-    return _rotate_columns(groups, frames(n_steps), psi), snapshots
+    finals = [seq.final_rotations[n_steps % seq.cycle_len] for seq in seqs]
+    keys = [rf.tobytes() for rf in finals]
+    frames = {key: _site_groups(rf, params.L) for key, rf in zip(keys, finals)}
+    return _rotate_columns(frames, keys, psi)
 
 
-def floquet_evolve(seq, params, psi0, n_steps, t_eff, detuning=0.0,
-                   reference=None, second_order=False, rotation_scale=None,
-                   record_every=None):
-    """Run n_steps pulses of the sequence, targeting effective time t_eff.
+def floquet_evolve(seq, params, psi0, n_steps, t_eff, detuning=0.0):
+    """The full-space state after n_steps pulses of seq, toward effective time t_eff.
 
     tau is fixed by the cycle bookkeeping (4 t_eff / (3 n_steps) for the
-    8-step built-ins). The corrective rotation R_f,n is applied to every
-    recorded snapshot and to the final state, so all outputs live in the
-    computational frame. ``rotation_scale`` (length-L factors on every
-    rotation angle) emulates inhomogeneous pulse amplitudes; R_f,n stays
-    ideal since it is analysis-side bookkeeping, not a hardware pulse.
-    ``reference`` (full-space array) pins report.fidelity at the end.
-    This is the one-detuning, one-sequence case of ``floquet_sweep``'s loop.
+    8-step built-ins). R_f,n is applied, so the ``StateVector`` is in the
+    computational frame. This is the one-detuning, one-sequence case of
+    ``floquet_sweep``'s loop.
     """
     if isinstance(seq, str):
         seq = PulseSequence.built_in(seq)
-    if second_order:
-        seq = seq.symmetrized()
-    vec, scales = _pulse_inputs(params, psi0, n_steps, rotation_scale)
-    eig = _pulse_eigensystem(
-        params.L, params.alpha, params.J, params.boundary, float(detuning)
-    )
-    psi, snapshots = _pulse_loop([seq], params, [eig], vec.astype(complex)[:, None, None],
-                                 n_steps, t_eff, scales, record_every)
-    basis = ("full", params.L)
-    final = StateVector(data=psi.reshape(-1), basis=basis)
-    times = [n * (t_eff / n_steps) for n, _ in snapshots] + [t_eff]
-    states = [StateVector(data=s.reshape(-1), basis=basis) for _, s in snapshots]
-    states.append(final)
-    fid = None if reference is None else fidelity(final.data, reference)
-    return EvolutionReport(
-        times=np.array(times), states=states, state=final, n_steps=n_steps,
-        tau=_tau(seq, n_steps, t_eff), detuning=detuning, sequence=seq.name,
-        fidelity=fid, partial_steps=n_steps % seq.cycle_len,
-    )
+    vec = _pulse_inputs(params, psi0, n_steps)
+    eig = _pulse_eigensystem(params.L, params.alpha, params.J, params.boundary,
+                             float(detuning))
+    psi = _pulse_loop([seq], params, [eig], vec.astype(complex)[:, None, None],
+                      n_steps, t_eff)
+    return StateVector(data=psi.reshape(-1), basis=("full", params.L))
 
 
-def floquet_sweep(seqs, params, psi0, n_steps, t_eff, detunings, reference,
-                  rotation_scale=None):
+def floquet_sweep(seqs, params, psi0, n_steps, t_eff, detunings, reference):
     """|<reference|psi>|^2 after n_steps pulses, per detuning and sequence.
 
     Returns a (len(detunings), len(seqs)) array whose (i, s) entry equals
-    ``floquet_evolve(seqs[s], params, psi0, n_steps, t_eff, detunings[i],
-    reference, rotation_scale=rotation_scale).fidelity`` to roundoff. All
-    runs step together as one (2^L, n_det, n_seq) block, so each pulse costs
-    a few batched products instead of one set per run. Detunings go in
-    chunks whose eigenvectors, read from ``_pulse_eigensystem``, fit in
-    SWEEP_CHUNK_BYTES (one detuning per chunk when one alone is larger).
+    ``fidelity(floquet_evolve(seqs[s], params, psi0, n_steps, t_eff,
+    detunings[i]), reference)`` to roundoff. All runs step together as one
+    (2^L, n_det, n_seq) block, so each pulse costs a few batched products
+    instead of one set per run. Detunings go in chunks whose eigenvectors,
+    read from ``_pulse_eigensystem``, fit in SWEEP_CHUNK_BYTES (one detuning
+    per chunk when one alone is larger).
     """
     seqs = [PulseSequence.built_in(s) if isinstance(s, str) else s for s in seqs]
     if not seqs:
         raise ValueError("floquet_sweep needs at least one sequence")
-    vec, scales = _pulse_inputs(params, psi0, n_steps, rotation_scale)
+    vec = _pulse_inputs(params, psi0, n_steps)
     ref = reference.data if isinstance(reference, StateVector) else np.asarray(reference)
     if ref.shape != vec.shape:
         raise ValueError("reference must be a full-space state")
@@ -795,9 +714,8 @@ def floquet_sweep(seqs, params, psi0, n_steps, t_eff, detunings, reference,
                                        float(det))
                     for det in detunings[lo:lo + chunk]]
             psi = np.repeat(vec.astype(complex)[:, None], len(eigs) * len(seqs), axis=1)
-            psi, _ = _pulse_loop(seqs, params, eigs,
-                                 psi.reshape(-1, len(eigs), len(seqs)),
-                                 n_steps, t_eff, scales)
+            psi = _pulse_loop(seqs, params, eigs, psi.reshape(-1, len(eigs), len(seqs)),
+                              n_steps, t_eff)
             out[lo:lo + len(eigs)] = np.abs(
                 ref.conj() @ psi.reshape(vec.size, -1)).reshape(len(eigs), len(seqs)) ** 2
     return out

@@ -440,20 +440,22 @@ def test_entropy_overlapping_regions_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("experiment", ["sample", "quench"])
 def test_participation_at_two_sites_is_an_error(experiment, tmp_path, capsys):
+    # rejected before the run; the estimator keeps its own check for other callers
     code = main([experiment, "--length", "2", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
-    if experiment == "sample":  # rejected before it draws
-        assert code == 2 and "sample needs L >= 3" in err and "participation" in err
-    else:  # quench fails in its runner
-        assert code == 1 and "error: participation needs L >= 3" in err
+    assert code == 2 and f"{experiment} needs L >= 3" in err and "participation" in err
+    with pytest.raises(ValueError, match="participation needs L >= 3"):
+        bs_participation(np.ones(2), 2)
 
 
-@pytest.mark.parametrize("experiment", ["dispersion2", "phase-diagram", "sample"])
+@pytest.mark.parametrize("experiment",
+                         ["dispersion2", "participation", "phase-diagram", "quench", "sample"])
 def test_too_short_chain_is_a_config_error_before_the_run(experiment, monkeypatch,
                                                           tmp_path, capsys):
     # unchecked, dispersion2 and phase-diagram die in the ring curve (the
-    # block at k = pi is empty) and sample after drawing and staging its
-    # snapshots, all with exit 1
+    # block at k = pi is empty), participation and quench after their whole
+    # computation and sample after drawing and staging its snapshots, all
+    # with exit 1
     def runner_must_not_start(*args):
         raise AssertionError("the runner started")
 
@@ -471,12 +473,22 @@ def test_too_short_chain_is_a_config_error_before_the_run(experiment, monkeypatc
 SAMPLE_FAILING_LATE = ["sample", "--length", "8", "--postselect-n", "5"]
 
 
+def quench_failing_late(monkeypatch):
+    """A quench run that fails in its runner after staging its two map CSVs,
+    which come before the participation."""
+    def fails(*args):
+        raise ValueError("participation failed")
+
+    monkeypatch.setattr(cli, "bs_participation", fails)
+    return ["quench", "--length", "8", "--n-times", "5"]
+
+
 @pytest.mark.parametrize("experiment", ["sample", "quench"])
-def test_failed_run_removes_only_its_own_files(experiment, tmp_path):
+def test_failed_run_removes_only_its_own_files(experiment, monkeypatch, tmp_path):
     out = tmp_path / "o"
     out.mkdir()
     (out / "notes.txt").write_text("kept\n")
-    argv = SAMPLE_FAILING_LATE if experiment == "sample" else [experiment, "--length", "2"]
+    argv = SAMPLE_FAILING_LATE if experiment == "sample" else quench_failing_late(monkeypatch)
     assert main(argv + ["--out", str(out)]) == 1
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "kept\n"
@@ -587,11 +599,11 @@ def test_interrupted_run_leaves_out_unchanged_and_no_staging(monkeypatch, tmp_pa
     assert list(staging_root.iterdir()) == []
 
 
-def test_failed_run_keeps_a_manifest_that_still_holds(tmp_path):
+def test_failed_run_keeps_a_manifest_that_still_holds(monkeypatch, tmp_path):
     out = tmp_path / "o"
     assert main(["sample", "--length", "8", "--out", str(out)]) == 0
     before = manifest(out)
-    assert main(["quench", "--length", "2", "--out", str(out)]) == 1
+    assert main(quench_failing_late(monkeypatch) + ["--out", str(out)]) == 1
     assert manifest(out) == before
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["manifest.json", *before["artifacts"]])

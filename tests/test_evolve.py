@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from magnonlab.model import (
 )
 from magnonlab import evolve
 from magnonlab.evolve import (
+    BUILT_IN,
     PULSE_MAX_L,
     PulseSequence,
     PulseStep,
@@ -459,6 +461,12 @@ def test_invalid_sequences_raise():
         PulseSequence([])
 
 
+def dd_then_plain():
+    """A 16-step cycle: dd's frame closes after 8 steps, then plain's runs."""
+    steps = BUILT_IN["dd"] + BUILT_IN["plain"]
+    return PulseSequence(steps, name="dd+plain")
+
+
 def test_wall_time_ratio_holds_at_every_delta():
     # x- and y-type pulses of (1.0, -0.1), z-type of (0.135, 0.315): every
     # duration is positive for 0 <= Delta < 10 and the z : x wall-time ratio
@@ -468,9 +476,7 @@ def test_wall_time_ratio_holds_at_every_delta():
              for s, ax in zip(dd.steps, dd.toggled_pulse_axes)]
     with pytest.raises(ValueError, match="ratio"):
         PulseSequence(steps, name="quadratic")
-    for seq in (dd, PulseSequence.built_in("plain")):
-        for valid in (seq, seq.symmetrized(), seq.symmetrized().symmetrized()):
-            assert valid.cycle_effective == 6.0
+    assert dd_then_plain().cycle_effective == 12.0
 
 
 def test_cycled_sequence_still_valid():
@@ -497,8 +503,8 @@ def test_floquet_converges_with_error_exponent_at_least_one():
     ns = np.array([8, 16, 32, 64])
     errs = []
     for n in ns:
-        rep = floquet_evolve("dd", p, psi0, int(n), t)
-        errs.append(np.linalg.norm(rep.state.data - ref))
+        state = floquet_evolve("dd", p, psi0, int(n), t)
+        errs.append(np.linalg.norm(state.data - ref))
     errs = np.array(errs)
     assert np.all(np.diff(errs) < 0)
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
@@ -509,8 +515,8 @@ def test_floquet_dd_equals_plain_at_zero_detuning():
     p = ModelParams(L=4, alpha=1.4, delta=3.5, boundary="open")
     psi0 = adjacent_flip_state(p, 0, 2)
     for n in range(1, 9):
-        a = floquet_evolve("dd", p, psi0, n, 0.8).state.data
-        b = floquet_evolve("plain", p, psi0, n, 0.8).state.data
+        a = floquet_evolve("dd", p, psi0, n, 0.8).data
+        b = floquet_evolve("plain", p, psi0, n, 0.8).data
         phase = np.vdot(b, a)
         phase = phase / abs(phase)
         assert np.linalg.norm(a - phase * b) < 1e-12
@@ -521,124 +527,71 @@ def test_floquet_dd_beats_plain_under_detuning():
     psi0 = adjacent_flip_state(p, 2, 3)
     t = 2.0
     ref = exact_full_state(p, psi0, t)
-    f_dd = floquet_evolve("dd", p, psi0, 64, t, detuning=0.4, reference=ref).fidelity
-    f_pl = floquet_evolve("plain", p, psi0, 64, t, detuning=0.4, reference=ref).fidelity
+    f_dd = fidelity(floquet_evolve("dd", p, psi0, 64, t, detuning=0.4), ref)
+    f_pl = fidelity(floquet_evolve("plain", p, psi0, 64, t, detuning=0.4), ref)
     assert f_dd > 0.9
     assert f_dd - f_pl > 0.1
-
-
-def test_floquet_second_order_improves_nonpalindromic_cycle():
-    dd = PulseSequence.built_in("dd")
-    rot = PulseSequence(dd.steps[1:] + dd.steps[:1], name="rotated")
-    p = ModelParams(L=6, alpha=1.4, delta=3.5, boundary="open")
-    psi0 = adjacent_flip_state(p, 2, 3)
-    t = 2.0
-    ref = exact_full_state(p, psi0, t)
-    # 8k first-order steps and 17k mirrored steps share the same tau
-    f1 = floquet_evolve(rot, p, psi0, 16, t, reference=ref).fidelity
-    f2 = floquet_evolve(rot, p, psi0, 34, t, reference=ref, second_order=True).fidelity
-    assert f2 > f1
-
-
-def test_floquet_rotation_inhomogeneity():
-    p = ModelParams(L=4, alpha=1.4, delta=3.5, boundary="open")
-    psi0 = adjacent_flip_state(p, 1, 2)
-    t = 0.8
-    ref = exact_full_state(p, psi0, t)
-    ideal = floquet_evolve("dd", p, psi0, 32, t, reference=ref)
-    same = floquet_evolve("dd", p, psi0, 32, t, reference=ref,
-                          rotation_scale=np.ones(4))
-    assert np.allclose(ideal.state.data, same.state.data, atol=1e-13)
-    skew = floquet_evolve("dd", p, psi0, 32, t, reference=ref,
-                          rotation_scale=np.array([1.05, 0.97, 1.02, 0.95]))
-    assert skew.fidelity < ideal.fidelity
-    assert skew.fidelity > 0.5
 
 
 def test_floquet_number_leakage_is_weak():
     p = ModelParams(L=6, alpha=1.4, delta=3.5, boundary="open")
     psi0 = adjacent_flip_state(p, 2, 3)
-    rep = floquet_evolve("dd", p, psi0, 64, 2.0)
+    state = floquet_evolve("dd", p, psi0, 64, 2.0)
     N = number_operator(p.L)
-    n_mean = np.vdot(rep.state.data, N * rep.state.data).real
+    n_mean = np.vdot(state.data, N * state.data).real
     assert abs(n_mean - 2.0) < 0.05
     assert abs(n_mean - 2.0) > 1e-12  # pulses do leak a little
 
 
-def test_floquet_report_bookkeeping():
+def test_floquet_returns_a_unit_full_state_and_rejects_zero_steps():
     p = ModelParams(L=4, alpha=1.4, delta=2.0, boundary="open")
     psi0 = adjacent_flip_state(p, 1, 2)
-    ref = exact_full_state(p, psi0, 1.2)
-    rep = floquet_evolve("dd", p, psi0, 24, 1.2, reference=ref, record_every=8)
-    assert 0.0 <= rep.fidelity <= 1.0
-    assert rep.n_steps == 24
-    assert rep.tau == pytest.approx(4 * 1.2 / (3 * 24))
-    assert rep.times[-1] == pytest.approx(1.2)
-    assert np.all(np.diff(rep.times) > 0)
-    assert len(rep.states) == len(rep.times)
-    for s in rep.states:
-        assert abs(s.norm() - 1.0) < 1e-12
+    state = floquet_evolve("dd", p, psi0, 21, 1.2)
+    assert state.basis == ("full", 4)
+    assert abs(state.norm() - 1.0) < 1e-12
     with pytest.raises(ValueError, match="n_steps"):
         floquet_evolve("dd", p, psi0, 0, 1.0)
 
 
-def reference_rotation(u, psi, L, site_scale=None, step=None):
+def reference_rotation(u, psi, L):
     """Global rotation by moving each site's axis to the front."""
     psi = psi.reshape((2,) * L)
     for q in range(L):
-        uq = u if site_scale is None else step.rotation(scale=site_scale[q])
         ax = L - 1 - q  # site q is bit q, the fastest axis is the last
-        psi = np.moveaxis(np.tensordot(uq, np.moveaxis(psi, ax, 0), axes=(1, 0)), 0, ax)
+        psi = np.moveaxis(np.tensordot(u, np.moveaxis(psi, ax, 0), axes=(1, 0)), 0, ax)
     return psi.reshape(-1)
 
 
-def reference_floquet(seq, p, psi0, n_steps, t_eff, detuning, rotation_scale,
-                      record_every, second_order):
-    """Step-by-step pulse loop with the reference rotation and step."""
-    seq = PulseSequence.built_in(seq)
-    if second_order:
-        seq = seq.symmetrized()
+def reference_floquet(seq, p, psi0, n_steps, t_eff, detuning):
+    """Step-by-step pulse loop with the reference rotation and step; the
+    final state with R_f,n applied."""
     tau = t_eff * seq.cycle_len / (seq.cycle_effective * n_steps)
     evals, evecs = reference_pulse_eigensystem(p.L, p.alpha, p.J, p.boundary, detuning)
-    weights = seq.weights(p.delta) * tau
-    psi, states = psi0.astype(complex), []
+    psi = psi0.astype(complex)
     for n in range(1, n_steps + 1):
-        s = seq.steps[(n - 1) % seq.cycle_len]
-        if rotation_scale is None:
-            psi = reference_rotation(s.rotation(), psi, p.L)
-        else:
-            psi = reference_rotation(None, psi, p.L, site_scale=rotation_scale, step=s)
-        w = weights[(n - 1) % seq.cycle_len]
+        step = seq.steps[(n - 1) % seq.cycle_len]
+        psi = reference_rotation(step.rotation(), psi, p.L)
+        w = step.weight(p.delta) * tau
         if w:
             psi = reference_spectral_step(evecs, np.exp(-1j * evals * w), psi)
-        if record_every and n % record_every == 0 and n < n_steps:
-            rf = seq.final_rotations[n % seq.cycle_len]
-            states.append(reference_rotation(rf, psi, p.L))
-    states.append(reference_rotation(seq.final_rotations[n_steps % seq.cycle_len],
-                                     psi, p.L))
-    return states
+    return reference_rotation(seq.final_rotations[n_steps % seq.cycle_len], psi, p.L)
 
 
-@pytest.mark.parametrize("seq, detuning, scale, record_every, second_order", [
-    ("dd", 0.4, [1.05, 0.97, 1.02, 0.95, 1.01, 0.99], 8, False),
-    ("plain", -0.3, None, 5, True),
-    ("dd", 0.0, None, 3, True),
+# every step count ends inside a cycle whose accumulated frame is not the
+# identity, so the corrective rotation R_f,n is checked at partial cycles
+@pytest.mark.parametrize("seq, detuning, n_steps", [
+    ("dd", 0.4, 37), ("plain", -0.3, 3), ("dd+plain", 0.0, 45),
 ])
-def test_floquet_matches_reference_loop(seq, detuning, scale, record_every,
-                                        second_order):
+def test_floquet_matches_reference_loop(seq, detuning, n_steps):
     p = ModelParams(L=6, alpha=1.4, delta=3.5, boundary="open")
     rng = np.random.default_rng(5)
     psi0 = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
     psi0 /= np.linalg.norm(psi0)
-    scale = None if scale is None else np.array(scale)
-    rep = floquet_evolve(seq, p, psi0, 40, 2.0, detuning=detuning,
-                         rotation_scale=scale, record_every=record_every,
-                         second_order=second_order)
-    ref = reference_floquet(seq, p, psi0, 40, 2.0, detuning, scale,
-                            record_every, second_order)
-    assert len(rep.states) == len(ref) > 2
-    for got, want in zip(rep.states, ref):
-        assert np.max(np.abs(got.data - want)) <= 1e-13
+    seq = dd_then_plain() if seq == "dd+plain" else PulseSequence.built_in(seq)
+    assert not np.allclose(seq.final_rotations[n_steps % seq.cycle_len], np.eye(2))
+    state = floquet_evolve(seq, p, psi0, n_steps, 2.0, detuning=detuning)
+    want = reference_floquet(seq, p, psi0, n_steps, 2.0, detuning)
+    assert np.max(np.abs(state.data - want)) <= 1e-13
 
 
 def test_floquet_length_guard_states_dense_size():
@@ -680,31 +633,27 @@ def test_pulse_block_dims_and_sweep_chunks():
     assert _sweep_chunk(12) == (1, 8 * (1056**2 + 992**2 + 2 * 1024**2))
 
 
-@pytest.mark.parametrize("scale", [None, [1.05, 0.97, 1.02, 0.95, 1.01, 0.99]])
-def test_floquet_sweep_matches_per_run_calls_and_reference_loop(monkeypatch, scale):
+def test_floquet_sweep_matches_per_run_calls_and_reference_loop(monkeypatch):
     p = ModelParams(L=6, alpha=1.4, delta=3.5, boundary="open")
     rng = np.random.default_rng(7)
     psi0 = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
     psi0 /= np.linalg.norm(psi0)
     ref = exact_full_state(p, psi0, 2.0)
     dets = np.array([-0.9, -0.3, 0.0, 0.4, 1.1])
-    scale = None if scale is None else np.array(scale)
     # two detunings per chunk, so the sweep runs chunks of 2, 2 and 1
     monkeypatch.setattr(evolve, "SWEEP_CHUNK_BYTES", 2 * _sweep_chunk(6)[1] + 1)
     assert _sweep_chunk(6)[0] == 2
-    # the mirrored cycle has 17 steps of other weights and frames
-    runs = [("dd", False), ("plain", False), ("plain", True)]
-    seqs = [PulseSequence.built_in(name) for name, _ in runs]
-    seqs[2] = seqs[2].symmetrized()
-    got = floquet_sweep(seqs, p, psi0, 40, 2.0, dets, ref, rotation_scale=scale)
-    assert got.shape == (len(dets), len(runs))
+    # cycles of 8 and 16 steps in one block, each in another frame after 46 steps
+    seqs = [PulseSequence.built_in("dd"), PulseSequence.built_in("plain"), dd_then_plain()]
+    finals = [seq.final_rotations[46 % seq.cycle_len] for seq in seqs]
+    assert not any(np.allclose(a, b) for a, b in combinations(finals, 2))
+    got = floquet_sweep(seqs, p, psi0, 46, 2.0, dets, ref)
+    assert got.shape == (len(dets), len(seqs))
     for i, det in enumerate(dets):
-        for s, (name, second_order) in enumerate(runs):
-            run = floquet_evolve(name, p, psi0, 40, 2.0, detuning=det, reference=ref,
-                                 rotation_scale=scale, second_order=second_order)
-            loop = reference_floquet(name, p, psi0, 40, 2.0, det, scale, None,
-                                     second_order)[-1]
-            assert abs(got[i, s] - run.fidelity) <= 1e-12
+        for s, seq in enumerate(seqs):
+            run = floquet_evolve(seq, p, psi0, 46, 2.0, detuning=det)
+            loop = reference_floquet(seq, p, psi0, 46, 2.0, det)
+            assert abs(got[i, s] - fidelity(run, ref)) <= 1e-12
             assert abs(got[i, s] - abs(np.vdot(loop, ref)) ** 2) <= 1e-12
     assert np.ptp(got) > 0.1
 
@@ -764,18 +713,6 @@ def test_reflection_blocks_reject_a_matrix_that_breaks_the_reversal():
     for q_even, q_odd in pairs:
         with pytest.raises(ValueError, match="site reversal"):
             _reflection_blocks(H + 1e-6 * field, q_even, q_odd)
-
-
-@pytest.mark.parametrize("seq, second_order, n_steps, partial", [
-    ("dd", False, 16, 0), ("dd", False, 21, 5), ("plain", True, 34, 0),
-    ("plain", True, 40, 6),
-])
-def test_floquet_report_counts_partial_cycle_steps(seq, second_order, n_steps,
-                                                   partial):
-    p = ModelParams(L=4, alpha=1.4, delta=2.0, boundary="open")
-    psi0 = adjacent_flip_state(p, 1, 2)
-    rep = floquet_evolve(seq, p, psi0, n_steps, 1.0, second_order=second_order)
-    assert rep.partial_steps == partial
 
 
 # ---------------------------------------------------------------- invariants

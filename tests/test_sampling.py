@@ -102,13 +102,13 @@ def test_postselect_quantifies_floquet_number_leakage():
     p = ModelParams(L=6, alpha=1.4, delta=2.0)
     vec = np.zeros(64, dtype=complex)
     vec[0b001100] = 1.0
-    rep = floquet_evolve("dd", p, StateVector(vec, ("full", 6)), n_steps=16, t_eff=2.0)
-    prob = np.abs(rep.state.data) ** 2
+    state = floquet_evolve("dd", p, StateVector(vec, ("full", 6)), n_steps=16, t_eff=2.0)
+    prob = np.abs(state.data) ** 2
     counts = sum(((np.arange(64) >> i) & 1) for i in range(6))
     p2_exact = prob[counts == 2].sum()
     assert p2_exact < 0.99  # coarse pulsing leaks magnon number
 
-    snaps = sample_snapshots(rep.state, 4000, seed=11)
+    snaps = sample_snapshots(state, 4000, seed=11)
     kept = postselect(snaps, 2)
     sigma = np.sqrt(p2_exact * (1 - p2_exact) / 4000)
     assert kept.retention < 1.0
