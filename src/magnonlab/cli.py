@@ -37,6 +37,7 @@ from . import __version__
 from .entropy import (
     DEFAULT_REGION_A,
     DEFAULT_REGION_B,
+    _region_pair,
     config_mutual_proxy_exact,
     region_entropies,
 )
@@ -341,6 +342,8 @@ def _meta(cfg, extra=()):
 
 def run_dispersion1(cfg, outdir, seed):
     params = _model(cfg)
+    if cfg["measure"] and params.boundary != "open":
+        raise ConfigError("measure = 1 needs boundary = open (standing waves)")
     if params.boundary == "ring":
         k = quantized_momenta(params.L)
     else:
@@ -351,8 +354,6 @@ def run_dispersion1(cfg, outdir, seed):
     cols = [np.arange(1, len(k) + 1), k, energy, velocity]
     notes = {}
     if cfg["measure"]:
-        if params.boundary != "open":
-            raise ConfigError("measure = 1 needs boundary = open (standing waves)")
         signals = [spectroscopy_one(params, float(q), t_max_J=cfg["t_max"])
                    for q in k]
         measured = np.array([s.frequency for s in signals])
@@ -522,6 +523,10 @@ def run_entropy(cfg, outdir, seed):
     psi0 = center_pair_state(params, cfg["separation"])
     times = np.linspace(0.0, cfg["t_max"], _grid_count(cfg, "n_times"))
     A, B = cfg["region_a"], cfg["region_b"]
+    try:
+        _region_pair(A, B, params.L)
+    except ValueError as err:
+        raise ConfigError(f"'region_a', 'region_b': {err}") from None
     rows = {name: [] for name in
             ("mutual_info", "proxy", "proxy_config_only", "s_a", "s_b", "s_ab")}
     for data in propagate(sector_hamiltonian(params, 2), psi0, times):

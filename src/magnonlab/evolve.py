@@ -194,7 +194,9 @@ def takes_series(H, times):
     return series_orders(H.spectral_interval[0] * np.max(np.abs(times), initial=0.0)) <= orders
 
 
-@lru_cache(maxsize=64)  # every momentum of a pair scan asks for the same x_max
+# calls that propagate one cached sector over one window ask for the same
+# x_max: spectroscopy_two called per momentum without a scan, say
+@lru_cache(maxsize=64)
 def series_orders(x_max):
     """K, the orders of the Chebyshev series of exp(-iHt) at a max|t| = x_max:
     the first order whose Bessel tail 2 sum_(k>=K) |J_k(x_max)| is at most

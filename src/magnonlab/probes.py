@@ -65,8 +65,10 @@ from .spectral import _blas_threads
 
 SPECTRO_ONE_TMAX = 16.0  # default sampling windows, in units of 1/J
 SPECTRO_TWO_TMAX = 8.0
-N_SAMPLES = 64
+N_SAMPLES = 64  # points of every spectroscopy time grid
 PAD = 4  # zero-padding factor for spectral interpolation
+T_PREP_J = 0.19  # Ising preparation time of the two-magnon spectroscopy
+FRONT_EDGE_MARGIN = 2  # front_velocity drops fronts this close to the last site
 _BUTTERFLY_RUN = 1 << 16  # see _walsh_hadamard
 _ISING_BLOCK = 1 << 14  # x-basis energies per block, see _ising_prep
 
@@ -80,7 +82,6 @@ class PreparedState:
 
     state: StateVector
     weight: float  # norm^2 kept by the sector projection
-    neglected_weight: float = 0.0  # truncated higher sectors, if any
 
 
 @dataclass
@@ -132,8 +133,9 @@ class CrossoverCurve:
 # ------------------------------------------------------------- spectra
 
 
-def spectral_peak(times_J, values, pad=PAD, two_sided=False):
-    """Hann-windowed, zero-padded magnitude spectrum and its main peak.
+def spectral_peak(times_J, values, two_sided=False):
+    """Hann-windowed, ``PAD``-fold zero-padded magnitude spectrum and its
+    main peak.
 
     values: (n_series, n_times); per-series means are removed (the
     projector signals carry large static parts), magnitudes averaged,
@@ -149,8 +151,8 @@ def spectral_peak(times_J, values, pad=PAD, two_sided=False):
         raise ValueError("spectroscopy requires a uniform time grid")
     window = np.hanning(n)
     data = (values - values.mean(axis=1, keepdims=True)) * window
-    spec = np.fft.fft(data, n=pad * n, axis=1)
-    freqs = 2 * np.pi * np.fft.fftfreq(pad * n, d=dt)
+    spec = np.fft.fft(data, n=PAD * n, axis=1)
+    freqs = 2 * np.pi * np.fft.fftfreq(PAD * n, d=dt)
     mag = np.abs(spec).mean(axis=0)
     order = np.argsort(freqs)
     freqs, mag = freqs[order], mag[order]
@@ -242,24 +244,21 @@ def prepare_planewave_one(params, components, gamma=0.7):
     )
 
 
-def spectroscopy_one(params, k, q=None, gamma=0.7, t_max_J=SPECTRO_ONE_TMAX,
-                     n_samples=N_SAMPLES):
-    """Beat frequency of the site occupations for a (k, q) superposition.
+def spectroscopy_one(params, k, gamma=0.7, t_max_J=SPECTRO_ONE_TMAX):
+    """Beat frequency of the site occupations for a (k, q) superposition,
+    with q = pi/(L+1) the slowest standing wave.
 
-    Returns the magnitude-spectrum peak, an estimate of
-    |eps1(k) - eps1(q)|; q defaults to the slowest standing wave
-    pi/(L+1). The signal is real, so only the magnitude is resolved.
-    When k equals q the two components coincide and their beat is zero
-    by construction; the reported frequency is 0 while the residual
+    Returns the magnitude-spectrum peak, an estimate of |eps1(k) - eps1(q)|.
+    The signal is real, so only the magnitude is resolved. When k equals
+    q the two components coincide and their beat is zero by
+    construction; the reported frequency is 0 while the residual
     wiggles (the sine profile is not an exact eigenstate of the
     long-range chain) stay visible in the magnitude spectrum.
     """
-    L = params.L
-    if q is None:
-        q = np.pi / (L + 1)
+    q = np.pi / (params.L + 1)
     degenerate = abs(k - q) < 1e-12
     prep = prepare_planewave_one(params, [k] if degenerate else [k, q], gamma=gamma)
-    times = np.linspace(0.0, t_max_J, n_samples, endpoint=False)
+    times = np.linspace(0.0, t_max_J, N_SAMPLES, endpoint=False)
     # one-magnon basis rows are the sites in order
     occ = np.abs(propagate(_cached_sector(params, 1), prep.state,
                            times / params.J)) ** 2
@@ -399,20 +398,6 @@ def _ising_sectors(params, t_prep_J, n_max):
     return tuple(comps)
 
 
-def prepare_two_magnon(params, k, t_prep_J=0.19):
-    """Ising prep plus momentum-k phase imprint, kept in the 2-magnon sector."""
-    comp = _imprint(enumerate_sector(params.L, 2).bits,
-                    _ising_sectors(params, t_prep_J, 2)[1], imprint_phases(k, params.L))
-    weight = float(np.sum(np.abs(comp) ** 2))
-    if weight == 0:
-        raise ValueError("preparation produced no two-magnon weight")
-    return PreparedState(
-        state=StateVector(data=comp / np.sqrt(weight), basis=("sector", params.L, 2)),
-        weight=weight,
-        neglected_weight=1.0 - weight,
-    )
-
-
 @lru_cache(maxsize=8)
 def _cached_sector(params, n):
     """The shared ``sector_hamiltonian``, with its eigensystem or its
@@ -467,11 +452,11 @@ def _pair_lowering_block(params, n, pair_col):
     return lo_vecs[mates].T @ _dense_eigensystem(params, n)[1][rows]
 
 
-def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
-                     n_samples=N_SAMPLES, sites=(8, 13), n_max=4, scan=None):
+def spectroscopy_two(params, k, t_max_J=SPECTRO_TWO_TMAX, sites=(8, 13), n_max=4,
+                     scan=None):
     """Two-magnon excitation energy from the pair coherence <sm_j sm_{j+1}>.
 
-    The unprojected prepared state is split into magnon sectors up to
+    The state prepared over ``T_PREP_J`` is split into magnon sectors up to
     n_max (neglected weight recorded), each sector evolved exactly by
     ``propagate`` on only the rows the coherence reads, and the coherence
     summed over the sector ladder in the site basis. The complex signal is
@@ -492,7 +477,7 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
             f"pair window {j_lo}..{j_hi} leaves the chain of length {params.L}"
         )
     _check_full_space(params.L)  # the preparation's guard, before any sector is built
-    setup = (t_prep_J, t_max_J, n_samples, (j_lo, j_hi), n_max)
+    setup = (t_max_J, (j_lo, j_hi), n_max)
     if scan is None:
         signal, neglected = _pair_signals(params, (float(k),), *setup)
         signal = signal[0]
@@ -502,7 +487,7 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
             raise ValueError(f"k={k} is not a momentum of the scan")
         signals, neglected = _scan_signals(params, momenta, *setup)
         signal = signals[momenta.index(float(k))].copy()
-    times = np.linspace(0.0, t_max_J, n_samples, endpoint=False)
+    times = np.linspace(0.0, t_max_J, N_SAMPLES, endpoint=False)
     freqs, mag, f_peak, contrast = spectral_peak(times / params.J, signal, two_sided=True)
     return SpectroscopySignal(
         times=times, values=signal, freqs=freqs, magnitude=mag,
@@ -511,17 +496,17 @@ def spectroscopy_two(params, k, t_prep_J=0.19, t_max_J=SPECTRO_TWO_TMAX,
     )
 
 
-def _pair_signals(params, momenta, t_prep_J, t_max_J, n_samples, sites, n_max):
+def _pair_signals(params, momenta, t_max_J, sites, n_max):
     """(signals, neglected weight) of ``spectroscopy_two``: the pair coherence
-    of every momentum as a (len(momenta), n_pairs, n_samples) array.
+    of every momentum as a (len(momenta), n_pairs, N_SAMPLES) array.
 
     Each sector's imprinted states form one (dim, len(momenta)) block, which
     ``propagate`` evolves in one pass on the rows the readout reads.
     """
-    t_phys = np.linspace(0.0, t_max_J, n_samples, endpoint=False) / params.J
+    t_phys = np.linspace(0.0, t_max_J, N_SAMPLES, endpoint=False) / params.J
     sectors = [_cached_sector(params, n) for n in range(0, n_max + 1, 2)]
     with _blas_threads(0):
-        comps = _ising_sectors(params, t_prep_J, n_max)
+        comps = _ising_sectors(params, T_PREP_J, n_max)
         neglected = 1.0 - sum(float(np.sum(np.abs(c) ** 2)) for c in comps)
         phases = imprint_phases(np.array(momenta), params.L)
         pairs = range(sites[0] - 1, sites[1])  # 1-based left sites -> 0-based
@@ -541,7 +526,7 @@ def _pair_signals(params, momenta, t_prep_J, t_max_J, n_samples, sites, n_max):
             psi0 = _imprint(H.basis.bits, comp[:, None], phases)
             ladder.append((read, propagate(H, psi0, t_phys, rows=read)))
 
-        signal = np.zeros((len(momenta), len(pairs), n_samples), dtype=complex)
+        signal = np.zeros((len(momenta), len(pairs), N_SAMPLES), dtype=complex)
         for (read_lo, psi_lo), (read_hi, psi_hi), step in zip(ladder, ladder[1:], lowering):
             for col, (rows, mates) in enumerate(step):
                 signal[:, col] += np.einsum("tam,tam->mt",
@@ -635,15 +620,15 @@ def participation_crossover(params, deltas, tJ_eval=2.0, compare=None):
     )
 
 
-def front_velocity(map_, level=0.5, edge_margin=2):
+def front_velocity(map_, level=0.5):
     """Spreading velocity from interpolated threshold crossings.
 
     For each time the outermost position (rightward from the spatial
     maximum) where the signal crosses level * max is found by linear
-    interpolation. Times with no crossing, a front within edge_margin
-    sites of the boundary, or no progress beyond the initial front are
-    excluded; the survivors are fit by least squares. Raises ValueError
-    unless 0 < level < 1.
+    interpolation. Times with no crossing, a front within
+    ``FRONT_EDGE_MARGIN`` sites of the boundary, or no progress beyond
+    the initial front are excluded; the survivors are fit by least
+    squares. Raises ValueError unless 0 < level < 1.
     """
     if not 0 < level < 1:  # also rejects NaN
         raise ValueError(f"front level must lie in (0, 1), got {level}")
@@ -664,7 +649,7 @@ def front_velocity(map_, level=0.5, edge_margin=2):
             continue
         frac = (row[s] - thr) / (row[s] - row[s + 1])
         x = labels[s] + frac * (labels[s + 1] - labels[s])
-        if x > labels[-1] - edge_margin:
+        if x > labels[-1] - FRONT_EDGE_MARGIN:
             n_excluded += 1
             continue
         pos.append(x)

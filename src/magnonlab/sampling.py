@@ -63,9 +63,6 @@ class SnapshotSet:
     def empty(self):
         return self.n_retained == 0
 
-    def bitstrings(self):
-        return _text_rows(self.bits).decode("ascii").split()
-
     def metadata(self):
         return {
             "L": self.L,

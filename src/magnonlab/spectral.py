@@ -36,9 +36,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import coupling_matrix, sector_hamiltonian, vacuum_energy
+from .model import sector_hamiltonian, vacuum_energy
 
 BOUND_THRESHOLD_NUM = 5.0  # bound if L4 > 5/(L-1)
+POLYLOG_DPS = 18  # mpmath working precision (decimal digits) of the polylog series
+TAIL_FIT_MAX_D = 8  # wavefunction_tails fits its decay length over d <= this
 
 # _blas_threads runs dense stages whose blocks are below this dimension on one
 # BLAS thread and gives larger ones the starting count back. top_state with 2
@@ -75,11 +77,11 @@ def _check_k(k, allow_zero=False):
     return k
 
 
-def dispersion_one(k, params, mode="infinite", tol=1e-12):
+def dispersion_one(k, params, mode="infinite"):
     """One-magnon dispersion eps1(k), in units of params.J.
 
-    mode 'infinite': exact series limit via polylogarithms (tol sets the
-    working precision).  mode 'ring': exact finite ring sum for params.L.
+    mode 'infinite': exact series limit via polylogarithms, evaluated at
+    ``POLYLOG_DPS`` digits.  mode 'ring': exact finite ring sum for params.L.
     Accepts a scalar or array k in [0, pi]; returns matching shape.
     """
     scalar = np.isscalar(k)
@@ -90,7 +92,7 @@ def dispersion_one(k, params, mode="infinite", tol=1e-12):
             raise ValueError("infinite-chain series requires alpha > 1")
         import mpmath as mp  # only this mode and group_velocity_one need it
 
-        with mp.workdps(max(15, int(-np.log10(tol)) + 6)):
+        with mp.workdps(POLYLOG_DPS):
             zeta = float(mp.zeta(alpha))
             cos_part = np.array(
                 [float(mp.re(mp.polylog(alpha, mp.expj(ki)))) for ki in k]
@@ -112,7 +114,7 @@ def dispersion_one(k, params, mode="infinite", tol=1e-12):
     return float(eps[0]) if scalar else eps
 
 
-def group_velocity_one(k, params, tol=1e-12):
+def group_velocity_one(k, params):
     """Signed group velocity v(k) = -(4J/3) sum_l sin(k l) l^(1-alpha).
 
     Evaluated as -(4J/3) Im Li_{alpha-1}(e^{ik}).  For 1 < alpha <= 2 the
@@ -122,7 +124,7 @@ def group_velocity_one(k, params, tol=1e-12):
 
     scalar = np.isscalar(k)
     k = _check_k(k)
-    with mp.workdps(max(15, int(-np.log10(tol)) + 6)):
+    with mp.workdps(POLYLOG_DPS):
         sin_part = np.array(
             [float(mp.im(mp.polylog(params.alpha - 1.0, mp.expj(ki)))) for ki in k]
         )
@@ -208,10 +210,9 @@ def _blas_threads(dim, give_back_only=False):
             _starting_threads = None
 
 
-def quantized_momenta(L, positive=True):
-    """Ring momenta 2 pi m / L; positive=True keeps m = 1 .. floor(L/2)."""
-    ms = np.arange(1, L // 2 + 1) if positive else np.arange(L)
-    return 2.0 * np.pi * ms / L
+def quantized_momenta(L):
+    """Positive ring momenta 2 pi m / L, m = 1 .. floor(L/2)."""
+    return 2.0 * np.pi * np.arange(1, L // 2 + 1) / L
 
 
 @dataclass
@@ -274,7 +275,8 @@ class TwoMagnonBlock:
         return w[0], z[:, 0]
 
 
-@lru_cache(maxsize=None)
+# two ints per block dim; a ring's blocks have at most two dims, L // 2 and L // 2 - 1
+@lru_cache(maxsize=16)
 def _dsyevr_work(n):
     """(lwork, liwork) that dsyevr_lwork reports for dimension n, lower triangle."""
     from scipy.linalg.lapack import dsyevr_lwork
@@ -283,15 +285,14 @@ def _dsyevr_work(n):
     return int(work), int(iwork)
 
 
-def two_magnon_block(k, params, d_max=None):
-    """Build the two-magnon block at ring momentum k = 2 pi m / L.
+def two_magnon_block(k, params):
+    """Build the exact two-magnon block at ring momentum k = 2 pi m / L.
 
-    d_max truncates the relative distance basis (defaults to floor(L/2),
-    the exact block).  Energies are absolute: the union over all m is
-    isospectral to the two-magnon ring sector Hamiltonian.  The kinetic
-    block gathers from one hop table over the 2L-1 integer offsets, which
-    evaluates cos and the coupling once per offset instead of once per
-    entry; the block is byte-identical to the per-entry evaluation.
+    Energies are absolute: the union over all m is isospectral to the
+    two-magnon ring sector Hamiltonian.  The kinetic block gathers from
+    one hop table over the 2L-1 integer offsets, which evaluates cos and
+    the coupling once per offset instead of once per entry; the block is
+    byte-identical to the per-entry evaluation.
     """
     if params.boundary != "ring":
         raise ValueError("two-magnon momentum blocks require boundary='ring'")
@@ -308,15 +309,9 @@ def two_magnon_block(k, params, d_max=None):
     Jc = np.zeros(L)
     Jc[1:] = params.J / dc[1:] ** params.alpha
 
-    dmax_full = L // 2
-    dist = np.arange(1, dmax_full + 1)
+    dist = np.arange(1, L // 2 + 1)
     if L % 2 == 0 and m % 2 == 1:
         dist = dist[:-1]  # antipodal pair state vanishes at odd m
-    if d_max is not None:
-        if d_max > dmax_full:
-            raise ValueError(f"d_max={d_max} exceeds floor(L/2)={dmax_full}")
-        dist = dist[dist <= d_max]
-    nd = len(dist)
 
     # extended-label hop amplitude for d -> d' with all pairs listed as
     # (j, j+d), d = 1..L-1: both one-magnon moves change d by l = d'-d mod L,
@@ -336,7 +331,7 @@ def two_magnon_block(k, params, d_max=None):
     c = np.where(antipode, 1.0, np.sqrt(2.0))
     kin = kin * (c[None, :] / c[:, None])
 
-    sym_err = np.max(np.abs(kin - kin.T)) if nd else 0.0
+    sym_err = np.max(np.abs(kin - kin.T), initial=0.0)
     if sym_err > 1e-10 * max(params.J, 1.0):
         raise AssertionError(f"two-magnon block not symmetric: {sym_err}")
     kin = 0.5 * (kin + kin.T)
@@ -495,10 +490,10 @@ class TailProfile:
     power: float  # log-log slope of the far tail
 
 
-def wavefunction_tails(k, params, fit_range=None):
+def wavefunction_tails(k, params):
     """Relative-distance profile of the top two-magnon state at momentum k.
 
-    Fits log prob = a - d/xi over short distances (default d <= 8) and a
+    Fits log prob = a - d/xi over d <= ``TAIL_FIT_MAX_D`` and a
     power law over the outer half of the chain, where the algebraic
     coupling tail takes over from the exponential bound-state core.
 
@@ -513,10 +508,9 @@ def wavefunction_tails(k, params, fit_range=None):
     live = prob > 1e-18  # relative to the d = 1 weight
     d_live, p_live = half[live], prob[live]
 
-    d_exp = fit_range or 8
-    core = d_live <= d_exp
+    core = d_live <= TAIL_FIT_MAX_D
     if core.sum() < 2:
-        raise ValueError(f"no support below d = {d_exp} to fit a decay length")
+        raise ValueError(f"no support below d = {TAIL_FIT_MAX_D} to fit a decay length")
     coef = np.polyfit(d_live[core], np.log(p_live[core]), 1)
     xi = -1.0 / coef[0] if coef[0] < 0 else np.inf
 

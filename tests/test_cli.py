@@ -108,11 +108,18 @@ def test_dispersion1_matches_series(tmp_path):
         assert energy == pytest.approx(dispersion_one(k, p), abs=1e-12)
 
 
-def test_dispersion1_measure_needs_open_chain(tmp_path, capsys):
+def test_dispersion1_measure_needs_open_chain(tmp_path, capsys, monkeypatch):
+    # rejected before the polylog series, about 0.7 s of mpmath at L=20
+    def series_must_not_run(*args, **kwargs):
+        raise AssertionError("the dispersion series ran")
+
+    monkeypatch.setattr(cli, "dispersion_one", series_must_not_run)
+    monkeypatch.setattr(cli, "group_velocity_one", series_must_not_run)
     code = main(["dispersion1", "--boundary", "ring", "--measure", "1",
                  "--length", "12", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "open" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_dispersion2_bound_flag_consistent(tmp_path):
@@ -431,11 +438,22 @@ def test_entropy_columns_match_direct_evaluation(tmp_path):
         est.config_only, abs=1e-12)
 
 
-def test_entropy_overlapping_regions_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("region_b,message", [("5,6", "regions overlap: [5]"),
+                                              ("9,11", "outside chain 1..10")],
+                         ids=["overlap", "outside"])
+def test_entropy_bad_regions_are_a_config_error_before_the_run(region_b, message, monkeypatch,
+                                                               tmp_path, capsys):
+    # checked by the rule region_entropies applies, before any propagation
+    def propagation_must_not_run(*args, **kwargs):
+        raise AssertionError("the state was propagated")
+
+    monkeypatch.setattr(cli, "propagate", propagation_must_not_run)
     code = main(["entropy", "--length", "10", "--region-a", "3,4,5",
-                 "--region-b", "5,6", "--n-times", "2", "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "error: regions overlap: [5]" in capsys.readouterr().err
+                 "--region-b", region_b, "--n-times", "2", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("experiment", ["sample", "quench"])

@@ -17,6 +17,7 @@ from magnonlab.model import (
 from magnonlab.probes import (
     N_SAMPLES,
     SPECTRO_TWO_TMAX,
+    T_PREP_J,
     SpacetimeMap,
     _dense_eigensystem,
     _imprint,
@@ -30,7 +31,6 @@ from magnonlab.probes import (
     ising_phase_state,
     participation_crossover,
     prepare_planewave_one,
-    prepare_two_magnon,
     quench_projectors,
     spectral_peak,
     spectroscopy_one,
@@ -81,14 +81,14 @@ def dense_eigh_propagate(H, psi0, times, rows=None):
     return full if rows is None else full[:, rows]
 
 
-def eigenbasis_pair_signal(params, k, sites, n_max, t_prep_J=0.19):
+def eigenbasis_pair_signal(params, k, sites, n_max):
     """Pair coherence of spectroscopy_two, contracted in the eigenbases.
 
     The full-space preparation is projected per sector, expanded in each
     sector's eigenbasis, phased, and lowered by _pair_lowering_block, whose
     eigenbasis (one dense eigh per sector) it shares.
     """
-    psi = ising_phase_state(params, t_prep_J, imprint_phases(k, params.L))
+    psi = ising_phase_state(params, T_PREP_J, imprint_phases(k, params.L))
     t_phys = np.linspace(0.0, SPECTRO_TWO_TMAX, N_SAMPLES, endpoint=False) / params.J
     phased = {}
     for n in range(0, n_max + 1, 2):
@@ -157,26 +157,34 @@ def test_planewave_rejects_unquantized_momentum():
         prepare_planewave_one(p, [standing_wave_momenta(10)[0]], gamma=2.0)
 
 
+def two_magnon_component(params, k, t_prep_J):
+    """The two-magnon state the pair ladder propagates, unnormalized: the
+    n=2 component of the Ising preparation, imprinted at momentum k."""
+    return _imprint(enumerate_sector(params.L, 2).bits,
+                    _ising_sectors(params, t_prep_J, 2)[1], imprint_phases(k, params.L))
+
+
 def test_two_magnon_prep_adjacent_pairs_dominate():
     # first order in t the pair amplitude is -i t J / d^alpha
     p = ModelParams(L=14, alpha=1.4)
-    prep = prepare_two_magnon(p, k=np.pi / 2, t_prep_J=0.005)
     occ = enumerate_sector(14, 2).occupations
     d = occ[:, 1] - occ[:, 0]
-    amp = np.abs(prep.state.data)
+    amp = np.abs(two_magnon_component(p, np.pi / 2, 0.005))
     a1 = amp[d == 1].mean()
     for dd in (2, 3, 5):
         assert a1 / amp[d == dd].mean() == pytest.approx(dd**1.4, rel=0.02)
-    assert prep.neglected_weight == pytest.approx(1.0 - prep.weight, abs=1e-12)
+    # the neglected weight is what the kept sectors miss: none, if all are kept
+    kept = sum(np.sum(np.abs(c) ** 2) for c in _ising_sectors(p, 0.005, 14))
+    assert kept == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_magnon_prep_imprint_sets_pair_momentum():
     # with phi_j = k j / 2 consecutive adjacent pairs pick up phase -k
     L, k = 12, np.pi / 2
     p = ModelParams(L=L, alpha=1.4)
-    prep = prepare_two_magnon(p, k=k, t_prep_J=1e-3)
     basis = enumerate_sector(L, 2)
-    amps = {tuple(o): a for o, a in zip(map(tuple, basis.occupations), prep.state.data)}
+    comp = two_magnon_component(p, k, 1e-3)
+    amps = {tuple(o): a for o, a in zip(map(tuple, basis.occupations), comp)}
     for j in range(4, 8):
         ratio = amps[(j + 1, j + 2)] / amps[(j, j + 1)]
         assert np.angle(ratio) == pytest.approx(-k, abs=1e-4)
@@ -184,9 +192,9 @@ def test_two_magnon_prep_imprint_sets_pair_momentum():
 
 def test_two_magnon_prep_weight_at_experiment_time():
     p = ModelParams(L=20, alpha=1.4)
-    prep = prepare_two_magnon(p, k=np.pi, t_prep_J=0.19)
-    assert 0.1 < prep.weight < 0.9
-    assert prep.state.basis == ("sector", 20, 2)
+    comp = two_magnon_component(p, np.pi, T_PREP_J)
+    assert comp.shape == (enumerate_sector(20, 2).dim,)
+    assert 0.1 < np.sum(np.abs(comp) ** 2) < 0.9
 
 
 # ------------------------------------------------------------ spectral peak
@@ -245,8 +253,7 @@ def test_spectroscopy_one_within_bin_of_series_all_momenta():
 
 def test_spectroscopy_one_equal_momenta_beat_is_zero():
     p = ModelParams(L=20, alpha=1.4)
-    k = standing_wave_momenta(20)[7]
-    sig = spectroscopy_one(p, k, q=k)
+    sig = spectroscopy_one(p, standing_wave_momenta(20)[0])
     assert sig.frequency == 0.0
     assert sig.contrast is None
 
@@ -346,8 +353,7 @@ def test_spectroscopy_two_scan_equals_the_single_momentum_calls():
     # one pass served the whole scan, and it keeps only the pair signals
     info = probes._scan_signals.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, len(scan) - 1, 1)
-    signals, _ = probes._scan_signals(p, tuple(scan), 0.19, SPECTRO_TWO_TMAX, N_SAMPLES,
-                                      (4, 9), 4)
+    signals, _ = probes._scan_signals(p, tuple(scan), SPECTRO_TWO_TMAX, (4, 9), 4)
     assert signals.shape == (len(scan), 6, N_SAMPLES) and not signals.flags.writeable
 
 
@@ -408,9 +414,9 @@ def test_spectroscopy_two_runs_its_ladder_on_one_blas_thread(monkeypatch):
     monkeypatch.setattr(probes, "propagate", recording(probes.propagate))
     monkeypatch.setattr(probes, "_ising_prep", recording(probes._ising_prep))
     # L=8: every sector (dims 1, 28, 70) is diagonalized in blocks below
-    # ONE_THREAD_BELOW_DIM; t_prep_J is fresh, so the preparation runs here
-    spectroscopy_two(ModelParams(L=8, alpha=1.4, delta=3.0), np.pi / 2,
-                     t_prep_J=0.2345, sites=(3, 5))
+    # ONE_THREAD_BELOW_DIM; no preparation is cached, so it runs here
+    probes._ising_sectors.cache_clear()
+    spectroscopy_two(ModelParams(L=8, alpha=1.4, delta=3.0), np.pi / 2, sites=(3, 5))
     assert history == [1, 4]
     assert seen == [1] * 4  # the preparation and three propagations
     # L=14 over t = 16: the n=4 sector (dim 1001) is diagonalized in blocks

@@ -259,7 +259,6 @@ def test_snapshot_file_round_trip(tmp_path):
     n_raw = raw.n_retained
     assert lines[1: 1 + n_raw] == [
         "".join("1" if b else "0" for b in row) for row in raw.bits]
-    assert raw.bitstrings() == lines[1: 1 + n_raw]
     back = load_snapshots(path)
     assert len(back) == 2
     for orig, loaded in zip([raw, kept], back):

@@ -105,7 +105,7 @@ def test_two_magnon_blocks_isospectral_with_sector_ed(L, delta):
     assert np.allclose(np.sort(pooled), ed, atol=1e-9 * max(1.0, p.J))
 
 
-def complex_kinetic_reference(k, params, d_max=None):
+def complex_kinetic_reference(k, params):
     """The block's hop matrix as first written: complex phases, folded by hand."""
     L = params.L
     m = int(round(k * L / (2.0 * np.pi))) % L
@@ -116,8 +116,6 @@ def complex_kinetic_reference(k, params, d_max=None):
     dist = np.arange(1, L // 2 + 1)
     if L % 2 == 0 and m % 2 == 1:
         dist = dist[:-1]
-    if d_max is not None:
-        dist = dist[dist <= d_max]
     dp = dist[:, None].astype(float)
     d0 = dist[None, :].astype(float)
 
@@ -139,17 +137,16 @@ def complex_kinetic_reference(k, params, d_max=None):
 @pytest.mark.parametrize("L", [8, 9, 12, 13, 300])
 def test_real_kinetic_matches_complex_reference(L):
     p = ModelParams(L=L, alpha=1.4, delta=2.0, boundary="ring")
-    for d_max in (None, 3):
-        for m in range(L):
-            k = 2.0 * np.pi * m / L
-            block = two_magnon_block(k, p, d_max=d_max)
-            assert block.kinetic.dtype == np.float64
-            ref = complex_kinetic_reference(k, p, d_max=d_max)
-            assert block.kinetic.shape == ref.shape
-            assert np.max(np.abs(block.kinetic - ref.real), initial=0.0) <= 1e-13
-            # the exact amplitude is real: the reference's imaginary part is
-            # its roundoff, which grows with the phase k*l beyond k = pi
-            assert np.max(np.abs(ref.imag), initial=0.0) <= (1e-13 if 2 * m <= L else 2e-13)
+    for m in range(L):
+        k = 2.0 * np.pi * m / L
+        block = two_magnon_block(k, p)
+        assert block.kinetic.dtype == np.float64
+        ref = complex_kinetic_reference(k, p)
+        assert block.kinetic.shape == ref.shape
+        assert np.max(np.abs(block.kinetic - ref.real), initial=0.0) <= 1e-13
+        # the exact amplitude is real: the reference's imaginary part is
+        # its roundoff, which grows with the phase k*l beyond k = pi
+        assert np.max(np.abs(ref.imag), initial=0.0) <= (1e-13 if 2 * m <= L else 2e-13)
 
 
 @pytest.mark.parametrize("L,ms", [(12, range(12)), (13, range(13)), (300, (1, 2, 75, 149, 150))])
@@ -290,8 +287,6 @@ def test_block_requires_ring_and_quantized_k():
     p = ModelParams(L=10, boundary="ring")
     with pytest.raises(ValueError, match="ring momentum"):
         two_magnon_block(0.3, p)
-    with pytest.raises(ValueError, match="d_max"):
-        two_magnon_block(2 * np.pi / 10, p, d_max=8)
 
 
 def test_l4_norm_trivial_cases():
@@ -327,7 +322,7 @@ def test_dispersion_two_energy_agrees_with_sector_ed():
     # global sector top lives in the k = 0 block here, so scan all momenta
     p = ModelParams(L=10, alpha=1.4, delta=3.0, boundary="ring")
     ed_top = np.linalg.eigvalsh(sector_hamiltonian(p, 2).dense())[-1]
-    curve = dispersion_two(quantized_momenta(10, positive=False), p)
+    curve = dispersion_two(2 * np.pi * np.arange(10) / 10, p)
     assert curve.energy.max() + vacuum_energy(p) == pytest.approx(ed_top, abs=1e-10)
 
 
