@@ -42,16 +42,13 @@ from .entropy import (
     region_entropies,
 )
 from .evolve import check_pulse_length, exact_evolve, floquet_sweep, propagate
-from .model import (
-    ModelParams,
-    StateVector,
-    enumerate_sector,
-    sector_hamiltonian,
-)
+from .model import ModelParams, StateVector, enumerate_sector
 from .probes import (
+    _cached_sector,
     bs_participation,
     center_pair_state,
     front_velocity,
+    max_separation,
     participation_crossover,
     quench_projectors,
     spectroscopy_one,
@@ -260,6 +257,16 @@ def _model(cfg):
     )
 
 
+def _center_pair(cfg, params):
+    """``center_pair_state`` at cfg's separation, rejected if that puts the
+    second magnon off the chain."""
+    room = max_separation(params.L)
+    if cfg["separation"] > room:
+        raise ConfigError(f"'separation' must be at most {room} at L={params.L}, so that "
+                          f"the second magnon stays on the chain; got {cfg['separation']}")
+    return center_pair_state(params, cfg["separation"])
+
+
 def _grid_count(cfg, key, minimum=1):
     """cfg[key], rejected unless it gives a grid of at least ``minimum`` points."""
     if cfg[key] < minimum:
@@ -344,12 +351,13 @@ def run_dispersion1(cfg, outdir, seed):
     params = _model(cfg)
     if cfg["measure"] and params.boundary != "open":
         raise ConfigError("measure = 1 needs boundary = open (standing waves)")
+    # a ring writes its exact finite sums, an open chain the infinite-chain series
     if params.boundary == "ring":
-        k = quantized_momenta(params.L)
+        k, mode = quantized_momenta(params.L), "ring"
     else:
-        k = standing_wave_momenta(params.L)
-    energy = dispersion_one(k, params)
-    velocity = group_velocity_one(k, params)
+        k, mode = standing_wave_momenta(params.L), "infinite"
+    energy = dispersion_one(k, params, mode=mode)
+    velocity = group_velocity_one(k, params, mode=mode)
     names = ["index", "k", "energy", "velocity"]
     cols = [np.arange(1, len(k) + 1), k, energy, velocity]
     notes = {}
@@ -415,7 +423,7 @@ def run_quench(cfg, outdir, seed):
     if not 0 < cfg["front_level"] < 1:  # also rejects NaN
         raise ConfigError(f"'front_level' must lie in (0, 1), got {cfg['front_level']}")
     params = _model(cfg)
-    psi0 = center_pair_state(params, cfg["separation"])
+    psi0 = _center_pair(cfg, params)
     times = np.linspace(0.0, cfg["t_max"], _grid_count(cfg, "n_times"))
     site, pair = quench_projectors(psi0, params, times)
     notes = {}
@@ -481,7 +489,7 @@ def run_floquet_bench(cfg, outdir, seed):
     params = _model(cfg)
     check_pulse_length(params.L)
     psi0 = center_pair_state(params)
-    ref_sector = exact_evolve(sector_hamiltonian(params, 2), psi0, cfg["t_eff"])
+    ref_sector = exact_evolve(_cached_sector(params, 2), psi0, cfg["t_eff"])
     masks = enumerate_sector(params.L, 2).masks
     full0 = np.zeros(2 ** params.L, dtype=complex)
     full0[masks] = psi0.data
@@ -520,37 +528,39 @@ def _level_width(x, y, level):
 
 def run_entropy(cfg, outdir, seed):
     params = _model(cfg)
-    psi0 = center_pair_state(params, cfg["separation"])
+    psi0 = _center_pair(cfg, params)
     times = np.linspace(0.0, cfg["t_max"], _grid_count(cfg, "n_times"))
     A, B = cfg["region_a"], cfg["region_b"]
     try:
         _region_pair(A, B, params.L)
     except ValueError as err:
         raise ConfigError(f"'region_a', 'region_b': {err}") from None
-    rows = {name: [] for name in
-            ("mutual_info", "proxy", "proxy_config_only", "s_a", "s_b", "s_ab")}
-    for data in propagate(sector_hamiltonian(params, 2), psi0, times):
-        psi = StateVector(data=data, basis=psi0.basis)
-        s_a, s_b, s_ab = region_entropies(psi, A, B)
-        rows["mutual_info"].append(s_a + s_b - s_ab)
-        est = config_mutual_proxy_exact(psi, A, B)
-        rows["proxy"].append(est.value)
-        rows["proxy_config_only"].append(est.config_only)
-        rows["s_a"].append(s_a)
-        rows["s_b"].append(s_b)
-        rows["s_ab"].append(s_ab)
+    series = StateVector(propagate(_cached_sector(params, 2), psi0, times), psi0.basis)
+    s_a, s_b, s_ab = region_entropies(series, A, B)
+    proxies = [config_mutual_proxy_exact(StateVector(data, psi0.basis), A, B)
+               for data in series.data]
+    rows = {
+        "mutual_info": s_a + s_b - s_ab,
+        "proxy": np.array([est.value for est in proxies]),
+        "proxy_config_only": np.array([est.config_only for est in proxies]),
+        "s_a": s_a,
+        "s_b": s_b,
+        "s_ab": s_ab,
+    }
     write_csv(Path(outdir) / "entropy.csv", _meta(cfg), ["time"] + list(rows),
-              [times] + [np.array(v) for v in rows.values()])
+              [times] + list(rows.values()))
     return {}
 
 
 def run_sample(cfg, outdir, seed):
     n_snapshots = _grid_count(cfg, "n_snapshots", 2)  # the jackknife needs two
-    if cfg["postselect_n"] < -1:  # -1 is off
-        raise ConfigError(f"'postselect_n' must be at least -1, got {cfg['postselect_n']}")
+    if cfg["postselect_n"] not in (-1, 2):
+        raise ConfigError(f"'postselect_n' must be -1 (off) or 2, got {cfg['postselect_n']}: "
+                          "every snapshot of the two-magnon state holds two magnons, so "
+                          "any other count retains none")
     params = _model(cfg)
-    psi0 = center_pair_state(params, cfg["separation"])
-    psi = exact_evolve(sector_hamiltonian(params, 2), psi0, cfg["t"])
+    psi0 = _center_pair(cfg, params)
+    psi = exact_evolve(_cached_sector(params, 2), psi0, cfg["t"])
     snaps = sample_snapshots(psi, n_snapshots, seed=(seed, 0),
                              params=params, t_J=cfg["t"])
     if cfg["postselect_n"] >= 0:

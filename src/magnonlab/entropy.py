@@ -6,6 +6,16 @@ subsystem entropy into a number part -sum p(n) log p(n) and a
 configurational part sum p(n) S(rho^(n)), which add up to the full von
 Neumann entropy of the subsystem (an exact identity, tested to 1e-12).
 
+A sector StateVector may hold one state or a series of them, one per row
+of its data (a time grid from ``propagate``). A series is partial-traced
+in stacks of rows: each region's local magnon count and the colex ranks
+of its region and complement configurations are read off the sector
+basis once, every row of a stack is gathered into its M blocks at once,
+and rho = M M^H and its spectrum are one stacked ``matmul`` and one
+stacked ``eigvalsh`` per local count. A stack holds as many rows as their
+M and rho blocks fit in ``TRACE_STACK_BYTES``, and at least one; one
+state is the one-row case of the same path.
+
 The snapshot-based proxy replaces the configurational entropy by a
 covariance-style surrogate on z-basis configuration frequencies,
 
@@ -39,6 +49,7 @@ from .sampling import _rows
 DEFAULT_REGION_A = (7, 8, 9)  # centered 3-site segments for L = 20
 DEFAULT_REGION_B = (12, 13, 14)
 MIN_SECTOR_COUNTS = 10  # below this a p(n) estimate is flagged
+TRACE_STACK_BYTES = 1 << 25  # M and rho blocks of the rows partial-traced at once
 
 
 def _check_region(region, L):
@@ -60,18 +71,18 @@ class SectorResolvedDensity:
     probs[n] is the weight of the n-magnon block and blocks[n] the
     normalized block (None where probs[n] = 0). Block rows follow
     enumerate_sector(len(region), n) order; spectra[n] holds the
-    eigenvalues of blocks[n], for the sign check and ``entropies``.
+    eigenvalues of blocks[n] (None where blocks[n] is), for the sign
+    check and ``entropies``.
     """
 
     region: tuple
     probs: np.ndarray
     blocks: list
-    spectra: list = field(init=False, repr=False)
+    spectra: list = field(repr=False)
 
     def __post_init__(self):
         if abs(self.probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"block weights sum to {self.probs.sum():.6g}")
-        self.spectra = [None if b is None else np.linalg.eigvalsh(b) for b in self.blocks]
         for n, (block, evals) in enumerate(zip(self.blocks, self.spectra)):
             if block is None:
                 continue
@@ -81,18 +92,25 @@ class SectorResolvedDensity:
                 raise ValueError(f"block n={n} has negative eigenvalues")
 
 
-def reduced_density(psi, region):
-    """Partial trace onto `region` (1-based sites), resolved by magnon count.
+def reduced_densities(psi, region):
+    """Partial traces onto `region` (1-based sites), resolved by magnon count:
+    one SectorResolvedDensity per row of psi.data, in row order.
 
-    psi must be a sector StateVector; the complement is traced out by
-    grouping the sector basis over (region configuration, complement
-    configuration) pairs, so the 2^L space is never built.
+    psi must be a sector StateVector of one state (dim,) or a series of
+    them (n_rows, dim); the complement is traced out by grouping the sector
+    basis over (region configuration, complement configuration) pairs, so
+    the 2^L space is never built. Rows are traced a stack at a time, as
+    many as their M and rho blocks fit in TRACE_STACK_BYTES (at least one).
     """
     if not (isinstance(psi, StateVector) and psi.basis[0] == "sector"):
         raise ValueError("psi must be a sector StateVector")
     L, N = psi.basis[1], psi.basis[2]
     sites = _check_region(region, L)
     basis = enumerate_sector(L, N)
+    if psi.data.ndim not in (1, 2) or psi.data.shape[-1] != basis.dim:
+        raise ValueError(f"state shape {psi.data.shape} is not (dim,) or (n_rows, dim) "
+                         f"for dim {basis.dim}")
+    data = psi.data.reshape(-1, basis.dim)
 
     # colex ranks, sum_i b_i C(i, b_0 + .. + b_i), of the region's bits in its
     # listed order and of the complement's; both ascend with the mask
@@ -100,22 +118,42 @@ def reduced_density(psi, region):
     a_ranks, c_ranks = ((b * basis.binomials[np.arange(b.shape[1]), b.cumsum(axis=1)]).sum(1)
                         for b in (local, np.delete(basis.bits, [s - 1 for s in sites], axis=1)))
     n_local = local.sum(axis=1)
-
-    probs = np.zeros(N + 1)
-    blocks = [None] * (N + 1)
+    # per local count n: its rows, which pair every region configuration with
+    # every complement one, and the shape of its M block
+    groups = []
     for n in range(min(len(sites), N) + 1):
         rows = np.flatnonzero(n_local == n)
-        if not rows.size:
-            continue
-        # the rows pair every region configuration with every complement one
-        M = np.zeros((comb(len(sites), n), comb(L - len(sites), N - n)), dtype=complex)
-        M[a_ranks[rows], c_ranks[rows]] = psi.data[rows]
-        rho = M @ M.conj().T
-        p = float(np.trace(rho).real)
-        if p > 1e-15:
-            probs[n] = p
-            blocks[n] = rho / p
-    return SectorResolvedDensity(region=sites, probs=probs, blocks=blocks)
+        if rows.size:
+            groups.append((n, rows, (comb(len(sites), n), comb(L - len(sites), N - n))))
+    row_bytes = 16 * sum(a * (a + c) for _, _, (a, c) in groups)
+    stack = max(1, TRACE_STACK_BYTES // row_bytes)
+
+    for lo in range(0, len(data), stack):
+        chunk = data[lo:lo + stack]
+        probs = np.zeros((len(chunk), N + 1))
+        blocks = [[None] * (N + 1) for _ in chunk]
+        spectra = [[None] * (N + 1) for _ in chunk]
+        for n, rows, shape in groups:
+            M = np.zeros((len(chunk),) + shape, dtype=complex)
+            M[:, a_ranks[rows], c_ranks[rows]] = chunk[:, rows]
+            rho = M @ M.conj().transpose(0, 2, 1)
+            p = np.trace(rho, axis1=1, axis2=2).real
+            held = np.flatnonzero(p > 1e-15)
+            if not held.size:
+                continue
+            normed = rho[held] / p[held, None, None]
+            for j, block, evals in zip(held, normed, np.linalg.eigvalsh(normed)):
+                probs[j, n], blocks[j][n], spectra[j][n] = p[j], block, evals
+        for j in range(len(chunk)):
+            yield SectorResolvedDensity(region=sites, probs=probs[j], blocks=blocks[j],
+                                        spectra=spectra[j])
+
+
+def reduced_density(psi, region):
+    """Partial trace of one sector state onto `region`: the one-row case of
+    ``reduced_densities``."""
+    (srd,) = reduced_densities(psi, region)
+    return srd
 
 
 def _vn_entropy(evals):
@@ -143,7 +181,10 @@ def entropies(srd):
 
 
 def subsystem_entropy(psi, region):
-    return entropies(reduced_density(psi, region)).total
+    """Von Neumann entropy of `region`: a float for one state, an array with
+    one value per row for a series of states."""
+    totals = np.array([entropies(srd).total for srd in reduced_densities(psi, region)])
+    return float(totals[0]) if psi.data.ndim == 1 else totals
 
 
 def _region_pair(region_a, region_b, L):
@@ -156,7 +197,8 @@ def _region_pair(region_a, region_b, L):
 
 
 def region_entropies(psi, region_a, region_b):
-    """(S_A, S_B, S_{A u B}) from the exact pure state, one evaluation each."""
+    """(S_A, S_B, S_{A u B}) from the exact pure state, or from each row of a
+    series of them, one evaluation each."""
     regions = _region_pair(region_a, region_b, psi.basis[1])
     return tuple(subsystem_entropy(psi, r) for r in regions)
 

@@ -175,8 +175,9 @@ def _dense_block(H):
 def takes_series(H, times):
     """True where ``propagate`` runs the Chebyshev series for H over times.
 
-    Not once H's eigensystem is cached, since the dense path then only
-    applies it. Always where that eigensystem, about 4 dim^2 bytes, would
+    Chosen by cost alone, whether or not H's eigensystem is cached, so a
+    run's path and digits do not depend on what ran before it on a shared
+    sector. Always where that eigensystem, about 4 dim^2 bytes, would
     exceed SECTOR_MAX_BYTES. Elsewhere where the series' products of the
     nnz nonzeros, K orders plus the INTERVAL_POWER_STEPS + 1 of
     ``H.spectral_interval``, number at most CHEBYSHEV_NNZ_PER_DIM3 times
@@ -184,8 +185,6 @@ def takes_series(H, times):
     off that interval before any series product runs; a sector where even
     K = 1 costs more forms neither.
     """
-    if H._eig is not None:
-        return False
     if 4 * H.dim**2 > SECTOR_MAX_BYTES:
         return True
     orders = CHEBYSHEV_NNZ_PER_DIM3 * H.dim**3 / 4 / H.matrix.nnz - INTERVAL_POWER_STEPS - 1

@@ -583,11 +583,18 @@ def bs_participation(pair_profile, L):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def max_separation(L):
+    """The largest separation ``center_pair_state`` places on L sites: its
+    left magnon sits at site L // 2, so the right one reaches site L."""
+    return L - L // 2
+
+
 def center_pair_state(params, separation=1):
-    """Two flips centered in the chain, separation sites apart (at least 1)."""
+    """Two flips centered in the chain, separation sites apart (from 1 to
+    ``max_separation(params.L)``)."""
     if separation < 0:  # 0 names one site twice, which the site check reports
         raise ValueError(f"separation must be at least 1, got {separation}")
-    left = params.L // 2
+    left = params.L - max_separation(params.L)
     return sector_state_from_sites(params, (left, left + separation))
 
 

@@ -77,6 +77,18 @@ def _check_k(k, allow_zero=False):
     return k
 
 
+def _ring_terms(params):
+    """(l, w_l / l^alpha) of the finite ring sum: distances l = 1 .. L/2, each
+    reached both ways round (weight 1), except l = L/2 of an even ring (1/2)."""
+    L = params.L
+    ell = np.arange(1, (L + 1) // 2, dtype=float)
+    w = np.ones_like(ell)
+    if L % 2 == 0:
+        ell = np.append(ell, L / 2.0)
+        w = np.append(w, 0.5)
+    return ell, w / ell**params.alpha
+
+
 def dispersion_one(k, params, mode="infinite"):
     """One-magnon dispersion eps1(k), in units of params.J.
 
@@ -90,7 +102,7 @@ def dispersion_one(k, params, mode="infinite"):
     if mode == "infinite":
         if alpha <= 1:
             raise ValueError("infinite-chain series requires alpha > 1")
-        import mpmath as mp  # only this mode and group_velocity_one need it
+        import mpmath as mp  # only the infinite-chain series need it
 
         with mp.workdps(POLYLOG_DPS):
             zeta = float(mp.zeta(alpha))
@@ -99,13 +111,7 @@ def dispersion_one(k, params, mode="infinite"):
             )
         eps = 4.0 * J / 3.0 * (cos_part - delta * zeta)
     elif mode == "ring":
-        L = params.L
-        ell = np.arange(1, (L + 1) // 2, dtype=float)
-        w = np.ones_like(ell)
-        if L % 2 == 0:
-            ell = np.append(ell, L / 2.0)
-            w = np.append(w, 0.5)
-        terms = w / ell**alpha
+        ell, terms = _ring_terms(params)
         eps = 4.0 * J / 3.0 * (
             np.cos(np.outer(k, ell)) @ terms - delta * terms.sum()
         )
@@ -114,20 +120,28 @@ def dispersion_one(k, params, mode="infinite"):
     return float(eps[0]) if scalar else eps
 
 
-def group_velocity_one(k, params):
-    """Signed group velocity v(k) = -(4J/3) sum_l sin(k l) l^(1-alpha).
+def group_velocity_one(k, params, mode="infinite"):
+    """Signed group velocity v(k) = d eps1/dk = -(4J/3) sum_l sin(k l) l^(1-alpha),
+    with the sum of ``dispersion_one``'s mode.
 
-    Evaluated as -(4J/3) Im Li_{alpha-1}(e^{ik}).  For 1 < alpha <= 2 the
+    mode 'infinite': -(4J/3) Im Li_{alpha-1}(e^{ik}); for 1 < alpha <= 2 the
     magnitude grows without bound as k -> 0+ (dispersion cusp at k = 0).
+    mode 'ring': the derivative of the finite ring sum for params.L.
     """
-    import mpmath as mp  # not at module level: every start-up would pay for it
-
     scalar = np.isscalar(k)
     k = _check_k(k)
-    with mp.workdps(POLYLOG_DPS):
-        sin_part = np.array(
-            [float(mp.im(mp.polylog(params.alpha - 1.0, mp.expj(ki)))) for ki in k]
-        )
+    if mode == "infinite":
+        import mpmath as mp  # not at module level: every start-up would pay for it
+
+        with mp.workdps(POLYLOG_DPS):
+            sin_part = np.array(
+                [float(mp.im(mp.polylog(params.alpha - 1.0, mp.expj(ki)))) for ki in k]
+            )
+    elif mode == "ring":
+        ell, terms = _ring_terms(params)
+        sin_part = np.sin(np.outer(k, ell)) @ (terms * ell)
+    else:
+        raise ValueError(f"unknown dispersion mode {mode!r}")
     v = -4.0 * params.J / 3.0 * sin_part
     return float(v[0]) if scalar else v
 

@@ -12,9 +12,9 @@ from magnonlab import cli, spectral
 from magnonlab.cli import main, read_config_file, resolve_config
 from magnonlab.entropy import config_mutual_proxy_exact
 from magnonlab.evolve import PULSE_MAX_L, _pulse_eigensystem, exact_evolve
-from magnonlab.model import ModelParams, sector_hamiltonian
-from magnonlab.probes import bs_participation, center_pair_state
-from magnonlab.spectral import dispersion_one
+from magnonlab.model import ModelParams, sector_hamiltonian, vacuum_energy
+from magnonlab.probes import _cached_sector, bs_participation, center_pair_state
+from magnonlab.spectral import dispersion_one, group_velocity_one
 
 
 def load_csv(path):
@@ -106,6 +106,30 @@ def test_dispersion1_matches_series(tmp_path):
     for row in rows:
         k, energy = float(row[1]), float(row[2])
         assert energy == pytest.approx(dispersion_one(k, p), abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [10, 11])
+def test_dispersion1_ring_writes_the_ring_sector_energies(L, tmp_path):
+    # it once wrote the infinite-chain series at the ring momenta: 0.852,
+    # -0.074, -0.614 at L=10 where the ring sector holds 0.921, -0.099, -0.600
+    out = tmp_path / "o"
+    assert main(["dispersion1", "--boundary", "ring", "--length", str(L), "--delta", "0.7",
+                 "--out", str(out)]) == 0
+    _, names, rows = load_csv(out / "dispersion1.csv")
+    k, energy, velocity = (np.array([float(r[names.index(c)]) for r in rows])
+                           for c in ("k", "energy", "velocity"))
+    p = ModelParams(L=L, alpha=1.4, delta=0.7, boundary="ring")
+    evals = np.linalg.eigvalsh(sector_hamiltonian(p, 1).dense()) - vacuum_energy(p)
+    # the written momenta m = 1 .. L/2 and their twins L - m are every level
+    # but the top one, k = 0
+    levels = np.sort(np.concatenate([energy, energy[:(L - 1) // 2]]))
+    assert np.abs(levels - np.sort(evals)[:-1]).max() <= 1e-12
+    h, inner = 1e-6, k < np.pi  # the ring sum is even about k = pi
+    slope = (dispersion_one(k[inner] + h, p, mode="ring")
+             - dispersion_one(k[inner] - h, p, mode="ring")) / (2 * h)
+    assert np.allclose(velocity[inner], slope, rtol=1e-6, atol=1e-8)
+    assert np.abs(velocity[~inner]).max(initial=0.0) <= 1e-12
+    assert np.abs(velocity - group_velocity_one(k, p)).max() > 0.1  # not the series
 
 
 def test_dispersion1_measure_needs_open_chain(tmp_path, capsys, monkeypatch):
@@ -300,11 +324,46 @@ def test_dispersion2_sites_must_be_a_window_in_the_chain(sites, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    # the sampled state holds two magnons, so these once evolved, sampled and
+    # then failed with exit 1 on an empty snapshot set
+    (["sample", "--postselect-n", "3"], "'postselect_n' must be -1 (off) or 2, got 3"),
+    (["sample", "--postselect-n", "30"], "'postselect_n' must be -1 (off) or 2, got 30"),
+    # the second magnon at site 29 of 20
+    (["sample", "--separation", "19"], "'separation' must be at most 10 at L=20"),
+    (["entropy", "--separation", "19"], "'separation' must be at most 10 at L=20"),
+    (["quench", "--separation", "19"], "'separation' must be at most 10 at L=20"),
+])
+def test_run_that_could_not_succeed_is_a_config_error_before_the_run(args, message,
+                                                                     monkeypatch, tmp_path,
+                                                                     capsys):
+    def evolution_must_not_run(*args, **kwargs):
+        raise AssertionError("the state was evolved")
+
+    for name in ("propagate", "exact_evolve", "quench_projectors"):
+        monkeypatch.setattr(cli, name, evolution_must_not_run)
+    out = tmp_path / "o"
+    assert main(args + ["--length", "20", "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_separation_runs(tmp_path):
+    # separation 10 at L=20 puts the magnons on sites 10 and 20
+    out = tmp_path / "o"
+    assert main(["sample", "--length", "20", "--separation", "10", "--t", "0.0",
+                 "--n-snapshots", "20", "--out", str(out)]) == 0
+    _, names, rows = load_csv(out / "estimates.csv")
+    pup = {int(r[1]): float(r[2]) for r in rows if r[0] == "pup"}
+    assert [site for site, value in pup.items() if value == 1.0] == [10, 20]
+
+
 def test_postselect_below_minus_one_is_a_config_error(tmp_path, capsys):
     # it once ran with post-selection silently off
     out = tmp_path / "o"
     assert main(["sample", "--length", "8", "--postselect-n", "-5", "--out", str(out)]) == 2
-    assert "config error: 'postselect_n' must be at least -1" in capsys.readouterr().err
+    assert ("config error: 'postselect_n' must be -1 (off) or 2, got -5"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -396,6 +455,7 @@ def test_cli_runs_every_blas_stage_on_one_thread_and_restores_the_count(
     count, history = fake_blas(monkeypatch)
     seen = record_blas_stages(monkeypatch, count)
     _pulse_eigensystem.cache_clear()  # so the sweep diagonalizes here
+    _cached_sector.cache_clear()  # and so does the reference sector
     assert main(FLOQUET_SMALL + ["--out", str(tmp_path / "o")]) == 0
     # L=6: sector blocks of 9 and 6, pulse blocks of 20, 12, 16 and 16
     assert len(seen["eigh"]) == 2 + 3 * 4
@@ -417,6 +477,7 @@ def test_cli_gives_the_threads_back_to_blocks_at_the_threshold(monkeypatch, tmp_
     count, history = fake_blas(monkeypatch)
     seen = record_blas_stages(monkeypatch, count)
     _pulse_eigensystem.cache_clear()
+    _cached_sector.cache_clear()
     assert main(FLOQUET_SMALL + ["--out", str(tmp_path / "o")]) == 0
     assert seen["eigh"] == [1] * 2 + [4] * 3 * 4
     assert seen["floquet_sweep"] == [1]  # entered at one thread, gives back inside
@@ -485,10 +546,14 @@ def test_too_short_chain_is_a_config_error_before_the_run(experiment, monkeypatc
     assert not (tmp_path / "o").exists()
 
 
-# a sample run that fails in its runner after staging snapshots.txt: every
-# snapshot of a two-magnon state holds two magnons, so post-selecting five
-# retains none and the estimates refuse the empty set
-SAMPLE_FAILING_LATE = ["sample", "--length", "8", "--postselect-n", "5"]
+def sample_failing_late(monkeypatch):
+    """A sample run that fails in its runner after staging snapshots.txt,
+    which comes before the estimates."""
+    def fails(*args):
+        raise ValueError("estimates failed")
+
+    monkeypatch.setattr(cli, "jackknife", fails)
+    return ["sample", "--length", "8"]
 
 
 def quench_failing_late(monkeypatch):
@@ -506,7 +571,7 @@ def test_failed_run_removes_only_its_own_files(experiment, monkeypatch, tmp_path
     out = tmp_path / "o"
     out.mkdir()
     (out / "notes.txt").write_text("kept\n")
-    argv = SAMPLE_FAILING_LATE if experiment == "sample" else quench_failing_late(monkeypatch)
+    argv = (sample_failing_late if experiment == "sample" else quench_failing_late)(monkeypatch)
     assert main(argv + ["--out", str(out)]) == 1
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "kept\n"
@@ -528,14 +593,48 @@ def tree_bytes(path):
     return {f.relative_to(path): f.read_bytes() for f in files_under(path)}
 
 
-def test_failed_rerun_leaves_the_earlier_run_intact(tmp_path):
+def test_failed_rerun_leaves_the_earlier_run_intact(monkeypatch, tmp_path):
     out = tmp_path / "o"
     assert main(["sample", "--length", "8", "--out", str(out)]) == 0
     before = tree_bytes(out)
     assert sorted(map(str, before)) == ["estimates.csv", "manifest.json", "snapshots.txt"]
     # the failed run wrote its snapshots.txt before its estimates failed
-    assert main(SAMPLE_FAILING_LATE + ["--out", str(out)]) == 1
+    assert main(sample_failing_late(monkeypatch) + ["--out", str(out)]) == 1
     assert tree_bytes(out) == before
+
+
+def test_sample_on_a_sector_cached_by_fig4_matches_a_fresh_sector(tmp_path):
+    # fig4 leaves the L=20, Delta=4.5 sector cached with its eigensystem
+    args = ["sample", "--length", "20", "--delta", "4.5", "--t", "1.0",
+            "--n-snapshots", "300"]
+    assert main(["reproduce", "fig4", "--out", str(tmp_path / "fig4")]) == 0
+    hits = _cached_sector.cache_info().hits
+    assert main(args + ["--out", str(tmp_path / "cached")]) == 0
+    assert _cached_sector.cache_info().hits == hits + 1
+    _cached_sector.cache_clear()
+    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+    cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+    for name in ("snapshots.txt", "estimates.csv"):
+        assert (cached / name).read_bytes() == (fresh / name).read_bytes()
+    assert manifest(cached)["content_hash"] == manifest(fresh)["content_hash"]
+
+
+def test_entropy_after_a_long_window_on_its_sector_matches_a_fresh_run(tmp_path):
+    # a fresh entropy run at L=50 takes the Chebyshev series; the long quench
+    # window then diagonalizes the shared sector, which must not move the
+    # next entropy run onto the dense blocks
+    chain = ["--length", "50", "--delta", "3"]
+    _cached_sector.cache_clear()
+    assert main(["entropy"] + chain + ["--out", str(tmp_path / "fresh")]) == 0
+    sector = _cached_sector(ModelParams(L=50, alpha=1.4, delta=3.0), 2)
+    assert sector._eig is None
+    assert main(["quench"] + chain + ["--t-max", "100", "--n-times", "8",
+                                      "--out", str(tmp_path / "quench")]) == 0
+    assert sector._eig is not None
+    assert main(["entropy"] + chain + ["--out", str(tmp_path / "cached")]) == 0
+    cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+    assert (cached / "entropy.csv").read_bytes() == (fresh / "entropy.csv").read_bytes()
+    assert manifest(cached)["content_hash"] == manifest(fresh)["content_hash"]
 
 
 def test_rerun_in_place_matches_a_fresh_run(tmp_path):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from magnonlab import entropy
 from magnonlab.entropy import (
     SectorResolvedDensity,
     config_mutual_proxy,
     config_mutual_proxy_exact,
     entropies,
     mutual_information,
+    reduced_densities,
     reduced_density,
+    region_entropies,
     subsystem_entropy,
 )
-from magnonlab.evolve import exact_evolve
+from magnonlab.evolve import exact_evolve, propagate
 from magnonlab.model import (
     ModelParams,
     StateVector,
@@ -32,6 +35,15 @@ def evolved_state(L=10, delta=2.0, tJ=1.5, sites=None):
     p = ModelParams(L=L, alpha=1.4, delta=delta)
     psi0 = sector_state_from_sites(p, sites or (L // 2, L // 2 + 1))
     return exact_evolve(sector_hamiltonian(p, 2), psi0, tJ)
+
+
+def evolved_series(L=10, delta=2.0, times=np.linspace(0.5, 3.0, 6)):
+    """A sector StateVector holding the initial product state, then one evolved
+    state per time."""
+    p = ModelParams(L=L, alpha=1.4, delta=delta)
+    psi0 = sector_state_from_sites(p, (L // 2, L // 2 + 1))
+    evolved = propagate(sector_hamiltonian(p, 2), psi0, times)
+    return StateVector(np.vstack([psi0.data, evolved]), psi0.basis)
 
 
 def assemble_block_diagonal(srd):
@@ -177,15 +189,66 @@ def test_subsystem_entropy_diagonalizes_each_block_once(monkeypatch):
     assert nonzero == 3 and len(calls) == nonzero
 
 
+@pytest.mark.parametrize("region", [(4, 5, 6), (2, 3, 4, 7, 8, 9), (1, 10)])
+def test_stacked_partial_trace_equals_one_state_calls(region):
+    series = evolved_series()
+    stacked = list(reduced_densities(series, region))
+    assert len(stacked) == len(series.data)
+    for srd, data in zip(stacked, series.data):
+        one = reduced_density(StateVector(data, series.basis), region)
+        assert np.array_equal(srd.probs, one.probs)
+        for got, want in zip(srd.blocks, one.blocks):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got, want)
+    singles = [subsystem_entropy(StateVector(data, series.basis), region)
+               for data in series.data]
+    assert subsystem_entropy(series, region).tolist() == singles
+    # the product state leaves blocks empty that the evolved states fill
+    assert sum(b is None for b in stacked[0].blocks) > sum(b is None for b in stacked[-1].blocks)
+    assert singles[0] == 0.0 and min(singles[1:]) > 0.0
+
+
+def test_stacked_entropy_of_a_region_equals_its_complement():
+    series = evolved_series(L=12, delta=0.5)
+    region = (2, 5, 6, 7, 11)
+    complement = tuple(s for s in range(1, 13) if s not in region)
+    s_region = subsystem_entropy(series, region)
+    assert np.abs(s_region - subsystem_entropy(series, complement)).max() <= 1e-12
+    assert s_region[1:].min() > 0.1
+
+
+def test_one_row_stacks_give_identical_entropies(monkeypatch):
+    series = evolved_series()
+    whole = region_entropies(series, (2, 3, 4), (7, 8, 9))
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(entropy, "TRACE_STACK_BYTES", 1)
+    split = region_entropies(series, (2, 3, 4), (7, 8, 9))
+    assert set(calls) == {1}  # a budget below one row still traces every row
+    for got, want in zip(split, whole):
+        assert got.tolist() == want.tolist()
+
+
 def test_density_validation_rejects_bad_blocks():
+    def density(probs, blocks):
+        return SectorResolvedDensity((1,), np.array(probs), blocks,
+                                     [np.linalg.eigvalsh(b) for b in blocks])
+
     good = np.eye(2) / 2
     with pytest.raises(ValueError, match="sum"):
-        SectorResolvedDensity((1,), np.array([0.4, 0.4]), [good, good])
+        density([0.4, 0.4], [good, good])
     with pytest.raises(ValueError, match="not normalized"):
-        SectorResolvedDensity((1,), np.array([1.0]), [np.eye(2)])
+        density([1.0], [np.eye(2)])
     neg = np.diag([1.5, -0.5])
     with pytest.raises(ValueError, match="negative"):
-        SectorResolvedDensity((1,), np.array([1.0]), [neg])
+        density([1.0], [neg])
 
 
 def test_region_validation():
