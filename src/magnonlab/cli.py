@@ -247,6 +247,10 @@ def resolve_config(experiment, file_cfg, cli_cfg):
     shortest, why = MIN_LENGTH.get(experiment, (0, ""))
     if vals["length"] < shortest:
         raise ConfigError(f"{experiment} needs L >= {shortest}, got L={vals['length']}: {why}")
+    try:  # the chain's own checks (a finite delta, say), before any run
+        _model(vals)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     return vals
 
 
@@ -258,12 +262,13 @@ def _model(cfg):
 
 
 def _center_pair(cfg, params):
-    """``center_pair_state`` at cfg's separation, rejected if that puts the
-    second magnon off the chain."""
+    """``center_pair_state`` at cfg's separation, rejected unless that puts the
+    second magnon on the chain, right of the first."""
     room = max_separation(params.L)
-    if cfg["separation"] > room:
-        raise ConfigError(f"'separation' must be at most {room} at L={params.L}, so that "
-                          f"the second magnon stays on the chain; got {cfg['separation']}")
+    if not 1 <= cfg["separation"] <= room:
+        raise ConfigError(f"'separation' must be at most {room} at L={params.L} and at "
+                          f"least 1, so that the second magnon sits on the chain right of "
+                          f"the first; got {cfg['separation']}")
     return center_pair_state(params, cfg["separation"])
 
 
@@ -483,8 +488,10 @@ def run_floquet_bench(cfg, outdir, seed):
             f"'n_det' must be odd, so that the middle detuning is zero, and at "
             f"least 3 unless det_max = 0; got {n_det}"
         )
-    if not 0 <= cfg["det_max"] < np.inf:  # also rejects NaN
-        raise ConfigError(f"'det_max' must be at least 0 and finite, got {cfg['det_max']}")
+    # the pulse Hamiltonian's diagonal reaches det_max * L / 2
+    if not 0 <= cfg["det_max"] * cfg["length"] < np.inf:  # also rejects NaN
+        raise ConfigError(f"'det_max' must be at least 0 and finite, and so must "
+                          f"det_max * L, got {cfg['det_max']} at L={cfg['length']}")
     n_steps = _grid_count(cfg, "n_steps")
     params = _model(cfg)
     check_pulse_length(params.L)
@@ -495,7 +502,10 @@ def run_floquet_bench(cfg, outdir, seed):
     full0[masks] = psi0.data
     ref = np.zeros_like(full0)
     ref[masks] = ref_sector.data
-    detunings = np.linspace(-cfg["det_max"], cfg["det_max"], cfg["n_det"])
+    # mirrored, so that +d and -d share the eigensystem of |d| bit for bit;
+    # 0 - d, not -d, so that an all-zero grid writes 0.0, not -0.0
+    half = np.linspace(0.0, cfg["det_max"], n_det // 2 + 1)
+    detunings = np.concatenate([0.0 - half[:0:-1], half])
 
     f_dd, f_plain = floquet_sweep(("dd", "plain"), params, full0, n_steps,
                                   cfg["t_eff"], detunings, ref).T

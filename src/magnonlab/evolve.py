@@ -39,11 +39,16 @@ readout @ (phase * (V^T z)) for the real eigenvectors V of a block and a
 complex (d, m) block z, one real matrix product each way on the (d, 2m)
 float view. The pulse Hamiltonian H_XX + (delta_err/2) sum_j sz_j conserves
 prod_j sz_j and the site reversal, so its eigensystem is four z-parity x
-reflection blocks in the sector format. The pulse loop steps all runs in
-lockstep as one (2^L, n_det, n_seq) block: a global rotation applies three
-sites' 8x8 Kronecker product at a time, and a pulse step is one sparse
-product into the stacked block coordinates, one spectral step per block and
-detuning, and one sparse product back. Detunings run in chunks whose
+reflection blocks in the sector format. H_XX's blocks are built once per
+chain; the detuning term is a function of the magnon number, so each
+detuning only adds to their diagonals. The global spin flip X = prod_j sx_j
+commutes with H_XX and reverses sum_j sz_j, so -delta_err runs on the
+eigensystem of +delta_err in a flipped frame, and one eigensystem serves
+each |delta_err|. The pulse loop steps all runs in lockstep as one
+(2^L, n_det, n_seq) block: a global rotation applies three sites' 8x8
+Kronecker product at a time, and a pulse step is one sparse product into
+the stacked block coordinates, one spectral step per block and detuning
+magnitude, and one sparse product back. Magnitudes run in chunks whose
 eigenvectors fit ``SWEEP_CHUNK_BYTES``.
 
 Pulse sequences are data: a ``PulseSequence`` is a cycle of ``PulseStep``s,
@@ -70,8 +75,8 @@ from .model import (
     ModelParams,
     SectorOperator,
     StateVector,
-    _reflection_blocks,
     _reflection_isometry,
+    _reflection_projections,
     build_full_hamiltonian,
     full_space_bits,
     gershgorin_interval,
@@ -104,16 +109,19 @@ CHEBYSHEV_TOL = 1e-14
 # MiB RSS with 8 / 2 / 1 MiB, against 69.9 MiB for one momentum at a time;
 # 2 MiB would sum fig1d's L=20 ladder in 0.32 s instead of 0.36 s.
 CHEBYSHEV_BLOCK_BYTES = 1 << 20
-# The pulse eigensystem is four dense blocks of about 2^(L-2). Cold starts took
-# 0.06 s at 59 MiB peak RSS at L=10, 0.2 s at 74 MiB at L=11 and 0.9 s at
-# 129 MiB at L=12 on 2 cores, 50 MiB of it imports; eigh nears 8x per site.
+# The pulse eigensystem is four dense blocks of about 2^(L-2). Cold starts of
+# one detuning (the run itself, fresh process in brackets) took 0.04 s (0.34 s)
+# at 61 MiB peak RSS at L=10, 0.11 s (0.39 s) at 79 MiB at L=11 and 0.59 s
+# (0.88 s) at 148 MiB at L=12 on 2 cores, 50 MiB of it imports; eigh nears 8x
+# per site.
 PULSE_MAX_L = 12
-# floquet_sweep diagonalizes detunings in chunks of this many eigenvector bytes
-# (at least one detuning): all of 5 at L=9 (0.5 MiB each), 3 at L=10, one at
-# L=12 (32 MiB). More detunings per chunk cost memory and save little time.
+# floquet_sweep diagonalizes detuning magnitudes in chunks of this many
+# eigenvector bytes (at least one magnitude): 15 at L=9 (0.5 MiB each), 3 at
+# L=10, one at L=12 (32 MiB). More per chunk cost memory and save little time.
 SWEEP_CHUNK_BYTES = 8 << 20
-# _pulse_eigensystem caches this many detunings, the most recent, so a sweep
-# retains the eigenvectors of max(chunk, 4) of them: 4 x 8.4 MB = 33.6 MB at L=11
+# _pulse_eigensystem caches this many detuning magnitudes, the most recent, so
+# a sweep retains the eigenvectors of max(chunk, 4) of them and H_XX's dense
+# blocks, as many bytes as one more: 5 x 8.4 MB = 42 MB at L=11
 PULSE_CACHE_ENTRIES = 4
 # _spectral_step forms V^T z as (z^T V)^T from this dim: 1.0 vs 3.4-4.1 ms at 1548
 SPECTRAL_ROW_FORM_DIM = 768
@@ -520,17 +528,44 @@ def _pulse_blocks(L):
     return pairs, stacked, stacked.T.tocsr()
 
 
+@lru_cache(maxsize=1)
+def _xx_blocks(L, alpha, J, boundary):
+    """H_XX's four z-parity x reflection blocks in ``_pulse_blocks`` order, as
+    (dense q^T H_XX q, 2n - L per column). The detuning term (d/2) sum_j sz_j
+    = (d/2)(2n - L) is a function of the magnon number n, which the site
+    reversal keeps, so it is diagonal in every block. The coupling check of
+    ``_reflection_projections`` runs here, once per chain."""
+    H = build_full_hamiltonian(ModelParams(L=L, alpha=alpha, delta=0.0, J=J,
+                                           boundary=boundary))
+    magnons = full_space_bits(L).sum(axis=1)
+    out = []
+    for pair in _pulse_blocks(L)[0]:
+        for q, h in zip(pair, _reflection_projections(H, *pair)):
+            q = q.tocsc()
+            out.append((h, 2.0 * magnons[q.indices[q.indptr[:-1]]] - L))  # a row per column
+    return tuple(out)
+
+
 @lru_cache(maxsize=PULSE_CACHE_ENTRIES)
 def _pulse_eigensystem(L, alpha, J, boundary, detuning):
     """H_XX + (detuning/2) sum_j sz_j as four z-parity x reflection blocks
     (Q, evals, V), in ``_pulse_blocks`` order: H_XX flips spins in pairs with
-    couplings that depend on |i - j| only, and sum_j sz_j = 2n - L."""
-    params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
-    H = build_full_hamiltonian(params)
-    if detuning:
-        magnons = full_space_bits(L).sum(axis=1)
-        H = H + sparse.diags(0.5 * detuning * (2.0 * magnons - L))
-    return sum((_reflection_blocks(H, *pair) for pair in _pulse_blocks(L)[0]), ())
+    couplings that depend on |i - j| only, and sum_j sz_j = 2n - L. Each block
+    is one of ``_xx_blocks`` with detuning/2 (2n - L) added to its diagonal.
+
+    Only detuning >= 0 is cached: a sweep runs -detuning through the global
+    spin flip (``_pulse_loop``), so a negative key raises ValueError.
+    """
+    if not detuning >= 0:  # also rejects NaN
+        raise ValueError(f"the pulse eigensystem is cached for |detuning| only, got {detuning}")
+    qs = [q for pair in _pulse_blocks(L)[0] for q in pair]
+    out = []
+    for q, (h, spin) in zip(qs, _xx_blocks(L, alpha, J, boundary)):
+        if detuning:
+            h = h.copy()
+            h[np.diag_indices_from(h)] += 0.5 * detuning * spin
+        out.append((q, *np.linalg.eigh(h)))
+    return tuple(out)
 
 
 def _pulse_block_dims(L):
@@ -546,25 +581,27 @@ def _pulse_block_dims(L):
 
 
 def _sweep_chunk(L):
-    """(detunings per ``floquet_sweep`` chunk, eigenvector bytes per detuning)."""
-    per_detuning = 8 * sum(d * d for d in _pulse_block_dims(L))
-    return max(1, SWEEP_CHUNK_BYTES // per_detuning), per_detuning
+    """(detuning magnitudes per ``floquet_sweep`` chunk, eigenvector bytes per
+    magnitude, which are also the bytes of the dense ``_xx_blocks``)."""
+    per_magnitude = 8 * sum(d * d for d in _pulse_block_dims(L))
+    return max(1, SWEEP_CHUNK_BYTES // per_magnitude), per_magnitude
 
 
 def check_pulse_length(L):
     """Reject chains whose pulse eigensystem would exceed PULSE_MAX_L."""
     if L > PULSE_MAX_L:
         d = max(_pulse_block_dims(L))
-        chunk, per_detuning = _sweep_chunk(L)
+        chunk, per_magnitude = _sweep_chunk(L)
         held = max(chunk, PULSE_CACHE_ENTRIES)
         raise ValueError(
             f"the pulse simulator diagonalizes four dense z-parity x reflection "
             f"blocks, the largest of dim {d} ({8 * d * d} bytes at L={L}), and a "
-            f"detuning sweep retains the eigenvectors of {held} detunings "
-            f"({held * per_detuning} bytes: chunks of {chunk}, and the last "
-            f"{PULSE_CACHE_ENTRIES} stay cached); a cold start took 0.9 s at "
-            "129 MiB peak RSS at L=12, growing toward 8x in time per site, and it "
-            f"is limited to L <= {PULSE_MAX_L}"
+            f"detuning sweep retains the eigenvectors of {held} detuning magnitudes "
+            f"({held * per_magnitude} bytes: chunks of {chunk}, and the last "
+            f"{PULSE_CACHE_ENTRIES} stay cached) and H_XX's dense blocks "
+            f"({per_magnitude} bytes), {(held + 1) * per_magnitude} bytes in all; "
+            "a cold start took 0.9 s at 148 MiB peak RSS at L=12, growing toward "
+            f"8x in time per site, and it is limited to L <= {PULSE_MAX_L}"
         )
 
 
@@ -589,7 +626,7 @@ def _apply_global_rotation(groups, psi):
 
 
 def _rotate_columns(groups, keys, psi):
-    """Rotate sequence column s of the (2^L, n_det, n_seq) block by
+    """Rotate sequence column s of the (2^L, n_col, n_seq) block by
     groups[keys[s]]: one batched product when every sequence agrees."""
     if all(key == keys[0] for key in keys):
         return _apply_global_rotation(groups[keys[0]], psi)
@@ -599,25 +636,36 @@ def _rotate_columns(groups, keys, psi):
     return out
 
 
-def _pulse_step(eigs, phases, q, q_t, psi):
-    """exp(-iH_i w_s) on column (i, s) of the (2^L, n_det, n_seq) block.
+def _pulse_step(eigs, phases, spans, q, q_t, psi):
+    """exp(-iH_i w_s) on the columns spans[i] of the (2^L, n_col, n_seq) block.
 
     q_t and q (at most two entries per row and column) map every column
     into and out of the stacked block coordinates at once. There, block b
-    of detuning i, with eigenvectors V and phases[i][b] = exp(-i E w) of
-    shape (d, n_seq), replaces its rows z by the spectral step V (phase *
-    V^T z).
+    of magnitude i, with eigenvectors V and phases[i][b] of shape
+    (d, width * n_seq), replaces the rows z of all its columns by one
+    spectral step V (phase * V^T z).
     """
     shape = psi.shape
     z = (q_t @ psi.reshape(shape[0], -1)).reshape(shape)
-    for i, (blocks, block_phases) in enumerate(zip(eigs, phases)):
+    for (lo, hi), blocks, block_phases in zip(spans, eigs, phases):
         start = 0
         for (_, _, v), phase in zip(blocks, block_phases):
             stop = start + len(v)
-            rows = z[start:stop, i]
-            rows[...] = _spectral_step(v, phase, rows)
+            rows = z[start:stop, lo:hi]
+            rows[...] = _spectral_step(v, phase, rows.reshape(len(v), -1)).reshape(rows.shape)
             start = stop
     return (q @ z.reshape(shape[0], -1)).reshape(shape)
+
+
+def _pulse_phases(eigs, spans, flip, w, switch):
+    """phases[i][b] for ``_pulse_step``: exp(-i E w_s) for column (c, s) of
+    span i, times -1 on the odd z-parity blocks (the last two) where column c
+    is flipped and sequence s switches frame (``_pulse_loop``)."""
+    sign = np.where(np.outer(flip, switch), -1.0, 1.0)
+    signs = (np.ones_like(sign), sign)
+    return [[(np.exp(-1j * np.multiply.outer(e, w))[:, None] * signs[b // 2][lo:hi]
+              ).reshape(len(e), -1) for b, (_, e, _) in enumerate(blocks)]
+            for (lo, hi), blocks in zip(spans, eigs)]
 
 
 def _pulse_inputs(params, psi0, n_steps):
@@ -636,13 +684,24 @@ def _tau(seq, n_steps, t_eff):
     return t_eff * seq.cycle_len / (seq.cycle_effective * n_steps)
 
 
-def _pulse_loop(seqs, params, eigs, psi, n_steps, t_eff):
-    """Step the (2^L, n_det, n_seq) block psi through n_steps pulses.
+def _pulse_loop(seqs, params, eigs, spans, flip, psi, n_steps, t_eff):
+    """Step the (2^L, n_col, n_seq) block psi through n_steps pulses.
 
-    Column (i, s) runs seqs[s] with its own tau under the pulse
-    eigensystem eigs[i]. Each rotation is one batched product over the
+    Column (c, s) runs seqs[s] with its own tau; the columns spans[i] run
+    under the pulse eigensystem eigs[i] of a detuning magnitude |d|, at +|d|,
+    or at -|d| where flip[c]. Each rotation is one batched product over the
     block, or one per sequence where the sequences' rotations differ; the
     phases of each distinct tuple of per-column weights are formed once.
+
+    A flipped column holds F psi in place of psi, with F = X = prod_j sx_j
+    before a rotation about x and F = Z X, Z = prod_j sz_j, before one about
+    y. Both commute with their rotations and map H_XX - (|d|/2) sum_j sz_j
+    onto H_XX + (|d|/2) sum_j sz_j, so the rotations and the spectral step
+    of a magnitude are shared by both signs. Z, (-1) to the magnon number,
+    is -1 on the odd z-parity blocks: where F switches, the pulse step's
+    phases carry it (or, where no pulse runs, one sign flip of those
+    columns). X reverses the full-space index, so F is applied and undone
+    in one copy each.
     Returns the final block, each sequence's corrective rotation R_f,n applied.
     """
     _, q, q_t = _pulse_blocks(params.L)
@@ -652,16 +711,35 @@ def _pulse_loop(seqs, params, eigs, psi, n_steps, t_eff):
         for s in seq.steps:
             if (s.axis, s.angle) not in groups:
                 groups[s.axis, s.angle] = _site_groups(s.rotation(), params.L)
+    flipped = bool(flip.any())
+    parity = 1.0 - 2.0 * (full_space_bits(params.L).sum(axis=1) % 2) if flipped else None
+
+    def about_y(n):  # per sequence: F = Z X before step n; X after the last step
+        return np.array([n <= n_steps and seq.steps[(n - 1) % seq.cycle_len].axis[1] == "y"
+                         for seq in seqs]) & flipped
+
+    def switch_frame(switch):  # F -> Z F on the flipped columns of switching sequences
+        for s in np.flatnonzero(switch):
+            psi[:, flip, s] *= parity[:, None]
+
+    if flipped:
+        psi[:, flip] = psi[::-1, flip]
+        switch_frame(about_y(1))
     phases = {}
     for n in range(1, n_steps + 1):
         steps = [seq.steps[(n - 1) % seq.cycle_len] for seq in seqs]
         psi = _rotate_columns(groups, [(s.axis, s.angle) for s in steps], psi)
         w = tuple(s.weight(params.delta) * tau for s, tau in zip(steps, taus))
+        switch = about_y(n) != about_y(n + 1)
         if any(w):
-            if w not in phases:
-                phases[w] = [[np.exp(-1j * np.multiply.outer(e, w)) for _, e, _ in blocks]
-                             for blocks in eigs]
-            psi = _pulse_step(eigs, phases[w], q, q_t, psi)
+            key = (w, switch.tobytes())
+            if key not in phases:
+                phases[key] = _pulse_phases(eigs, spans, flip, w, switch)
+            psi = _pulse_step(eigs, phases[key], spans, q, q_t, psi)
+        else:
+            switch_frame(switch)
+    if flipped:
+        psi[:, flip] = psi[::-1, flip]
     finals = [seq.final_rotations[n_steps % seq.cycle_len] for seq in seqs]
     keys = [rf.tobytes() for rf in finals]
     frames = {key: _site_groups(rf, params.L) for key, rf in zip(keys, finals)}
@@ -679,10 +757,11 @@ def floquet_evolve(seq, params, psi0, n_steps, t_eff, detuning=0.0):
     if isinstance(seq, str):
         seq = PulseSequence.built_in(seq)
     vec = _pulse_inputs(params, psi0, n_steps)
+    detuning = float(detuning)
     eig = _pulse_eigensystem(params.L, params.alpha, params.J, params.boundary,
-                             float(detuning))
-    psi = _pulse_loop([seq], params, [eig], vec.astype(complex)[:, None, None],
-                      n_steps, t_eff)
+                             abs(detuning))
+    psi = _pulse_loop([seq], params, [eig], [(0, 1)], np.array([detuning < 0]),
+                      vec.astype(complex)[:, None, None], n_steps, t_eff)
     return StateVector(data=psi.reshape(-1), basis=("full", params.L))
 
 
@@ -693,9 +772,10 @@ def floquet_sweep(seqs, params, psi0, n_steps, t_eff, detunings, reference):
     ``fidelity(floquet_evolve(seqs[s], params, psi0, n_steps, t_eff,
     detunings[i]), reference)`` to roundoff. All runs step together as one
     (2^L, n_det, n_seq) block, so each pulse costs a few batched products
-    instead of one set per run. Detunings go in chunks whose eigenvectors,
-    read from ``_pulse_eigensystem``, fit in SWEEP_CHUNK_BYTES (one detuning
-    per chunk when one alone is larger).
+    instead of one set per run. The detunings of one magnitude share its
+    eigensystem, read from ``_pulse_eigensystem``, and magnitudes go in
+    chunks whose eigenvectors fit in SWEEP_CHUNK_BYTES (one magnitude per
+    chunk when one alone is larger).
     """
     seqs = [PulseSequence.built_in(s) if isinstance(s, str) else s for s in seqs]
     if not seqs:
@@ -705,18 +785,25 @@ def floquet_sweep(seqs, params, psi0, n_steps, t_eff, detunings, reference):
     if ref.shape != vec.shape:
         raise ValueError("reference must be a full-space state")
     detunings = np.asarray(detunings, dtype=float)
+    magnitudes, which = np.unique(np.abs(detunings), return_inverse=True)
+    # the detunings of magnitude m are order[edges[m]:edges[m + 1]]
+    order = np.argsort(which, kind="stable")
+    edges = np.searchsorted(which[order], np.arange(len(magnitudes) + 1)).tolist()
     chunk = _sweep_chunk(params.L)[0]
     out = np.empty((len(detunings), len(seqs)))
     from .spectral import _blas_threads
 
     with _blas_threads(max(_pulse_block_dims(params.L)), give_back_only=True):
-        for lo in range(0, len(detunings), chunk):
+        for lo in range(0, len(magnitudes), chunk):
+            hi = min(lo + chunk, len(magnitudes))
+            cols = order[edges[lo]:edges[hi]]
+            spans = [(edges[m] - edges[lo], edges[m + 1] - edges[lo]) for m in range(lo, hi)]
             eigs = [_pulse_eigensystem(params.L, params.alpha, params.J, params.boundary,
-                                       float(det))
-                    for det in detunings[lo:lo + chunk]]
-            psi = np.repeat(vec.astype(complex)[:, None], len(eigs) * len(seqs), axis=1)
-            psi = _pulse_loop(seqs, params, eigs, psi.reshape(-1, len(eigs), len(seqs)),
-                              n_steps, t_eff)
-            out[lo:lo + len(eigs)] = np.abs(
-                ref.conj() @ psi.reshape(vec.size, -1)).reshape(len(eigs), len(seqs)) ** 2
+                                       float(m))
+                    for m in magnitudes[lo:hi]]
+            psi = np.repeat(vec.astype(complex)[:, None], len(cols) * len(seqs), axis=1)
+            psi = _pulse_loop(seqs, params, eigs, spans, detunings[cols] < 0,
+                              psi.reshape(-1, len(cols), len(seqs)), n_steps, t_eff)
+            out[cols] = np.abs(
+                ref.conj() @ psi.reshape(vec.size, -1)).reshape(len(cols), len(seqs)) ** 2
     return out

@@ -14,14 +14,14 @@ internal indexing (I/O uses 1-based site labels).
 sum_k C(s_k, k+1) of its ascending sites). ``sector_hamiltonian`` writes each
 sector straight to CSR: a row's hops move one of its n magnons to one of its
 L-n empty sites, so every row holds n(L-n) + 1 entries with the diagonal.
-Only ``_reflection_blocks`` densifies (for ``SectorOperator.eigensystem``
-and the pulse blocks), and only the halves that the reversal j -> L-1-j
-leaves even and odd: the couplings depend on |i-j| (or its cyclic
-minimum), so every sector Hamiltonian commutes with that reversal and is
-block diagonal in its eigenbasis. The eigensystem is kept in that block form, one
-(Q, eigenvalues, V) triple per block with Q the sparse isometry onto the
-block. It is the only eigen-format of a sector: no (dim, dim)
-eigenvector matrix is ever formed.
+Only ``_reflection_projections`` densifies (for ``SectorOperator.eigensystem``
+through ``_reflection_blocks``, and for the pulse blocks), and only the halves
+that the reversal j -> L-1-j leaves even and odd: the couplings depend on
+|i-j| (or its cyclic minimum), so every sector Hamiltonian commutes with that
+reversal and is block diagonal in its eigenbasis. The eigensystem is kept in
+that block form, one (Q, eigenvalues, V) triple per block with Q the sparse
+isometry onto the block. It is the only eigen-format of a sector: no
+(dim, dim) eigenvector matrix is ever formed.
 The full 2^L space shares one occupation table, ``full_space_bits``.
 """
 
@@ -275,6 +275,13 @@ class SectorOperator:
 def _reflection_blocks(H, q_even, q_odd):
     """((q_even, evals, V), (q_odd, evals, V)), V from a dense eigh of q^T H q.
     Raises ValueError if the sparse H couples the blocks beyond 1e-12 of its norm."""
+    return tuple((q, *np.linalg.eigh(h))
+                 for q, h in zip((q_even, q_odd), _reflection_projections(H, q_even, q_odd)))
+
+
+def _reflection_projections(H, q_even, q_odd):
+    """(q_even^T H q_even, q_odd^T H q_odd) as dense arrays. Raises ValueError
+    if the sparse H couples the blocks beyond 1e-12 of its norm."""
     h_even = H @ q_even
     coupling = np.abs((q_odd.T @ h_even).data).max(initial=0.0)
     scale = abs(H).sum(axis=1).max()  # the row-sum norm bounds |H|
@@ -283,8 +290,7 @@ def _reflection_blocks(H, q_even, q_odd):
             f"matrix couples the reflection-even and -odd blocks by "
             f"{coupling:.3g} (norm {scale:.3g}): it breaks the site reversal"
         )
-    return tuple((q, *np.linalg.eigh((q.T @ hq).toarray()))
-                 for q, hq in ((q_even, h_even), (q_odd, H @ q_odd)))
+    return tuple((q.T @ hq).toarray() for q, hq in ((q_even, h_even), (q_odd, H @ q_odd)))
 
 
 def zz_energies(bits, J):

@@ -231,14 +231,30 @@ def test_floquet_bench_rejects_a_negative_det_max(tmp_path, capsys):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_floquet_bench_diagonalizes_once_per_detuning(threads, tmp_path):
-    # the sweep reads each detuning's eigensystem once for both sequences,
-    # though five detunings overflow the 4-entry cache
+    # the sweep reads each detuning magnitude's eigensystem once, for both
+    # signs and both sequences: five detunings, three magnitudes
     _pulse_eigensystem.cache_clear()
     assert main(["floquet-bench", "--length", "4", "--n-steps", "8",
                  "--n-det", "5", "--threads", threads,
                  "--out", str(tmp_path / "o")]) == 0
     info = _pulse_eigensystem.cache_info()
-    assert (info.misses, info.hits) == (5, 0)
+    assert (info.misses, info.hits) == (3, 0)
+
+
+@pytest.mark.parametrize("n_det", ["5", "1"])
+def test_floquet_bench_runs_a_zero_grid_on_one_eigensystem(n_det, tmp_path):
+    out = tmp_path / "o"
+    _pulse_eigensystem.cache_clear()
+    assert main(["floquet-bench", "--length", "5", "--n-steps", "13", "--n-det", n_det,
+                 "--det-max", "0", "--out", str(out)]) == 0
+    info = _pulse_eigensystem.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    _, _, rows = load_csv(out / "floquet_bench.csv")
+    assert [r[0] for r in rows] == ["0.0"] * int(n_det)
+    # dd and plain differ only in the detuning they leave behind
+    dd, plain = (np.array([float(r[k]) for r in rows]) for k in (1, 2))
+    assert np.ptp(dd) <= 1e-12 and np.abs(dd - plain).max() <= 1e-12
+    assert 0 < dd[0] < 1
 
 
 def files_under(path):
@@ -457,8 +473,9 @@ def test_cli_runs_every_blas_stage_on_one_thread_and_restores_the_count(
     _pulse_eigensystem.cache_clear()  # so the sweep diagonalizes here
     _cached_sector.cache_clear()  # and so does the reference sector
     assert main(FLOQUET_SMALL + ["--out", str(tmp_path / "o")]) == 0
-    # L=6: sector blocks of 9 and 6, pulse blocks of 20, 12, 16 and 16
-    assert len(seen["eigh"]) == 2 + 3 * 4
+    # L=6: sector blocks of 9 and 6, pulse blocks of 20, 12, 16 and 16 for
+    # each of the two detuning magnitudes
+    assert len(seen["eigh"]) == 2 + 2 * 4
     assert set(seen) == {"eigh", "center_pair_state", "exact_evolve", "floquet_sweep",
                          "write_csv", "write_manifest"}
     assert all(counts == [1] * len(counts) for counts in seen.values())
@@ -479,7 +496,7 @@ def test_cli_gives_the_threads_back_to_blocks_at_the_threshold(monkeypatch, tmp_
     _pulse_eigensystem.cache_clear()
     _cached_sector.cache_clear()
     assert main(FLOQUET_SMALL + ["--out", str(tmp_path / "o")]) == 0
-    assert seen["eigh"] == [1] * 2 + [4] * 3 * 4
+    assert seen["eigh"] == [1] * 2 + [4] * 2 * 4
     assert seen["floquet_sweep"] == [1]  # entered at one thread, gives back inside
     assert history == [1, 4, 1, 4] and count == [4]
 
@@ -865,8 +882,9 @@ def test_cli_separation_zero_fails_without_files(tmp_path, capsys, experiment):
     # both magnons on one site once died in a KeyError traceback
     out = tmp_path / "o"
     code = main([experiment, "--length", "8", "--separation", "0", "--out", str(out)])
-    assert code == 1
-    assert "error: sites (4, 4) name a site twice" in capsys.readouterr().err
+    assert code == 2
+    assert ("config error: 'separation' must be at most 4 at L=8 and at least 1"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -875,8 +893,10 @@ def test_cli_negative_separation_fails_without_files(tmp_path, capsys, experimen
     # it once ran silently with the second magnon left of the first
     out = tmp_path / "o"
     code = main([experiment, "--length", "12", "--separation", "-2", "--out", str(out)])
-    assert code == 1
-    assert "error: separation must be at least 1, got -2" in capsys.readouterr().err
+    assert code == 2
+    assert ("config error: 'separation' must be at most 6 at L=12 and at least 1, so that "
+            "the second magnon sits on the chain right of the first; got -2"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -892,12 +912,18 @@ def test_cli_quench_rejects_a_front_level_outside_the_unit_interval(tmp_path, ca
 
 
 @pytest.mark.parametrize("args", [["dispersion1", "--alpha", "nan"],
-                                  ["quench", "--delta", "nan"]])
+                                  ["quench", "--delta", "nan"],
+                                  # its grid once overflowed to infinite detunings
+                                  # and died in eigh
+                                  ["floquet-bench", "--det-max", "1e308"]])
 def test_cli_non_finite_model_parameter_fails_fast(tmp_path, args):
-    # both once hung or died inside a solver; the parameter check names the field
+    # each once hung or died inside a solver; the check names the field
+    message = {"--alpha": "alpha must be finite", "--delta": "delta must be finite",
+               "--det-max": "'det_max' must be at least 0 and finite"}[args[1]]
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-m", "magnonlab.cli", *args, "--length", "8",
                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert out.returncode != 0
-    assert f"{args[1][2:]} must be finite" in out.stderr
+    assert out.returncode == 2
+    assert f"config error: {message}" in out.stderr
+    assert not (tmp_path / "o").exists()

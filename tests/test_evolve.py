@@ -27,6 +27,7 @@ from magnonlab.evolve import (
     _pulse_blocks,
     _pulse_eigensystem,
     _sweep_chunk,
+    _xx_blocks,
     exact_evolve,
     fidelity,
     floquet_evolve,
@@ -602,28 +603,34 @@ def test_floquet_length_guard_states_dense_size():
     with pytest.raises(ValueError, match=rf"dim {d} \({8 * d * d} bytes at L={L}\)") as err:
         floquet_evolve("dd", p, np.zeros(1), 8, 1.0)
     assert "four dense z-parity x reflection blocks" in str(err.value)
-    # blocks of 2080, 2016, 2080 and 2016: one detuning exceeds the chunk budget,
-    # but the pulse cache still keeps four
-    assert (f"retains the eigenvectors of 4 detunings "
-            f"({4 * 8 * 2 * (2080**2 + 2016**2)} bytes: chunks of 1") in str(err.value)
+    # blocks of 2080, 2016, 2080 and 2016: one magnitude exceeds the chunk
+    # budget, but the pulse cache still keeps four, and H_XX's blocks as many
+    # bytes as one
+    per_magnitude = 8 * 2 * (2080**2 + 2016**2)
+    assert (f"retains the eigenvectors of 4 detuning magnitudes "
+            f"({4 * per_magnitude} bytes: chunks of 1, and the last 4 stay cached) "
+            f"and H_XX's dense blocks ({per_magnitude} bytes), {5 * per_magnitude} "
+            f"bytes in all") in str(err.value)
 
 
 def test_sweep_retains_the_cached_eigenvectors_the_guard_states(monkeypatch):
-    # one detuning per chunk, as from L=11 on: the cache, not the chunk, bounds
-    # what a sweep of five detunings leaves behind
+    # one magnitude per chunk, as from L=11 on: the cache, not the chunk, bounds
+    # what a sweep of five magnitudes leaves behind, with H_XX's dense blocks
     L = 6
     monkeypatch.setattr(evolve, "SWEEP_CHUNK_BYTES", 1)
-    chunk, per_detuning = _sweep_chunk(L)
+    chunk, per_magnitude = _sweep_chunk(L)
     p = ModelParams(L=L, alpha=1.4, delta=3.5, boundary="open")
     psi0 = np.eye(2**L)[0b001100].astype(complex)
-    dets = [-0.8, -0.4, 0.0, 0.4, 0.8]
+    mags = [0.0, 0.4, 0.8, 1.2, 1.6]
+    dets = [-d for d in mags[:0:-1]] + mags
     _pulse_eigensystem.cache_clear()
     floquet_sweep(["dd"], p, psi0, 8, 1.0, dets, psi0)
-    held = [_pulse_eigensystem(L, 1.4, p.J, "open", d) for d in dets[-4:]]
+    held = [_pulse_eigensystem(L, 1.4, p.J, "open", d) for d in mags[-4:]]
     info = _pulse_eigensystem.cache_info()
     assert (chunk, info.misses, info.hits, info.currsize) == (1, 5, 4, 4)
     retained = sum(V.nbytes for eig in held for _, _, V in eig)
-    assert retained == max(chunk, evolve.PULSE_CACHE_ENTRIES) * per_detuning
+    retained += sum(h.nbytes for h, _ in _xx_blocks(L, 1.4, p.J, "open"))
+    assert retained == (max(chunk, evolve.PULSE_CACHE_ENTRIES) + 1) * per_magnitude
 
 
 def test_pulse_block_dims_and_sweep_chunks():
@@ -659,6 +666,66 @@ def test_floquet_sweep_matches_per_run_calls_and_reference_loop(monkeypatch):
     assert np.ptp(got) > 0.1
 
 
+def rotated_dd():
+    """dd's cycle started at its second step, a rotation about +y."""
+    dd = PulseSequence.built_in("dd")
+    return PulseSequence(dd.steps[1:] + dd.steps[:1], name="rotated")
+
+
+# X = prod_j sx_j swaps the two z-parity blocks at odd L and keeps them at even L
+@pytest.mark.parametrize("L", [5, 6])
+@pytest.mark.parametrize("per_chunk", [1, 2])
+def test_floquet_sweep_runs_minus_detunings_through_the_flip(L, per_chunk, monkeypatch):
+    p = ModelParams(L=L, alpha=1.4, delta=3.5, boundary="open")
+    rng = np.random.default_rng(L)
+    psi0 = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
+    psi0 /= np.linalg.norm(psi0)
+    ref = exact_full_state(p, psi0, 2.0)
+    dets = np.array([-1.1, -0.4, 0.0, 0.4, 1.1])
+    monkeypatch.setattr(evolve, "SWEEP_CHUNK_BYTES", per_chunk * _sweep_chunk(L)[1])
+    assert _sweep_chunk(L)[0] == per_chunk
+    # after 46 steps every sequence ends inside a cycle, each in another frame;
+    # the rotated one starts about y, so its flipped columns start in Z X
+    seqs = [PulseSequence.built_in("dd"), PulseSequence.built_in("plain"), dd_then_plain(),
+            rotated_dd()]
+    finals = [seq.final_rotations[46 % seq.cycle_len] for seq in seqs]
+    assert not any(np.allclose(a, b) for a, b in combinations(finals + [np.eye(2)], 2))
+    _pulse_eigensystem.cache_clear()
+    got = floquet_sweep(seqs, p, psi0, 46, 2.0, dets, ref)
+    assert _pulse_eigensystem.cache_info().misses == 3
+    for i, det in enumerate(dets):
+        for s, seq in enumerate(seqs):
+            run = floquet_evolve(seq, p, psi0, 46, 2.0, detuning=det)
+            loop = reference_floquet(seq, p, psi0, 46, 2.0, det)
+            assert np.max(np.abs(run.data - loop)) <= 1e-12
+            assert abs(got[i, s] - fidelity(run, ref)) <= 1e-12
+            assert abs(got[i, s] - abs(np.vdot(loop, ref)) ** 2) <= 1e-12
+    assert np.abs(got[:2] - got[:2:-1]).max() > 1e-3  # the sign of a detuning matters
+
+
+@pytest.mark.parametrize("seq", ["dd", "rotated"])
+def test_flipped_run_switches_frame_where_no_pulse_runs(seq):
+    # at Delta = 0 the Delta-weight pulses vanish, some between a rotation
+    # about y and one about x, so the frame of a -d run switches on its own
+    p = ModelParams(L=5, alpha=1.4, delta=0.0, boundary="open")
+    rng = np.random.default_rng(3)
+    psi0 = rng.normal(size=2**5) + 1j * rng.normal(size=2**5)
+    psi0 /= np.linalg.norm(psi0)
+    seq = rotated_dd() if seq == "rotated" else PulseSequence.built_in(seq)
+    state = floquet_evolve(seq, p, psi0, 37, 2.0, detuning=-0.7)
+    want = reference_floquet(seq, p, psi0, 37, 2.0, -0.7)
+    assert np.max(np.abs(state.data - want)) <= 1e-13
+    flipped = floquet_evolve(seq, p, psi0, 37, 2.0, detuning=0.7)
+    assert np.max(np.abs(state.data - flipped.data)) > 1e-3
+
+
+def test_pulse_eigensystem_is_cached_for_magnitudes_only():
+    with pytest.raises(ValueError, match=r"\|detuning\| only, got -0.5"):
+        _pulse_eigensystem(4, 1.4, 1.0, "open", -0.5)
+    with pytest.raises(ValueError, match="got nan"):
+        _pulse_eigensystem(4, 1.4, 1.0, "open", float("nan"))
+
+
 def reference_pulse_eigensystem(L, alpha, J, boundary, detuning):
     """The dense pulse eigensystem: H_XX and a dense diagonal, one eigh."""
     params = ModelParams(L=L, alpha=alpha, delta=0.0, J=J, boundary=boundary)
@@ -673,13 +740,15 @@ def reference_pulse_eigensystem(L, alpha, J, boundary, detuning):
 @pytest.mark.parametrize("detuning", [0.0, -0.6, 1.3])
 def test_pulse_eigensystem_is_bit_identical_to_reference(boundary, detuning):
     args = (8, 1.4, 1.0, boundary, detuning)
-    blocks = _pulse_eigensystem.__wrapped__(*args)
+    blocks = _pulse_eigensystem.__wrapped__(*args[:-1], abs(detuning))
     ref_vals, ref_vecs = reference_pulse_eigensystem(*args)
     H = ref_vecs @ (ref_vals[:, None] * ref_vecs.T)
     norm = np.abs(ref_vals).max()
     assert [q.shape[1] for q, _, _ in blocks] == [72, 56, 64, 64]
     evals = np.concatenate([w for _, w, _ in blocks])
     evecs = np.hstack([q @ v for q, _, v in blocks])
+    if detuning < 0:  # H(-d) = X H(d) X, and X = prod_j sx_j reverses the index
+        evecs = evecs[::-1]
     assert np.abs(np.sort(evals) - ref_vals).max() <= 1e-12 * norm
     assert np.abs(evecs.T @ evecs - np.eye(2**8)).max() <= 1e-12
     assert np.abs(H @ evecs - evecs * evals).max() <= 1e-12 * norm
@@ -691,6 +760,7 @@ def test_pulse_eigensystem_allocates_one_dense_matrix_per_role():
     args = (L, 1.4, 1.0, "open", 0.7)
     _pulse_eigensystem.__wrapped__(*args)  # warm imports outside the trace
     _pulse_blocks.cache_clear()
+    _xx_blocks.cache_clear()
     tracemalloc.start()
     try:
         _pulse_eigensystem.__wrapped__(*args)
