@@ -464,6 +464,10 @@ def run_participation(cfg, outdir, seed):
     if not cfg["delta_max"] > cfg["delta_min"]:
         raise ConfigError(f"'delta_max' must exceed 'delta_min', got "
                           f"{cfg['delta_max']} <= {cfg['delta_min']}")
+    shortest, why = MIN_LENGTH["participation"]
+    if cfg["compare_length"] and cfg["compare_length"] < shortest:
+        raise ConfigError(f"'compare_length' must be 0 (off) or at least {shortest}, got "
+                          f"{cfg['compare_length']}: {why}")
     compare = (cfg["compare_length"], cfg["compare_t"]) if cfg["compare_length"] else None
     curve = participation_crossover(params, deltas, tJ_eval=cfg["t_eval"],
                                     compare=compare)

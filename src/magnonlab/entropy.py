@@ -7,14 +7,18 @@ configurational part sum p(n) S(rho^(n)), which add up to the full von
 Neumann entropy of the subsystem (an exact identity, tested to 1e-12).
 
 A sector StateVector may hold one state or a series of them, one per row
-of its data (a time grid from ``propagate``). A series is partial-traced
-in stacks of rows: each region's local magnon count and the colex ranks
-of its region and complement configurations are read off the sector
-basis once, every row of a stack is gathered into its M blocks at once,
-and rho = M M^H and its spectrum are one stacked ``matmul`` and one
-stacked ``eigvalsh`` per local count. A stack holds as many rows as their
-M and rho blocks fit in ``TRACE_STACK_BYTES``, and at least one; one
-state is the one-row case of the same path.
+of its data (a time grid from ``propagate``). Each region's local magnon
+count and the colex ranks of its region and complement configurations
+are read off the sector basis once, and every row is gathered into one
+array M_n per local count n: M_n[a, c] is the amplitude on the n-magnon
+region configuration a beside the complement configuration c. The n
+block of the reduced density matrix is rho_n = M_n M_n^H, whose nonzero
+spectrum is the squared singular values of M_n, so rho is never formed:
+one batched ``svd`` per local count gives p(n), the sum of the squares,
+and the block spectrum, the squares over p(n). By Vandermonde's
+identity, sum_n C(|R|, n) C(L - |R|, N - n) = C(L, N), so the M_n of a
+series hold exactly its own entries. One state is the one-row case of
+the same path.
 
 The snapshot-based proxy replaces the configurational entropy by a
 covariance-style surrogate on z-basis configuration frequencies,
@@ -49,7 +53,6 @@ from .sampling import _rows
 DEFAULT_REGION_A = (7, 8, 9)  # centered 3-site segments for L = 20
 DEFAULT_REGION_B = (12, 13, 14)
 MIN_SECTOR_COUNTS = 10  # below this a p(n) estimate is flagged
-TRACE_STACK_BYTES = 1 << 25  # M and rho blocks of the rows partial-traced at once
 
 
 def _check_region(region, L):
@@ -66,30 +69,21 @@ def _check_region(region, L):
 
 @dataclass
 class SectorResolvedDensity:
-    """Reduced density matrix of a region, block per local magnon count.
+    """Reduced density matrix of a region, by its spectrum per local magnon count.
 
-    probs[n] is the weight of the n-magnon block and blocks[n] the
-    normalized block (None where probs[n] = 0). Block rows follow
-    enumerate_sector(len(region), n) order; spectra[n] holds the
-    eigenvalues of blocks[n] (None where blocks[n] is), for the sign
-    check and ``entropies``.
+    probs[n] is the weight of the n-magnon block and spectra[n] the nonzero
+    spectrum of the normalized block, its min(rows, columns) squared
+    singular values of M over probs[n] (None where probs[n] = 0), which
+    ``entropies`` reads.
     """
 
     region: tuple
     probs: np.ndarray
-    blocks: list
     spectra: list = field(repr=False)
 
     def __post_init__(self):
         if abs(self.probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"block weights sum to {self.probs.sum():.6g}")
-        for n, (block, evals) in enumerate(zip(self.blocks, self.spectra)):
-            if block is None:
-                continue
-            if abs(np.trace(block).real - 1.0) > 1e-9:
-                raise ValueError(f"block n={n} is not normalized")
-            if evals.min() < -1e-12:
-                raise ValueError(f"block n={n} has negative eigenvalues")
 
 
 def reduced_densities(psi, region):
@@ -99,8 +93,7 @@ def reduced_densities(psi, region):
     psi must be a sector StateVector of one state (dim,) or a series of
     them (n_rows, dim); the complement is traced out by grouping the sector
     basis over (region configuration, complement configuration) pairs, so
-    the 2^L space is never built. Rows are traced a stack at a time, as
-    many as their M and rho blocks fit in TRACE_STACK_BYTES (at least one).
+    the 2^L space is never built.
     """
     if not (isinstance(psi, StateVector) and psi.basis[0] == "sector"):
         raise ValueError("psi must be a sector StateVector")
@@ -118,35 +111,23 @@ def reduced_densities(psi, region):
     a_ranks, c_ranks = ((b * basis.binomials[np.arange(b.shape[1]), b.cumsum(axis=1)]).sum(1)
                         for b in (local, np.delete(basis.bits, [s - 1 for s in sites], axis=1)))
     n_local = local.sum(axis=1)
-    # per local count n: its rows, which pair every region configuration with
-    # every complement one, and the shape of its M block
-    groups = []
+    probs = np.zeros((len(data), N + 1))
+    spectra = [[None] * (N + 1) for _ in data]
     for n in range(min(len(sites), N) + 1):
+        # the rows with n magnons in the region pair every region configuration
+        # with every complement one
         rows = np.flatnonzero(n_local == n)
-        if rows.size:
-            groups.append((n, rows, (comb(len(sites), n), comb(L - len(sites), N - n))))
-    row_bytes = 16 * sum(a * (a + c) for _, _, (a, c) in groups)
-    stack = max(1, TRACE_STACK_BYTES // row_bytes)
-
-    for lo in range(0, len(data), stack):
-        chunk = data[lo:lo + stack]
-        probs = np.zeros((len(chunk), N + 1))
-        blocks = [[None] * (N + 1) for _ in chunk]
-        spectra = [[None] * (N + 1) for _ in chunk]
-        for n, rows, shape in groups:
-            M = np.zeros((len(chunk),) + shape, dtype=complex)
-            M[:, a_ranks[rows], c_ranks[rows]] = chunk[:, rows]
-            rho = M @ M.conj().transpose(0, 2, 1)
-            p = np.trace(rho, axis1=1, axis2=2).real
-            held = np.flatnonzero(p > 1e-15)
-            if not held.size:
-                continue
-            normed = rho[held] / p[held, None, None]
-            for j, block, evals in zip(held, normed, np.linalg.eigvalsh(normed)):
-                probs[j, n], blocks[j][n], spectra[j][n] = p[j], block, evals
-        for j in range(len(chunk)):
-            yield SectorResolvedDensity(region=sites, probs=probs[j], blocks=blocks[j],
-                                        spectra=spectra[j])
+        if not rows.size:
+            continue
+        M = np.zeros((len(data), comb(len(sites), n), comb(L - len(sites), N - n)),
+                     dtype=complex)
+        M[:, a_ranks[rows], c_ranks[rows]] = data[:, rows]
+        lam = np.linalg.svd(M, compute_uv=False) ** 2
+        p = lam.sum(axis=1)
+        for j in np.flatnonzero(p > 1e-15):
+            probs[j, n], spectra[j][n] = p[j], lam[j] / p[j]
+    return [SectorResolvedDensity(region=sites, probs=row_probs, spectra=row_spectra)
+            for row_probs, row_spectra in zip(probs, spectra)]
 
 
 def reduced_density(psi, region):

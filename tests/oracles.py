@@ -1,14 +1,17 @@
-"""Full-space oracles: brute-force Pauli products on all 2^L states.
+"""Full-space oracles: brute-force Pauli products and partial traces on all
+2^L states.
 
 The program builds the XXZ chain only per magnon sector, and in the full
 space only the pulse simulator's H_XX. These kron constructions are the
 references for both, for full-space evolution and for number conservation.
+It never forms a reduced density matrix either: the dense partial trace is
+the reference for the entropies read off the singular values of M.
 """
 
 import numpy as np
 from scipy import sparse
 
-from magnonlab.model import coupling_matrix
+from magnonlab.model import coupling_matrix, enumerate_sector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,3 +47,22 @@ def kron_hamiltonian(params, kind="xxz"):
 def number_operator(L):
     """Diagonal total magnon number on the full 2^L space (bit 1 = magnon)."""
     return sparse.diags([float(bin(m).count("1")) for m in range(2**L)]).tocsr()
+
+
+def brute_force_partial_trace(psi, region, L):
+    """Dense full-space partial trace of a sector state onto `region` (1-based
+    sites, site region[i] packed into bit i), O(4^L); oracle for small L."""
+    cols = [s - 1 for s in region]
+    region_mask = sum(1 << c for c in cols)
+    full = np.zeros(1 << L, dtype=complex)
+    masks = np.asarray(enumerate_sector(L, psi.basis[2]).masks, dtype=np.int64)
+    full[masks] = psi.data
+    dim = 1 << len(region)
+    rho = np.zeros((dim, dim), dtype=complex)
+    every = np.arange(1 << L)
+    packed = sum(((every >> c) & 1) << i for i, c in enumerate(cols))
+    kept = every & ~region_mask
+    for m1 in np.flatnonzero(np.abs(full) > 0):
+        match = kept == kept[m1]
+        rho[packed[m1], packed[match]] += full[m1] * np.conj(full[match])
+    return rho

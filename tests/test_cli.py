@@ -420,6 +420,23 @@ def test_participation_needs_a_grid_of_distinct_deltas(tmp_path, capsys):
     assert files_under(out) == []
 
 
+@pytest.mark.parametrize("compare_length", ["1", "2", "-4"])
+def test_participation_too_short_compare_chain_is_a_config_error_before_the_run(
+        compare_length, monkeypatch, tmp_path, capsys):
+    # each once exited 1 after the whole main curve had run
+    def curve_must_not_run(*args, **kwargs):
+        raise AssertionError("the crossover curve ran")
+
+    monkeypatch.setattr(cli, "participation_crossover", curve_must_not_run)
+    out = tmp_path / "o"
+    assert main(["participation", "--length", "8", "--compare-length", compare_length,
+                 "--out", str(out)]) == 2
+    assert (f"config error: 'compare_length' must be 0 (off) or at least 3, got "
+            f"{compare_length}: at L = 2 every pair is adjacent, so the participation is "
+            f"undefined" in capsys.readouterr().err)
+    assert files_under(out) == []
+
+
 def test_phase_diagram_onset_is_the_smallest_bound_delta(tmp_path):
     # the onset once read the first bound column of the grid: 3.0 on the
     # descending grid below, 2.0 on the same points ascending

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from magnonlab import entropy
 from magnonlab.entropy import (
     SectorResolvedDensity,
     config_mutual_proxy,
@@ -10,7 +9,6 @@ from magnonlab.entropy import (
     mutual_information,
     reduced_densities,
     reduced_density,
-    region_entropies,
     subsystem_entropy,
 )
 from magnonlab.evolve import exact_evolve, propagate
@@ -22,6 +20,7 @@ from magnonlab.model import (
     sector_state_from_sites,
 )
 from magnonlab.sampling import SnapshotSet, postselect, sample_snapshots
+from oracles import brute_force_partial_trace
 
 
 def random_sector_state(L, n, seed):
@@ -46,35 +45,12 @@ def evolved_series(L=10, delta=2.0, times=np.linspace(0.5, 3.0, 6)):
     return StateVector(np.vstack([psi0.data, evolved]), psi0.basis)
 
 
-def assemble_block_diagonal(srd):
-    """Embed the blocks into the full 2^|region| space."""
-    dim = 1 << len(srd.region)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for n, block in enumerate(srd.blocks):
-        if block is None:
-            continue
-        idx = np.asarray(enumerate_sector(len(srd.region), n).masks, dtype=np.int64)
-        rho[np.ix_(idx, idx)] += srd.probs[n] * block
-    return rho
-
-
-def brute_force_partial_trace(psi, region, L):
-    """Dense full-space partial trace, O(4^L); oracle for small L."""
-    cols = [s - 1 for s in region]
-    region_mask = sum(1 << c for c in cols)
-    full = np.zeros(1 << L, dtype=complex)
-    masks = np.asarray(enumerate_sector(L, psi.basis[2]).masks, dtype=np.int64)
-    full[masks] = psi.data
-    dim = 1 << len(region)
-    rho = np.zeros((dim, dim), dtype=complex)
-    packed = np.array([
-        sum(((m >> c) & 1) << i for i, c in enumerate(cols)) for m in range(1 << L)
-    ])
-    kept = np.arange(1 << L) & ~region_mask
-    for m1 in np.flatnonzero(np.abs(full) > 0):
-        match = kept == kept[m1]
-        rho[packed[m1], packed[match]] += full[m1] * np.conj(full[match])
-    return rho
+def assert_nonzero_spectrum(spectrum, block, tol):
+    """spectrum holds the nonzero eigenvalues of the Hermitian `block`: its
+    eigenvalues, descending, equal spectrum and then zeros, each within tol."""
+    evals = np.linalg.eigvalsh(block)[::-1]
+    assert np.abs(evals[:len(spectrum)] - spectrum).max() <= tol
+    assert np.abs(evals[len(spectrum):]).max(initial=0.0) <= tol
 
 
 def dict_loop_reduced_density(psi, region):
@@ -114,16 +90,14 @@ def test_grouped_partial_trace_matches_dict_loop(region, n):
     srd = reduced_density(psi, region)
     probs, blocks = dict_loop_reduced_density(psi, region)
     assert np.abs(srd.probs - probs).max() <= 1e-14
-    for got, want in zip(srd.blocks, blocks):
+    for got, want in zip(srd.spectra, blocks):
         assert (got is None) == (want is None)
         if got is not None:
-            assert np.abs(got - want).max() <= 1e-14
+            assert_nonzero_spectrum(got, want, 1e-14)
 
 
 def test_region_past_63_sites_matches_its_complement():
-    # region keys once wrapped in int64 past 63 sites (KeyError at L=80);
-    # no configuration puts both magnons in the region, whose 2-magnon
-    # block would be a dense 2415 x 2415 matrix
+    # region keys once wrapped in int64 past 63 sites (KeyError at L=80)
     p = ModelParams(L=80, alpha=1.4)
     psi = sum(sector_state_from_sites(p, sites).data * amp
               for sites, amp in (((65, 75), 0.6), ((69, 72), 0.48j), ((72, 78), 0.64)))
@@ -159,7 +133,15 @@ def test_partial_trace_matches_brute_force(region):
     psi = random_sector_state(8, 2, seed=42)
     srd = reduced_density(psi, region)
     want = brute_force_partial_trace(psi, region, 8)
-    assert np.abs(assemble_block_diagonal(srd) - want).max() < 1e-12
+    in_blocks = np.zeros(want.shape, dtype=bool)
+    for n, spectrum in enumerate(srd.spectra[:len(region) + 1]):
+        idx = np.asarray(enumerate_sector(len(region), n).masks, dtype=np.int64)
+        in_blocks[np.ix_(idx, idx)] = True
+        if spectrum is None:
+            assert np.abs(want[np.ix_(idx, idx)]).max() < 1e-12
+        else:
+            assert_nonzero_spectrum(srd.probs[n] * spectrum, want[np.ix_(idx, idx)], 1e-12)
+    assert np.abs(want[~in_blocks]).max() < 1e-12  # block diagonal in n
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -167,26 +149,32 @@ def test_number_config_split_is_exact(seed):
     psi = random_sector_state(8, 2, seed=seed)
     srd = reduced_density(psi, (3, 4, 5))
     e = entropies(srd)
-    evals = np.linalg.eigvalsh(assemble_block_diagonal(srd))
+    evals = np.linalg.eigvalsh(brute_force_partial_trace(psi, (3, 4, 5), 8))
     evals = evals[evals > 1e-15]
     assert e.total == pytest.approx(-np.sum(evals * np.log(evals)), abs=1e-12)
     assert e.total == pytest.approx(e.number + e.config, abs=1e-12)
 
 
 def test_subsystem_entropy_diagonalizes_each_block_once(monkeypatch):
-    # the sign check and the entropy read one eigvalsh per nonzero block
-    psi = evolved_state()
-    nonzero = sum(b is not None for b in reduced_density(psi, (4, 5, 6)).blocks)
+    # one batched svd per nonzero local count serves every row of a series,
+    # and no density matrix is diagonalized
     calls = []
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+        return svd(a, *args, **kwargs)
 
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    subsystem_entropy(psi, (4, 5, 6))
-    assert nonzero == 3 and len(calls) == nonzero
+    def eigvalsh_must_not_run(*args, **kwargs):
+        raise AssertionError("eigvalsh ran")
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_must_not_run)
+    for psi, rows in ((evolved_state(), 1), (evolved_series(), 7)):
+        calls.clear()
+        subsystem_entropy(psi, (4, 5, 6))
+        # n = 0, 1, 2 magnons in the region: M blocks of 1 x 21, 3 x 7 and 3 x 1
+        assert calls == [(rows, 1, 21), (rows, 3, 7), (rows, 3, 1)]
 
 
 @pytest.mark.parametrize("region", [(4, 5, 6), (2, 3, 4, 7, 8, 9), (1, 10)])
@@ -197,7 +185,7 @@ def test_stacked_partial_trace_equals_one_state_calls(region):
     for srd, data in zip(stacked, series.data):
         one = reduced_density(StateVector(data, series.basis), region)
         assert np.array_equal(srd.probs, one.probs)
-        for got, want in zip(srd.blocks, one.blocks):
+        for got, want in zip(srd.spectra, one.spectra):
             assert (got is None) == (want is None)
             if got is not None:
                 assert np.array_equal(got, want)
@@ -205,7 +193,8 @@ def test_stacked_partial_trace_equals_one_state_calls(region):
                for data in series.data]
     assert subsystem_entropy(series, region).tolist() == singles
     # the product state leaves blocks empty that the evolved states fill
-    assert sum(b is None for b in stacked[0].blocks) > sum(b is None for b in stacked[-1].blocks)
+    assert (sum(s is None for s in stacked[0].spectra)
+            > sum(s is None for s in stacked[-1].spectra))
     assert singles[0] == 0.0 and min(singles[1:]) > 0.0
 
 
@@ -218,37 +207,25 @@ def test_stacked_entropy_of_a_region_equals_its_complement():
     assert s_region[1:].min() > 0.1
 
 
-def test_one_row_stacks_give_identical_entropies(monkeypatch):
-    series = evolved_series()
-    whole = region_entropies(series, (2, 3, 4), (7, 8, 9))
-    calls = []
-
-    def counting(a, *args, **kwargs):
-        calls.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    monkeypatch.setattr(entropy, "TRACE_STACK_BYTES", 1)
-    split = region_entropies(series, (2, 3, 4), (7, 8, 9))
-    assert set(calls) == {1}  # a budget below one row still traces every row
-    for got, want in zip(split, whole):
-        assert got.tolist() == want.tolist()
+def test_l80_series_entropy_of_a_region_equals_its_complement():
+    # an evolved bound pair beside the cut keeps both magnons in region 1..70
+    # with weight above 0.4: rho's 2-magnon block there is 2415 x 2415, but
+    # its M is a single column
+    p = ModelParams(L=80, alpha=1.4, delta=3.0)
+    psi0 = sector_state_from_sites(p, (69, 70))
+    series = StateVector(propagate(sector_hamiltonian(p, 2), psi0, np.linspace(0.0, 1.5, 4)),
+                         psi0.basis)
+    region = tuple(range(1, 71))
+    assert min(srd.probs[2] for srd in reduced_densities(series, region)) > 0.4
+    s_region = subsystem_entropy(series, region)
+    assert np.abs(s_region - subsystem_entropy(series, tuple(range(71, 81)))).max() <= 1e-12
+    assert s_region[0] == 0.0 and s_region[1:].min() > 0.4
 
 
 def test_density_validation_rejects_bad_blocks():
-    def density(probs, blocks):
-        return SectorResolvedDensity((1,), np.array(probs), blocks,
-                                     [np.linalg.eigvalsh(b) for b in blocks])
-
-    good = np.eye(2) / 2
+    half = np.array([0.5, 0.5])
     with pytest.raises(ValueError, match="sum"):
-        density([0.4, 0.4], [good, good])
-    with pytest.raises(ValueError, match="not normalized"):
-        density([1.0], [np.eye(2)])
-    neg = np.diag([1.5, -0.5])
-    with pytest.raises(ValueError, match="negative"):
-        density([1.0], [neg])
+        SectorResolvedDensity((1,), np.array([0.4, 0.4]), [half, half])
 
 
 def test_region_validation():
